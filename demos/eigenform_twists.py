@@ -13,13 +13,11 @@ Run:  python3 demos/eigenform_twists.py
 
 import random
 
-from sympy import primerange
-
-from hermlift import QuadField, a_D
+from hermlift import QuadField, a_D, is_prime
 from hermlift.ikeda import (fQ_coeff, fstar_coeff, fstar_plus_check,
                             rho_coeff, synthetic_eigendata)
 
-primes = list(primerange(2, 260))
+primes = [p for p in range(2, 260) if is_prime(p)]
 
 f = QuadField(15)
 ed = synthetic_eigendata(f, 7, 1, primes, random.Random(4))

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import kronecker
 from .cyclotomic import CycloNum, e_frac
-from .quadfield import Character, QuadField
+from .quadfield import Character, QuadField, chi_component
 
 
 class LegendreChar:
@@ -42,6 +43,13 @@ def gauss_sum(psi, b: int = 1) -> CycloNum:
         if v:
             out = out + v * e_frac(a * b, M)
     return out
+
+
+@lru_cache(maxsize=None)
+def i_sqrtD(D: int) -> CycloNum:
+    """G(chi_K) = i*sqrt(D) for the field of discriminant -D (chi_K is odd);
+    -i/sqrt(D), i/sqrt(D) and -i*sqrt(D) are rational multiples of it."""
+    return gauss_sum(chi_component(QuadField(D), D))
 
 
 def gauss_sum_inverse(psi, b: int = 1) -> CycloNum:

@@ -33,7 +33,7 @@ from .plusform import QExpansion
 from .quadfield import QuadField, chi_component
 from .thetamat import Mat2Z, matrices_equal, mat_mul, theta_matrix, theta_matrix_closed
 
-MODES = ("criterion", "theta", "salie", "gauss", "normsum", "lift", "hecke", "ikeda")
+MODES = ("criterion", "theta", "salie", "gauss", "normsum", "hecke", "ikeda")
 
 
 class UsageError(Exception):
@@ -62,8 +62,8 @@ def _emit(report: dict, out: str | None, name: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the individual verification modes (each returns a JSON-ready report with
-# an "ok" key)
+# the individual verification modes: each returns its own report fields and
+# its failures; run_mode adds the keys common to every report
 
 
 def run_mode(mode: str, D: int, N: int, *, seed: int = 0,
@@ -71,30 +71,31 @@ def run_mode(mode: str, D: int, N: int, *, seed: int = 0,
     field = _field(D)
     if N < 1 or math.gcd(D, N) != 1:
         raise UsageError(f"N = {N} must be positive and coprime to D = {D}")
+    reports = {
+        "criterion": lambda: _report_criterion(field, N, seed, arithmetic),
+        "theta": lambda: _report_theta(field, seed),
+        "salie": lambda: _report_salie(field),
+        "gauss": lambda: _report_gauss(field),
+        "normsum": lambda: _report_normsum(field),
+        "hecke": lambda: _report_hecke(field, N),
+        "ikeda": lambda: _report_ikeda(field, seed),
+    }
+    if mode not in reports:
+        raise UsageError(f"mode must be one of {', '.join(MODES)}")
     t0 = time.monotonic()
-    if mode == "criterion":
-        rep = crit.verify_criterion(field, N, seed=seed, arithmetic=arithmetic)
-        rep["mode"] = "criterion"
-        rep["seed"] = seed
-        rep["arithmetic"] = arithmetic
-        rep["ok"] = not rep["failures"]
-        return rep
-    if mode == "theta":
-        return _report_theta(field, seed, t0)
-    if mode == "salie":
-        return _report_salie(field, t0)
-    if mode == "gauss":
-        return _report_gauss(field, t0)
-    if mode == "normsum":
-        return _report_normsum(field, t0)
-    if mode == "hecke":
-        return _report_hecke(field, N, t0)
-    if mode == "ikeda":
-        return _report_ikeda(field, seed, t0)
-    raise UsageError(f"mode must be one of {', '.join(MODES)}")
+    rep = {"mode": mode, "D": D, "N": N, "seed": seed, **reports[mode]()}
+    rep["ok"] = not rep["failures"]
+    rep["wall_time"] = time.monotonic() - t0
+    return rep
 
 
-def _report_theta(field: QuadField, seed: int, t0: float) -> dict:
+def _report_criterion(field: QuadField, N: int, seed: int, arithmetic: str) -> dict:
+    rep = crit.verify_criterion(field, N, seed=seed, arithmetic=arithmetic)
+    return {"arithmetic": arithmetic, "triples_checked": rep["triples_checked"],
+            "failures": rep["failures"]}
+
+
+def _report_theta(field: QuadField, seed: int) -> dict:
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -118,12 +119,10 @@ def _report_theta(field: QuadField, seed: int, t0: float) -> dict:
                 "check": "homomorphism",
                 "g1": list(g1.entries()), "g2": list(g2.entries()),
             })
-    return {"mode": "theta", "D": field.D, "seed": seed, "checked": checked,
-            "failures": failures, "ok": not failures,
-            "wall_time": time.monotonic() - t0}
+    return {"checked": checked, "failures": failures}
 
 
-def _report_salie(field: QuadField, t0: float) -> dict:
+def _report_salie(field: QuadField) -> dict:
     failures = []
     checked = 0
     primes = [p for p in prime_divisors(field.D) if p % 2 == 1]
@@ -135,12 +134,10 @@ def _report_salie(field: QuadField, t0: float) -> dict:
                     _, _, ok = salie_check(p, x, y, z)
                     if not ok:
                         failures.append({"p": p, "x": x, "y": y, "z": z})
-    return {"mode": "salie", "D": field.D, "primes": primes, "checked": checked,
-            "failures": failures, "ok": not failures,
-            "wall_time": time.monotonic() - t0}
+    return {"primes": primes, "checked": checked, "failures": failures}
 
 
-def _report_gauss(field: QuadField, t0: float) -> dict:
+def _report_gauss(field: QuadField) -> dict:
     failures = []
     checked = []
     for m in divisors(field.D):
@@ -149,12 +146,10 @@ def _report_gauss(field: QuadField, t0: float) -> dict:
         checked.append(m)
         if not check_closed_form(chi_component(field, m)):
             failures.append({"m": m})
-    return {"mode": "gauss", "D": field.D, "components": checked,
-            "failures": failures, "ok": not failures,
-            "wall_time": time.monotonic() - t0}
+    return {"components": checked, "failures": failures}
 
 
-def _report_normsum(field: QuadField, t0: float) -> dict:
+def _report_normsum(field: QuadField) -> dict:
     failures = []
     checked = 0
     for N in range(1, 16):
@@ -166,9 +161,7 @@ def _report_normsum(field: QuadField, t0: float) -> dict:
             checked += 1
             if not norm_sum_check(field, N, t):
                 failures.append({"N": N, "t": t})
-    return {"mode": "normsum", "D": field.D, "checked": checked,
-            "failures": failures, "ok": not failures,
-            "wall_time": time.monotonic() - t0}
+    return {"checked": checked, "failures": failures}
 
 
 def _inert_primes(field: QuadField, count: int) -> list[int]:
@@ -180,7 +173,7 @@ def _inert_primes(field: QuadField, count: int) -> list[int]:
     return out
 
 
-def _report_hecke(field: QuadField, N: int, t0: float) -> dict:
+def _report_hecke(field: QuadField, N: int) -> dict:
     failures = []
     cases = []
     for p in _inert_primes(field, 2):
@@ -196,18 +189,18 @@ def _report_hecke(field: QuadField, N: int, t0: float) -> dict:
                       "distinct": ok_distinct})
         if not ok_count or ok_distinct is False:
             failures.append({"p": p})
-    return {"mode": "hecke", "D": field.D, "N": N, "cases": cases,
-            "failures": failures, "ok": not failures,
-            "wall_time": time.monotonic() - t0}
+    return {"cases": cases, "failures": failures}
 
 
-def _report_ikeda(field: QuadField, seed: int, t0: float) -> dict:
-    from sympy import primerange
+def _primes_below(n: int) -> list[int]:
+    return [p for p in range(2, n) if is_prime(p)]
 
+
+def _report_ikeda(field: QuadField, seed: int) -> dict:
     rng = random.Random(seed)
     failures = []
     checked = 0
-    primes = list(primerange(2, 260))
+    primes = _primes_below(260)
     for trial in range(3):
         ed = ik.synthetic_eigendata(field, 7, 1, primes, rng)
         for ell in (1, 2, 5):
@@ -222,9 +215,7 @@ def _report_ikeda(field: QuadField, seed: int, t0: float) -> dict:
             except AssertionError as e:
                 failures.append({"trial": trial, "ell": ell, "check": str(e)})
             checked += 1
-    return {"mode": "ikeda", "D": field.D, "seed": seed, "checked": checked,
-            "failures": failures, "ok": not failures,
-            "wall_time": time.monotonic() - t0}
+    return {"checked": checked, "failures": failures}
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +330,8 @@ def cmd_ikeda(args) -> int:
     field = _field(args.D)
     if math.gcd(args.ell, args.D) != 1:
         raise UsageError("ell must be coprime to D")
-    from sympy import primerange
-
     rng = random.Random(args.seed)
-    primes = list(primerange(2, max(260, args.bound + 10)))
+    primes = _primes_below(max(260, args.bound + 10))
     ed = ik.synthetic_eigendata(field, args.k - 1, 1, primes, rng)
     coeffs = {}
     for M in range(1, args.bound + 1):

@@ -71,7 +71,6 @@ def _reduction_rows(M: int) -> list[list[int]]:
         nxt = [0] + row[:-1]
         if top:
             nxt = [nxt[i] - top * phi[i] for i in range(deg)]
-            nxt[0] -= 0  # phi already monic; nothing else to do
         row = nxt
     with _cache_lock:
         _red_cache[M] = rows
@@ -301,11 +300,3 @@ def ext_root(r: Rat, M: int) -> CycloNum:
         raise ValueError(f"denominator of {r} not invertible mod {M}")
     s = r.numerator * pow(r.denominator, -1, M) % M
     return e_frac(s, M)
-
-
-def is_zero(x: CycloNum) -> bool:
-    return _coerce(x).is_zero()
-
-
-def embed(x: CycloNum) -> complex:
-    return _coerce(x).embed()

@@ -15,7 +15,6 @@ Three pieces:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -51,9 +50,6 @@ class BetaTable:
 
 # ---------------------------------------------------------------------------
 # unitary similitude matrices and the T_p coset representatives
-
-
-J4_BLOCKS = "J4 = [[0, -I2], [I2, 0]]"
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from .arith import divisors
-from .charsums import gauss_sum
+from .charsums import i_sqrtD
 from .cyclotomic import CycloNum
 from .hecke import BetaTable, TableRangeError
 from .plusform import QExpansion
-from .quadfield import DiffClass, QuadField, a_D, chi_component, classes
+from .quadfield import QuadField, a_D, classes
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,6 @@ class AlphaSeries:
         if ell in self.unspecified:
             raise ValueError(f"coefficient {ell} is unspecified")
         return self.table.get(ell, 0)
-
-
-def _minus_i_sqrtD(field: QuadField) -> CycloNum:
-    """-i*sqrt(D) = -G(chi_K), exactly."""
-    return -gauss_sum(chi_component(field, field.D))
 
 
 def _scale(scal: CycloNum, c):
@@ -79,13 +74,13 @@ def theta_decompose(field: QuadField, N: int, g: QExpansion) -> dict:
     if not is_plus(field, g):
         raise ValueError("theta decomposition requires a plus form")
     chiN = field.chi(N)
-    base = _minus_i_sqrtD(field)
+    base = i_sqrtD(D)
     out = {}
     by_res: dict[int, QExpansion] = {}
     for u in classes(field):
         res = (-u.dnorm) % D
         if res not in by_res:
-            scal = base * Fraction(chiN, u.mult)  # a_u = a_D(-D|u|^2) = mult
+            scal = base * Fraction(-chiN, u.mult)  # a_u = a_D(-D|u|^2) = mult
             cs = []
             for ell, c in enumerate(g.coeffs):
                 if ell % D != res:
@@ -108,7 +103,7 @@ def special_jacobi_alpha(field: QuadField, N: int, g: QExpansion) -> AlphaSeries
         raise ValueError("N must be coprime to D")
     if not is_plus(field, g):
         raise ValueError("alpha* requires a plus form")
-    base = _minus_i_sqrtD(field) * field.chi(N)  # chi(N) = 1/chi(N)
+    base = i_sqrtD(field.D) * -field.chi(N)  # chi(N) = 1/chi(N)
     table = {}
     unspec = set()
     for ell, c in enumerate(g.coeffs):
@@ -133,8 +128,7 @@ def plus_coeff_from_alpha(field: QuadField, N: int, alpha: AlphaSeries, ell: int
     aD = a_D(field, ell)
     if aD == 0:
         return CycloNum.zero()
-    i_over = gauss_sum(chi_component(field, field.D)) * Fraction(1, field.D)
-    return i_over * Fraction(aD * field.chi(N)) * alpha.value(ell)
+    return i_sqrtD(field.D) * Fraction(aD * field.chi(N), field.D) * alpha.value(ell)
 
 
 @dataclass(frozen=True)
@@ -158,10 +152,6 @@ class HermitianCoeffKey:
         """D * det(T) = D*ell*m - N(t1 + t2*omega), an integer."""
         t = _alg_norm(self.field, self.t1, self.t2)
         return self.field.D * self.ell * self.m - t
-
-    @property
-    def epsT(self) -> int:
-        return epsilon_T(self)
 
 
 def _alg_norm(field: QuadField, a: int, b: int) -> int:

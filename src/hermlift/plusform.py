@@ -20,9 +20,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
-from .arith import crt, divisors
+from .arith import bezout, crt, divisors
 from .quadfield import QuadField, a_D
 from .thetamat import Mat2Z
 
@@ -258,20 +258,14 @@ def build_Pm(D: int, m: int, N: int) -> PmMatrix:
     while math.gcd(c, d) != 1:
         d += M
     # top row: any Bezout completion, then shift by s*(c, d) to match (a0, b0)
-    g, x, y = _bezout(d, -c)
+    g, x, y = bezout(d, -c)
     a1, b1 = x, y  # a1*d - b1*c = 1
-    _, xc, yd = _bezout(c, d)  # xc*c + yd*d = 1
+    _, xc, yd = bezout(c, d)  # xc*c + yd*d = 1
     s = (xc * (a0 - a1) + yd * (b0 - b1)) % M
     a, b = a1 + s * c, b1 + s * d
     P = Mat2Z(a, b, c, d)
     _check_Pm(P, m, n, N)
     return PmMatrix(m, n, N, P)
-
-
-def _bezout(a: int, b: int) -> tuple[int, int, int]:
-    from .arith import bezout
-
-    return bezout(a, b)
 
 
 def slash_eval(g: QExpansion, gamma: Mat2Z, tau: complex,

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import factorize, is_squarefree, kronecker, prime_divisors, valuation
-from .cyclotomic import CycloNum
+from .arith import is_squarefree, kronecker, prime_divisors, valuation
 
 
 class QuadField:
@@ -85,10 +84,6 @@ class QuadField:
 
     def __hash__(self):
         return hash(("QuadField", self.D))
-
-
-def make_field(D: int) -> QuadField:
-    return QuadField(D)
 
 
 @dataclass(frozen=True)
@@ -232,15 +227,6 @@ class Character:
     def parity(self) -> int:
         """psi_m(-1)."""
         return self(-1) if self.modulus > 1 else 1
-
-    @property
-    def eps(self) -> CycloNum:
-        """eps(psi_m): 1 if psi_m(-1) = 1, i otherwise."""
-        return CycloNum.from_rational(1) if self.parity == 1 else CycloNum.i()
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.modulus == 1
 
     def __repr__(self):
         return f"Character(psi_{self.modulus}, D={self.field.D})"

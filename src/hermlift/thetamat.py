@@ -10,7 +10,7 @@ there are closed forms (one for odd D, a two-factor one for even D) which are
 much cheaper; both are implemented and cross-checked exactly in the tests.
 
 The scalar -i/sqrt(D) is represented exactly as -G(chi_K)/D in the cyclotomic
-ring (G(chi_K) = i*sqrt(D) since chi_K is odd).
+ring (G(chi_K) = i*sqrt(D) since chi_K is odd; see charsums.i_sqrtD).
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .arith import valuation
-from .charsums import gauss_sum
-from .cyclotomic import CycloNum, ext_root, root_of_unity
+from .charsums import gauss_sum, i_sqrtD
+from .cyclotomic import CycloNum, root_of_unity
 from .quadfield import DiffClass, QuadField, chi_component, class_index, classes
 
 
@@ -62,12 +61,6 @@ J = Mat2Z(0, -1, 1, 0)
 T = Mat2Z(1, 1, 0, 1)
 
 
-@lru_cache(maxsize=None)
-def _minus_i_over_sqrtD(D: int) -> CycloNum:
-    field = QuadField(D)
-    return gauss_sum(chi_component(field, D)) * Fraction(-1, D)
-
-
 def theta_matrix(field: QuadField, sigma: Mat2Z) -> list[list[CycloNum]]:
     """The D x D matrix (M_{u,v}(sigma)) from the defining sum, rows/columns
     in canonical class order."""
@@ -85,7 +78,7 @@ def theta_matrix(field: QuadField, sigma: Mat2Z) -> list[list[CycloNum]]:
             out[class_index(field, u)][class_index(field, v)] = val
         return out
 
-    pref = _minus_i_over_sqrtD(D) * Fraction(1, c)
+    pref = i_sqrtD(D) * Fraction(-1, D * c)
     # The lattice sum per entry has |c|^2 terms gamma = u + al + be*omega;
     # scaling all coordinates by t = 2D makes every exponent an integer over
     # t^2 |c|, so the grid runs in vectorized integer arithmetic (a CycloNum
@@ -95,12 +88,20 @@ def theta_matrix(field: QuadField, sigma: Mat2Z) -> list[list[CycloNum]]:
     t = 2 * D
     cabs = abs(c)
     L0 = t * t * cabs
-    al = np.repeat(np.arange(cabs, dtype=np.int64), cabs)
-    be = np.tile(np.arange(cabs, dtype=np.int64), cabs)
+    # only a*nrm and d*nrm enter the exponent, which is taken mod L0
+    a, d = a % L0, d % L0
     # gamma = u + al + be*omega in coordinates (g1, g2) along (1, i sqrt(D));
     # odd D: omega = 1/2 + i sqrt(D)/2, even D: omega = i sqrt(D)/2
     U1 = [int(t * u.coords()[0]) for u in cls]
     U2 = [int(t * u.coords()[1]) for u in cls]
+    # |num| below, bounded in Python integers, must fit numpy's int64
+    v1, v2 = max(map(abs, U1)), max(map(abs, U2))
+    g1, g2 = v1 + 2 * t * cabs, v2 + t * cabs
+    if (a * (g1 * g1 + D * g2 * g2) + 2 * (g1 * v1 + D * g2 * v2)
+            + d * (v1 * v1 + D * v2 * v2)) >= 2**63:
+        raise OverflowError(f"theta_matrix: lattice sum for c = {c} exceeds int64")
+    al = np.repeat(np.arange(cabs, dtype=np.int64), cabs)
+    be = np.tile(np.arange(cabs, dtype=np.int64), cabs)
     out = []
     for ui, u in enumerate(cls):
         if field.e == 0:
@@ -190,16 +191,14 @@ def theta_matrix_closed_factored(field: QuadField, sigma: Mat2Z) -> tuple[CycloN
             )
         return CycloNum.from_rational(1), out
     if field.e == 0:
-        scalar = _minus_i_over_sqrtD(D) * gauss_sum(chi_component(field, c), a)
+        scalar = i_sqrtD(D) * gauss_sum(chi_component(field, c), a) * Fraction(-1, D)
         entry = _theta_closed_entry_odd
     else:
         f = valuation(c, 2)
         cp = c >> f
         # 1/(i*sqrt(D)) = -i/sqrt(D); 2-power prefactor: 1, 2, 2^{f-2}
         pref = Fraction(1) if f == 0 else Fraction(2) if f == 1 else Fraction(2**f, 4)
-        scalar = (
-            gauss_sum(chi_component(field, cp), a * (2**f)) * _minus_i_over_sqrtD(D) * pref
-        )
+        scalar = gauss_sum(chi_component(field, cp), a * (2**f)) * i_sqrtD(D) * (-pref / D)
         entry = _theta_closed_entry_even
     return scalar, [[entry(field, sigma, u, v) for v in cls] for u in cls]
 

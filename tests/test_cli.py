@@ -1,8 +1,11 @@
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
-from hermlift.cli import main
+from hermlift.cli import MODES, main, run_mode
 
 
 def run(args):
@@ -96,3 +99,23 @@ def test_ikeda_subcommand(capsys):
                 "--bound", "40"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["ok"] and rep["plus"] and len(rep["coeffs"]) == 40
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_mode_runs(mode):
+    rep = run_mode(mode, 3, 1)
+    assert rep["ok"] and rep["mode"] == mode
+    for key in ("D", "N", "seed", "failures", "wall_time"):
+        assert key in rep
+
+
+def test_readme_lists_the_verify_modes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = re.search(r"Modes for `verify`:(.*?)\.", readme, re.S).group(1)
+    assert tuple(re.findall(r"`([a-z]+)`", line)) == MODES
+
+
+def test_ikeda_runs_without_sympy(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    assert run(["ikeda", "--D", "7", "--bound", "40"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]

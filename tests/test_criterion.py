@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hermlift import criterion
 from hermlift.criterion import (criterion_lhs, criterion_lhs_float,
                                 expected_delta, inner_sum_closed,
                                 inner_sum_direct, random_gamma0, sweep_sigmas,
@@ -86,3 +87,26 @@ def test_random_gamma0_in_group():
         g = random_gamma0(f, rng)
         assert g.det() == 1
         assert g.c % 15 == 0
+
+
+@pytest.mark.parametrize("arithmetic, target",
+                         [("exact", "inner_sum_closed"), ("float", "_inner_sum_float")])
+def test_verify_criterion_reports_injected_fault(monkeypatch, arithmetic, target):
+    # double A_u wherever c | D: then A = 2*delta, so exactly the triples
+    # with delta = 1 and such sigma must fail, with located witnesses
+    D = 7
+    orig = getattr(criterion, target)
+
+    def doubled(field, sigma, u, w):
+        val = orig(field, sigma, u, w)
+        return 2 * val if sigma.c > 0 and D % sigma.c == 0 else val
+
+    monkeypatch.setattr(criterion, target, doubled)
+    rep = verify_criterion(QuadField(D), 1, seed=0, arithmetic=arithmetic,
+                           translates=1)
+    assert rep["failures"]
+    for fail in rep["failures"]:
+        assert set(fail) == {"sigma", "v", "w", "lhs", "expected"}
+        c = fail["sigma"][2]
+        assert c > 0 and D % c == 0
+        assert fail["expected"] == 1

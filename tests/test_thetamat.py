@@ -119,3 +119,20 @@ def test_unimodularity_of_theta_matrix():
             s = sum((M[i][k] * M[j][k].conjugate() for k in range(n)),
                     start=type(M[0][0]).zero())
             assert (s - (1 if i == j else 0)).is_zero()
+
+
+@pytest.mark.parametrize("a", (10**16, 10**19))
+def test_defining_sum_exact_for_large_entries(a):
+    # unreduced, a*nrm(gamma) wraps around int64 at a = 10^16 and does not
+    # convert to int64 at all at a = 10^19
+    f = QuadField(7)
+    sigma = Mat2Z(a, a - 1, 1, 1)
+    assert matrices_equal(theta_matrix(f, sigma), theta_matrix_closed(f, sigma))
+
+
+def test_defining_sum_refuses_int64_overflow():
+    # a lattice too large for int64 is refused before any grid is built;
+    # a = 35c + 1 stays large after reduction mod (2D)^2 c
+    c = 10**6
+    with pytest.raises(OverflowError):
+        theta_matrix(QuadField(3), Mat2Z(35 * c + 1, 35, c, 1))
