@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import kronecker
-from .cyclotomic import CycloNum, e_frac
+from .cyclotomic import CycloNum, csum, e_frac
 from .quadfield import Character, QuadField, chi_component
 
 
@@ -37,12 +37,7 @@ def gauss_sum(psi, b: int = 1) -> CycloNum:
     M = psi.modulus
     if M == 1:
         return CycloNum.from_rational(1)
-    out = CycloNum.zero()
-    for a in range(M):
-        v = psi(a)
-        if v:
-            out = out + v * e_frac(a * b, M)
-    return out
+    return csum(v * e_frac(a * b, M) for a in range(M) if (v := psi(a)))
 
 
 @lru_cache(maxsize=None)
@@ -74,11 +69,8 @@ def check_closed_form(psi: Character) -> bool:
 def salie_lhs(p: int, x: int, y: int, z: int) -> CycloNum:
     """sum_{j=1}^{p-1} (j|p) e[z(j x^2 + j^{-1} y^2)/p], by brute force."""
     psi = LegendreChar(p)
-    out = CycloNum.zero()
-    for j in range(1, p):
-        jinv = pow(j, -1, p)
-        out = out + psi(j) * e_frac(z * (j * x * x + jinv * y * y), p)
-    return out
+    return csum(psi(j) * e_frac(z * (j * x * x + pow(j, -1, p) * y * y), p)
+                for j in range(1, p))
 
 
 def salie_rhs(p: int, x: int, y: int, z: int) -> CycloNum:
@@ -91,10 +83,7 @@ def salie_rhs(p: int, x: int, y: int, z: int) -> CycloNum:
     mid = Fraction(psi(x * x) + psi(y * y), 1 + psi(y * y))
     if mid == 0:
         return CycloNum.zero()
-    tail = CycloNum.zero()
-    for g in range(p):
-        if (g * g - y * y) % p == 0:
-            tail = tail + e_frac(2 * x * z * g, p)
+    tail = csum(e_frac(2 * x * z * g, p) for g in range(p) if (g * g - y * y) % p == 0)
     return gauss_sum(psi, z) * mid * tail
 
 
@@ -109,12 +98,8 @@ def salie_check(p: int, x: int, y: int, z: int) -> tuple[CycloNum, CycloNum, boo
 def norm_sum(field: QuadField, N: int, t: int) -> CycloNum:
     """sum over gamma in O_K/N O_K of e[t|gamma|^2 / N]."""
     tr, nm = field.omega_trace, field.omega_norm
-    out = CycloNum.zero()
-    for a in range(N):
-        for b in range(N):
-            n = a * a + tr * a * b + nm * b * b
-            out = out + e_frac(t * n, N)
-    return out
+    return csum(e_frac(t * (a * a + tr * a * b + nm * b * b), N)
+                for a in range(N) for b in range(N))
 
 
 def norm_sum_check(field: QuadField, N: int, t: int) -> bool:

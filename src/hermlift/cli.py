@@ -182,12 +182,10 @@ def _report_hecke(field: QuadField, N: int) -> dict:
         reps = coset_reps(field, p, N)
         want = 1 + p + p**3 + p**4
         ok_count = len(reps) == want
-        ok_distinct = p <= 3 and verify_reps_distinct(field, p, N)
-        if p > 3:
-            ok_distinct = None  # pairwise check too slow; covered by tests
+        ok_distinct = verify_reps_distinct(field, p, N)
         cases.append({"p": p, "count": len(reps), "expected": want,
                       "distinct": ok_distinct})
-        if not ok_count or ok_distinct is False:
+        if not ok_count or not ok_distinct:
             failures.append({"p": p})
     return {"cases": cases, "failures": failures}
 

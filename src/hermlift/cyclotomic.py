@@ -1,9 +1,16 @@
 """Exact arithmetic with rational combinations of roots of unity.
 
-A CycloNum is a finite sum  sum_k  c_k * e[k/M]  with rational c_k, where
-e[x] = exp(2*pi*i*x).  Two values of different orders are combined by lazy
-lifting to the lcm of the orders.  The zero test is canonical: the exponent
-vector is reduced modulo the M-th cyclotomic polynomial Phi_M.
+A CycloNum of order M is  (sum_k n_k * e[k/M]) / den  with integer numerators
+n_k and one positive integer denominator den, where e[x] = exp(2*pi*i*x).
+Every operation works on Python ints, so nothing can overflow.  Invariant:
+den > 0, no zero numerator is stored, and gcd(den, n_k ...) = 1 (den = 1 for
+zero).  Two values of different orders are combined by lazy lifting to the
+lcm of the orders.  The zero test is canonical: the numerator vector is
+reduced modulo the M-th cyclotomic polynomial Phi_M.
+
+`csum` adds many terms into one dict over one order and one denominator, so a
+long sum costs one pass over its terms instead of a copy of the accumulator
+per term.
 
 Division is deliberately NOT general: only division by nonzero rationals and
 by roots of unity is provided here (Gauss sums are inverted at call sites via
@@ -16,12 +23,12 @@ import cmath
 import math
 import threading
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
 
 _phi_cache: dict[int, list[int]] = {}
-_red_cache: dict[int, list[list[int]]] = {}
+_red_cache: dict[int, list[list[tuple[int, int]]]] = {}
 _cache_lock = threading.Lock()
 
 
@@ -55,8 +62,9 @@ def cyclotomic_polynomial(M: int) -> list[int]:
     return poly
 
 
-def _reduction_rows(M: int) -> list[list[int]]:
-    """Row k is the integer vector of x^k mod Phi_M in the power basis."""
+def _reduction_rows(M: int) -> list[list[tuple[int, int]]]:
+    """Row k lists the nonzero (index, coefficient) pairs of x^k mod Phi_M in
+    the power basis, by ascending index."""
     with _cache_lock:
         if M in _red_cache:
             return _red_cache[M]
@@ -65,7 +73,7 @@ def _reduction_rows(M: int) -> list[list[int]]:
     rows = []
     row = [1] + [0] * (deg - 1) if deg > 0 else []
     for _ in range(M):
-        rows.append(row)
+        rows.append([(i, r) for i, r in enumerate(row) if r])
         # multiply by x and reduce using x^deg = -(phi[0] + ... + phi[deg-1] x^{deg-1})
         top = row[-1]
         nxt = [0] + row[:-1]
@@ -80,35 +88,38 @@ def _reduction_rows(M: int) -> list[list[int]]:
 class CycloNum:
     """Immutable exact element of a cyclotomic field."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "den")
 
-    def __init__(self, order: int = 1, coeffs: dict[int, Fraction] | None = None):
-        self.order = order
-        cs = {}
+    def __init__(self, order: int = 1, coeffs: dict[int, Rat] | None = None):
+        acc: dict[int, Rat] = {}
         if coeffs:
             for k, c in coeffs.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = Fraction(c)
                 if c:
                     k %= order
-                    if k in cs:
-                        c += cs[k]
-                        if c:
-                            cs[k] = c
-                        else:
-                            del cs[k]
-                    else:
-                        cs[k] = c
-        self.coeffs = cs
+                    acc[k] = acc.get(k, 0) + c
+        # the lcm of the reduced denominators leaves the numerators coprime to it
+        den = 1
+        for c in acc.values():
+            if type(c) is not int:
+                den = math.lcm(den, c.denominator)
+        self.order = order
+        self.coeffs = {k: int(c * den) for k, c in acc.items() if c}
+        self.den = den if self.coeffs else 1
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "CycloNum":
-        return CycloNum(1, {})
+        return _raw(1, {}, 1)
 
     @staticmethod
     def from_rational(q: Rat) -> "CycloNum":
-        return CycloNum(1, {0: Fraction(q)})
+        if type(q) is int:
+            return _raw(1, {0: q} if q else {}, 1)
+        q = Fraction(q)
+        return _raw(1, {0: q.numerator} if q else {}, q.denominator)
 
     @staticmethod
     def i() -> "CycloNum":
@@ -116,7 +127,7 @@ class CycloNum:
 
     # -- helpers -----------------------------------------------------------
 
-    def _lifted(self, M: int) -> dict[int, Fraction]:
+    def _lifted(self, M: int) -> dict[int, int]:
         s = M // self.order
         if s == 1:
             return self.coeffs
@@ -125,21 +136,12 @@ class CycloNum:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "CycloNum":
-        other = _coerce(other)
-        M = _lcm(self.order, other.order)
-        cs = dict(self._lifted(M))
-        for k, c in other._lifted(M).items():
-            v = cs.get(k, 0) + c
-            if v:
-                cs[k] = v
-            elif k in cs:
-                del cs[k]
-        return _raw(M, cs)
+        return csum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycloNum":
-        return _raw(self.order, {k: -c for k, c in self.coeffs.items()})
+        return _raw(self.order, {k: -c for k, c in self.coeffs.items()}, self.den)
 
     def __sub__(self, other) -> "CycloNum":
         return self + (-_coerce(other))
@@ -148,29 +150,33 @@ class CycloNum:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "CycloNum":
-        if isinstance(other, (int, Fraction)):
-            if not other:
+        if type(other) is not CycloNum:
+            if isinstance(other, (int, Fraction)) and not other:
                 return CycloNum.zero()
-            q = Fraction(other)
-            return _raw(self.order, {k: c * q for k, c in self.coeffs.items()})
-        other = _coerce(other)
-        M = _lcm(self.order, other.order)
-        a, b = self._lifted(M), other._lifted(M)
+            other = _coerce(other)
+        M = self.order
+        if M == other.order:
+            a, b = self.coeffs, other.coeffs
+        else:
+            M = math.lcm(M, other.order)
+            a, b = self._lifted(M), other._lifted(M)
         if len(a) > len(b):
             a, b = b, a
-        cs: dict[int, Fraction] = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                if k >= M:
-                    k -= M
-                v = cs.get(k)
-                v = c1 * c2 if v is None else v + c1 * c2
-                if v:
-                    cs[k] = v
-                elif k in cs:
-                    del cs[k]
-        return _raw(M, cs)
+        if len(a) == 1:
+            # a monomial only shifts the exponents: no collisions, no zeros
+            (k1, c1), = a.items()
+            cs = {(k1 + k2) % M: c1 * c2 for k2, c2 in b.items()}
+        else:
+            cs = {}
+            get = cs.get
+            for k1, c1 in a.items():
+                for k2, c2 in b.items():
+                    k = k1 + k2
+                    if k >= M:
+                        k -= M
+                    cs[k] = get(k, 0) + c1 * c2
+            cs = {k: c for k, c in cs.items() if c}
+        return _normal(M, cs, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -184,32 +190,29 @@ class CycloNum:
             if len(other.coeffs) != 1:
                 raise TypeError("CycloNum division is only defined by rationals and roots of unity")
             (k, c), = other.coeffs.items()
-            inv = _raw(other.order, {(-k) % other.order: 1 / c})
+            # (c/den) e[k/M] has inverse (den/c) e[-k/M]; gcd(c, den) = 1
+            inv = _raw(other.order, {(-k) % other.order: other.den if c > 0 else -other.den}, abs(c))
             return self * inv
         return NotImplemented
 
     def conjugate(self) -> "CycloNum":
-        return _raw(self.order, {(-k) % self.order: c for k, c in self.coeffs.items()})
+        M = self.order
+        return _raw(M, {(-k) % M: c for k, c in self.coeffs.items()}, self.den)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if not self.coeffs:
+        cs = self.coeffs
+        if not cs:
             return True
-        # clear denominators so the reduction runs on machine integers
-        den = 1
-        for c in self.coeffs.values():
-            den = den // math.gcd(den, c.denominator) * c.denominator
+        if len(cs) == 1:
+            return False  # a nonzero multiple of a root of unity
         rows = _reduction_rows(self.order)
-        deg = len(rows[0])
-        vec = [0] * deg
-        for k, c in self.coeffs.items():
-            ci = c.numerator * (den // c.denominator)
-            row = rows[k]
-            for i in range(deg):
-                if row[i]:
-                    vec[i] += ci * row[i]
-        return not any(vec)
+        vec: dict[int, int] = {}
+        for k, c in cs.items():
+            for i, r in rows[k]:
+                vec[i] = vec.get(i, 0) + c * r
+        return not any(vec.values())
 
     def is_rational(self) -> bool:
         return (self - self.rational_part()).is_zero()
@@ -218,17 +221,15 @@ class CycloNum:
         """The coefficient of e[0] after canonical reduction; equals the value
         itself when the number is rational."""
         rows = _reduction_rows(self.order)
-        deg = len(rows[0])
-        vec = [Fraction(0)] * deg
-        for k, c in self.coeffs.items():
-            row = rows[k]
-            for i in range(deg):
-                if row[i]:
-                    vec[i] += c * row[i]
         # constant term of the power-basis representation is only the full
         # rational value when all other basis coefficients vanish; callers
         # pair this with is_rational().
-        return vec[0] if deg > 0 else Fraction(0)
+        v0 = 0
+        for k, c in self.coeffs.items():
+            row = rows[k]
+            if row and row[0][0] == 0:
+                v0 += c * row[0][1]
+        return Fraction(v0, self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, CycloNum)):
@@ -245,41 +246,94 @@ class CycloNum:
 
     def embed(self) -> complex:
         w = 2j * math.pi / self.order
-        return sum((complex(c) * cmath.exp(w * k) for k, c in self.coeffs.items()), 0j)
+        return sum((c * cmath.exp(w * k) for k, c in self.coeffs.items()), 0j) / self.den
 
     def __repr__(self) -> str:
         if not self.coeffs:
             return "CycloNum(0)"
         terms = " + ".join(
-            f"{c}*e[{k}/{self.order}]" if k else f"{c}" for k, c in sorted(self.coeffs.items())
+            f"{Fraction(c, self.den)}*e[{k}/{self.order}]" if k else f"{Fraction(c, self.den)}"
+            for k, c in sorted(self.coeffs.items())
         )
         return f"CycloNum({terms})"
 
 
-def _raw(order: int, coeffs: dict[int, Fraction]) -> CycloNum:
-    out = CycloNum.__new__(CycloNum)
+_new = object.__new__
+
+
+def _raw(order: int, coeffs: dict[int, int], den: int) -> CycloNum:
+    out = _new(CycloNum)
     out.order = order
     out.coeffs = coeffs
+    out.den = den
     return out
 
 
+def _normal(order: int, cs: dict[int, int], den: int) -> CycloNum:
+    """The CycloNum cs/den for numerators cs without zeros: the common
+    factor of den and the numerators divided out."""
+    if den != 1:
+        if not cs:
+            den = 1
+        else:
+            g = math.gcd(den, *cs.values())
+            if g != 1:
+                den //= g
+                cs = {k: c // g for k, c in cs.items()}
+    return _raw(order, cs, den)
+
+
 def _coerce(x) -> CycloNum:
-    if isinstance(x, CycloNum):
+    if type(x) is CycloNum:
         return x
     if isinstance(x, (int, Fraction)):
         return CycloNum.from_rational(x)
     raise TypeError(f"cannot coerce {type(x)} to CycloNum")
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
+def csum(terms: Iterable) -> CycloNum:
+    """The sum of CycloNums and rationals, accumulated in place.  The result
+    has the lcm of all the terms' orders, like a fold of `+`."""
+    M, den = 1, 1
+    cs: dict[int, int] = {}
+    for t in terms:
+        if type(t) is not CycloNum:
+            t = _coerce(t)
+        o = t.order
+        if M % o:
+            L = math.lcm(M, o)
+            s = L // M
+            cs = {k * s: c for k, c in cs.items()}
+            M = L
+        if not t.coeffs:
+            continue
+        d = t.den
+        if d == den:
+            f = 1
+        elif den % d == 0:
+            f = den // d
+        else:
+            up = d // math.gcd(den, d)
+            cs = {k: c * up for k, c in cs.items()}
+            den *= up
+            f = den // d
+        s = M // o
+        get = cs.get
+        if s == 1 and f == 1:
+            for k, c in t.coeffs.items():
+                cs[k] = get(k, 0) + c
+        else:
+            for k, c in t.coeffs.items():
+                k *= s
+                cs[k] = get(k, 0) + c * f
+    return _normal(M, {k: c for k, c in cs.items() if c}, den)
 
 
 def root_of_unity(r: Rat) -> CycloNum:
     """e[r] = exp(2*pi*i*r) for rational r; the order is the denominator."""
     r = Fraction(r)
     M = r.denominator
-    return _raw(M, {r.numerator % M: Fraction(1)})
+    return _raw(M, {r.numerator % M: 1}, 1)
 
 
 def e_frac(num: int, den: int) -> CycloNum:

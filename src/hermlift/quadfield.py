@@ -18,6 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -199,29 +200,31 @@ def class_index(field: QuadField, u: DiffClass) -> int:
 
 class Character:
     """The quadratic character psi_m = prod_{p | m prime} chi_p for m | D with
-    gcd(m, D/m) = 1, as a callable of modulus m."""
+    gcd(m, D/m) = 1, as a callable of modulus m.
+
+    psi_m is periodic mod m (the 2-part of m is all of 2^e, the period of
+    chi_2), so its values mod m are tabulated once."""
 
     def __init__(self, field: QuadField, m: int):
         if m < 1 or field.D % m != 0:
             raise ValueError(f"m = {m} must divide D = {field.D}")
-        import math
-
         if math.gcd(m, field.D // m) != 1:
             raise ValueError(f"m = {m} and D/m = {field.D // m} must be coprime")
         self.field = field
         self.modulus = m
-        self.odd_primes = [p for p in prime_divisors(m) if p != 2]
-        self.has_two = m % 2 == 0
+        odd_primes = [p for p in prime_divisors(m) if p != 2]
+        table = []
+        for n in range(m):
+            v = 1
+            for p in odd_primes:
+                v *= kronecker(n, p)
+            if m % 2 == 0:
+                v *= field.chi2(n)
+            table.append(v)
+        self.table = tuple(table)
 
     def __call__(self, n: int) -> int:
-        v = 1
-        for p in self.odd_primes:
-            v *= kronecker(n, p)
-            if v == 0:
-                return 0
-        if self.has_two:
-            v *= self.field.chi2(n)
-        return v
+        return self.table[n % self.modulus]
 
     @property
     def parity(self) -> int:
@@ -232,6 +235,7 @@ class Character:
         return f"Character(psi_{self.modulus}, D={self.field.D})"
 
 
+@lru_cache(maxsize=None)
 def chi_component(field: QuadField, m: int) -> Character:
     return Character(field, m)
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .arith import valuation
 from .charsums import gauss_sum, i_sqrtD
-from .cyclotomic import CycloNum, root_of_unity
+from .cyclotomic import CycloNum, csum, root_of_unity
 from .quadfield import DiffClass, QuadField, chi_component, class_index, classes
 
 
@@ -123,7 +123,7 @@ def theta_matrix(field: QuadField, sigma: Mat2Z) -> list[list[CycloNum]]:
             for k in keys:
                 g = math.gcd(g, int(k))
             acc = CycloNum(L0 // g, {
-                int(k) // g: Fraction(int(m)) for k, m in zip(keys, counts)
+                int(k) // g: int(m) for k, m in zip(keys, counts)
             })
             row.append(pref * acc)
         out.append(row)
@@ -215,17 +215,8 @@ def matrices_equal(A: list[list[CycloNum]], B: list[list[CycloNum]]) -> bool:
 
 def mat_mul(A: list[list[CycloNum]], B: list[list[CycloNum]]) -> list[list[CycloNum]]:
     n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = CycloNum.zero()
-            for k in range(n):
-                if A[i][k].coeffs and B[k][j].coeffs:
-                    s = s + A[i][k] * B[k][j]
-            row.append(s)
-        out.append(row)
-    return out
+    return [[csum(A[i][k] * B[k][j] for k in range(n) if A[i][k].coeffs and B[k][j].coeffs)
+             for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

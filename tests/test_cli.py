@@ -78,6 +78,14 @@ def test_hecke_reps_rejects_split_prime():
     assert run(["hecke-reps", "--D", "3", "--p", "7"]) == 2
 
 
+def test_verify_hecke_checks_distinctness_for_p5(capsys):
+    assert run(["verify", "--D", "3", "--mode", "hecke"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    cases = {c["p"]: c for c in rep["cases"]}
+    assert sorted(cases) == [2, 5]
+    assert cases[5]["distinct"] is True and cases[2]["distinct"] is True
+
+
 def test_lift_table(tmp_path):
     out = tmp_path / "lift.json"
     assert run(["lift", "--D", "3", "--k", "8", "--upto", "2",

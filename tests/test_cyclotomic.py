@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermlift.cyclotomic import (CycloNum, cyclotomic_polynomial, e_frac,
-                                 ext_root, root_of_unity)
+from hermlift.cyclotomic import (CycloNum, csum, cyclotomic_polynomial,
+                                 e_frac, ext_root, root_of_unity)
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 roots = st.builds(root_of_unity,
@@ -102,3 +102,86 @@ def test_i_unit():
     i = CycloNum.i()
     assert (i * i + 1).is_zero()
     assert abs(i.embed() - 1j) < 1e-14
+
+
+# -- the representation: integer numerators over one common denominator ------
+
+orders = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 15])
+cyclos = st.builds(
+    CycloNum, orders,
+    st.dictionaries(st.integers(min_value=-40, max_value=40), fracs, max_size=5))
+nonzero_fracs = fracs.filter(bool)
+monomials = st.builds(lambda q, z: z * q, nonzero_fracs, roots)
+summands = st.one_of(cyclos, roots, fracs, st.integers(-3, 3), st.just(CycloNum.zero()))
+
+
+def assert_canonical(x):
+    assert type(x) is CycloNum
+    assert type(x.den) is int and x.den > 0
+    assert all(type(c) is int and c != 0 for c in x.coeffs.values())
+    assert all(0 <= k < x.order for k in x.coeffs)
+    assert math.gcd(x.den, *x.coeffs.values()) == 1
+    if not x.coeffs:
+        assert x.den == 1
+
+
+def test_constructor_takes_a_common_denominator():
+    x = CycloNum(6, {1: Fraction(1, 2), 7: Fraction(1, 3), 2: Fraction(-3, 4)})
+    assert x.coeffs == {1: 10, 2: -9} and x.den == 12
+    assert_canonical(x)
+    assert_canonical(CycloNum(4, {0: Fraction(1, 2), 4: Fraction(-1, 2)}))
+
+
+@given(cyclos, cyclos, fracs, nonzero_fracs, monomials)
+@settings(max_examples=150)
+def test_every_operation_keeps_the_invariant(a, b, q, r, z):
+    for x in (a, b, a + b, a - b, a * b, a * q, q * a, a + q, q - a, -a,
+              a / r, a / z, a.conjugate(), csum([a, b, q])):
+        assert_canonical(x)
+
+
+@given(cyclos, cyclos, fracs)
+@settings(max_examples=100)
+def test_operations_match_the_embedding(a, b, q):
+    ea, eb = a.embed(), b.embed()
+    assert abs((a + b).embed() - (ea + eb)) < 1e-9
+    assert abs((a * b).embed() - ea * eb) < 1e-9
+    assert abs((a * q).embed() - ea * float(q)) < 1e-9
+    assert abs(a.conjugate().embed() - ea.conjugate()) < 1e-9
+
+
+@given(st.lists(summands, max_size=8))
+@settings(max_examples=150)
+def test_csum_equals_the_fold_of_add(xs):
+    fold = CycloNum.zero()
+    for x in xs:
+        fold = fold + x
+    s = csum(xs)
+    assert_canonical(s)
+    assert (s.order, s.coeffs, s.den) == (fold.order, fold.coeffs, fold.den)
+    assert (csum(iter(xs)) - fold).is_zero()
+
+
+def test_csum_edge_cases():
+    assert (csum([]).order, csum([]).coeffs, csum([]).den) == (1, {}, 1)
+    z = csum([CycloNum.zero(), e_frac(1, 5) - e_frac(1, 5), 0])
+    assert z.is_zero() and z.order == 5 and z.den == 1
+    # mixed orders and denominators, with full cancellation
+    x = csum([e_frac(1, 3) * Fraction(1, 2), Fraction(1, 6), e_frac(1, 4),
+              -e_frac(2, 6) * Fraction(1, 2), -e_frac(3, 12), Fraction(-1, 6)])
+    assert x.order == 12 and x.coeffs == {} and x.den == 1
+
+
+@given(fracs, st.sampled_from([2, 3, 4, 5, 6, 8, 12, 15]))
+def test_rational_part_of_a_non_monomial_rational(q, M):
+    # -q * sum_{k=1}^{M-1} e[k/M] = q, stored with no e[0] term at all
+    x = csum(e_frac(k, M) * -q for k in range(1, M))
+    assert 0 not in x.coeffs or q == 0
+    assert x.is_rational() and x.rational_part() == q
+
+
+def test_rational_part_non_integral():
+    x = (Fraction(-7, 6) + e_frac(1, 3) + e_frac(2, 3)) * Fraction(5, 4)
+    assert x.den > 1
+    assert x.is_rational() and x.rational_part() == Fraction(-65, 24)
+    assert type(x.rational_part()) is Fraction

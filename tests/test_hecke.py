@@ -110,3 +110,41 @@ def test_beta_table_zero_extension():
     assert t.value(0, 5) == 0
     assert t.value(-3, 5) == 0
     assert t.value(2, 5) == 11
+
+
+def test_distinctness_refuses_int64_overflow(monkeypatch):
+    # entries of 2^31 make the sums of 4 products reach 2^64: the einsum
+    # would wrap, so the check must raise instead of returning a verdict
+    import hermlift.hecke as hecke
+
+    real = hecke._coeff_tensors
+
+    def large(mats):
+        x, y = real(mats)
+        return x * 2**31, y
+
+    f = QuadField(3)
+    assert verify_reps_distinct(f, 2, 1) is True
+    monkeypatch.setattr(hecke, "_coeff_tensors", large)
+    with pytest.raises(OverflowError):
+        verify_reps_distinct(f, 2, 1)
+
+
+@pytest.mark.parametrize("block,N,distinct", [("B", 1, False), ("B", 5, False), ("C", 5, True)])
+def test_distinctness_sees_a_repeated_coset(monkeypatch, block, N, distinct):
+    # replace reps[1] by h * reps[0].  h = [[I, pE], [0, I]] lies in
+    # alpha^{-1} Gamma_{0,2}(Np) alpha, so the first coset repeats; h =
+    # [[I, 0], [E, I]] with E != 0 mod N does not (only the C block differs)
+    import hermlift.hecke as hecke
+
+    f, p = QuadField(3), 2
+    reps = coset_reps(f, p, N)
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    if block == "B":
+        rows[0][2] = p
+    else:
+        rows[2][0] = 1
+    changed = reps[:1] + [UnitaryMat4.make(f, rows) * reps[0]] + reps[2:]
+    monkeypatch.setattr(hecke, "coset_reps", lambda *args: changed)
+    assert verify_reps_distinct(f, p, N) is distinct
+    assert verify_reps_distinct(f, p, N, pairwise=True) is distinct

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermlift.arith import prime_divisors
+from hermlift.arith import divisors, kronecker, prime_divisors
 from hermlift.quadfield import (AlgInt, QuadField, a_D, a_D_by_count,
                                 chi_component, class_from_key, classes)
 from tests.conftest import ALL_D
@@ -29,14 +29,14 @@ def test_omega_trace_norm(D):
 
 @pytest.mark.parametrize("D", ALL_D)
 def test_chi_is_kronecker_of_minus_D(D):
-    import sympy
+    from sympy.functions.combinatorial.numbers import jacobi_symbol
 
     f = QuadField(D)
     for n in range(1, 60):
         if math.gcd(n, D) != 1:
             assert f.chi(n) == 0
         elif n % 2 == 1:
-            assert f.chi(n) == sympy.ntheory.jacobi_symbol(-D, n)
+            assert f.chi(n) == jacobi_symbol(-D, n)
     # multiplicativity and the factorization into prime components
     for a in range(1, 40):
         for b in range(1, 40):
@@ -122,3 +122,19 @@ def test_chi_component_is_character(D):
                 assert psi(a * b) == psi(a) * psi(b)
             if math.gcd(a, m) != 1:
                 assert psi(a) == 0
+
+
+@pytest.mark.parametrize("D", ALL_D)
+def test_character_table_matches_product_formula(D):
+    # psi_m(n) = prod_{p | m odd prime} (n | p) * chi_2(n) [2 | m], periodic mod m
+    f = QuadField(D)
+    for m in divisors(D):
+        if math.gcd(m, D // m) != 1:
+            continue
+        psi = chi_component(f, m)
+        assert len(psi.table) == m
+        for n in range(-3 * m, 3 * m + 1):
+            want = 1
+            for p in prime_divisors(m):
+                want *= f.chi2(n) if p == 2 else kronecker(n, p)
+            assert psi(n) == want, (m, n)
