@@ -164,10 +164,11 @@ def _report_normsum(field: QuadField) -> dict:
     return {"checked": checked, "failures": failures}
 
 
-def _inert_primes(field: QuadField, count: int) -> list[int]:
+def _inert_primes(field: QuadField, N: int, count: int) -> list[int]:
+    """The first count primes that are inert in the field and prime to N."""
     out, p = [], 2
     while len(out) < count:
-        if is_prime(p) and field.chi(p) == -1:
+        if N % p and is_prime(p) and field.chi(p) == -1:
             out.append(p)
         p += 1
     return out
@@ -176,13 +177,11 @@ def _inert_primes(field: QuadField, count: int) -> list[int]:
 def _report_hecke(field: QuadField, N: int) -> dict:
     failures = []
     cases = []
-    for p in _inert_primes(field, 2):
-        if N % p == 0:
-            continue
+    for p in _inert_primes(field, N, 2):
         reps = coset_reps(field, p, N)
         want = 1 + p + p**3 + p**4
         ok_count = len(reps) == want
-        ok_distinct = verify_reps_distinct(field, p, N)
+        ok_distinct = verify_reps_distinct(field, p, N, reps)
         cases.append({"p": p, "count": len(reps), "expected": want,
                       "distinct": ok_distinct})
         if not ok_count or not ok_distinct:

@@ -8,7 +8,13 @@ Three pieces:
       (iii) beta(u, v) = beta(1, v u^2) for u | N^infinity;
   * the right-coset representatives R_N of the inert-prime Hecke operator
     T_p = Gamma_{0,2}(N) diag(I, pI) Gamma_{0,2}(N) (count 1 + p + p^3 + p^4),
-    with an exact pairwise-distinctness verifier;
+    with an exact distinctness verifier.  Each coset has a canonical key, the
+    reduced row echelon form over O_K/pO_K = F_{p^2} of the top two rows
+    [A | B] of a representative mod p: if r2 = y r1 with y's B block = 0 mod
+    p, then top(r2) = A_y top(r1) mod p with A_y invertible mod p (det y is
+    a unit = det A_y det D_y).  Representatives are bucketed by key and any
+    collision is decided by the exact membership test, so the check is
+    linear when the keys are distinct;
   * beta_Tp -- the three-branch recursion transporting beta under T_p, which
     preserves conditions (ii)/(iii) (checked by verify_beta_conditions).
 """
@@ -101,18 +107,12 @@ class UnitaryMat4:
         return UnitaryMat4(self.field, tuple(rows), Fraction(1) / self.mu)
 
     def is_integral(self) -> bool:
-        return all(
-            Fraction(x.a).denominator == 1 and Fraction(x.b).denominator == 1
-            for r in self.rows
-            for x in r
-        )
+        return all(x.a.denominator == 1 and x.b.denominator == 1
+                   for r in self.rows for x in r)
 
     def c_block_divisible_by(self, M: int) -> bool:
-        return all(
-            Fraction(x.a, M).denominator == 1 and Fraction(x.b, M).denominator == 1
-            for i in range(2)
-            for x in self.rows[i + 2][:2]
-        )
+        return all(x.a % M == 0 and x.b % M == 0
+                   for i in range(2) for x in self.rows[i + 2][:2])
 
     def to_json(self) -> list:
         return [[[int(x.a), int(x.b)] for x in row] for row in self.rows]
@@ -125,7 +125,7 @@ def _as_alg(field: QuadField, x) -> AlgInt:
 
 
 def _scale(x: AlgInt, q: Fraction) -> AlgInt:
-    return AlgInt(x.field, x.a * q, x.b * q)
+    return x if q == 1 else AlgInt(x.field, x.a * q, x.b * q)
 
 
 def _sum_alg(field: QuadField, xs) -> AlgInt:
@@ -137,35 +137,20 @@ def _sum_alg(field: QuadField, xs) -> AlgInt:
 
 def _similitude(field: QuadField, rows) -> Fraction:
     """mu with g* J4 g = mu J4, raising if g is not a similitude matrix."""
-    # (g* J4 g)_{ij} = sum_k conj(g_{ki}) (J4 g)_{kj};  J4 g swaps row blocks
+    # (g* J4 g)_{ij} = sum_k conj(g_{ki}) (J4 g)_{kj};  J4 g swaps row blocks.
+    # g* J4 g is skew-hermitian, as J4 is real and skew, so the entries on
+    # and above the diagonal decide it: (0,2), (1,3) = -mu, the rest 0
     jg = [tuple(-x for x in rows[2]), tuple(-x for x in rows[3]), rows[0], rows[1]]
-    prod = [
-        [
-            _sum_alg(field, [rows[k][i].conj() * jg[k][j] for k in range(4)])
-            for j in range(4)
-        ]
-        for i in range(4)
-    ]
-    # J4 pattern: entries (0,2),(1,3) = -1 and (2,0),(3,1) = +1, rest 0
+    gc = [[x.conj() for x in row] for row in rows]
     mu = None
     for i in range(4):
-        for j in range(4):
-            x = prod[i][j]
-            if (i, j) in ((0, 2), (1, 3)):
-                cand = Fraction(-x.a)
-            elif (i, j) in ((2, 0), (3, 1)):
-                cand = Fraction(x.a)
-            else:
-                if x.a != 0 or x.b != 0:
-                    raise ValueError("matrix is not a unitary similitude")
-                continue
-            if x.b != 0:
+        for j in range(i, 4):
+            x = _sum_alg(field, [gc[k][i] * jg[k][j] for k in range(4)])
+            if (i, j) == (0, 2):
+                mu = Fraction(-x.a)
+            want = -mu if (i, j) in ((0, 2), (1, 3)) else 0
+            if x.a != want or x.b != 0:
                 raise ValueError("matrix is not a unitary similitude")
-            if mu is None:
-                mu = cand
-            elif mu != cand:
-                raise ValueError("matrix is not a unitary similitude")
-    assert mu is not None
     return mu
 
 
@@ -259,78 +244,72 @@ def _same_coset(field: QuadField, p: int, N: int, r1: UnitaryMat4, r2: UnitaryMa
     # B = 0 mod p (integrality) and pC = 0 mod Np, i.e. C = 0 mod N
     if not y.is_integral():
         return False
-    b_div = all(
-        Fraction(x.a, p).denominator == 1 and Fraction(x.b, p).denominator == 1
-        for i in range(2)
-        for x in y.rows[i][2:]
-    )
+    b_div = all(x.a % p == 0 and x.b % p == 0 for i in range(2) for x in y.rows[i][2:])
     return b_div and y.c_block_divisible_by(N)
 
 
-def verify_reps_distinct(field: QuadField, p: int, N: int,
-                         pairwise: bool = False) -> bool:
-    """Exact pairwise check that the coset representatives are distinct.
-
-    By default the check is vectorized: all reps are integral with mu = 1, so
-    r2 r1^{-1} is an integral matrix and coset equality reduces to integer
-    congruences (B block mod p, C block mod N) on batched products of the
-    coefficient tensors in the (1, omega) basis -- still exact: the entries
-    are bounded against 2^63 first, and OverflowError is raised instead of a
-    wrapped product.  Both routes are quadratic in the number of reps (the
-    fast one takes about 1 s at p = 5 and 5 s at p = 7).  pairwise=True
-    forces the direct object-level loop (used to cross-check the fast path).
+def coset_key(field: QuadField, p: int, r: UnitaryMat4) -> tuple:
+    """The canonical key of the right coset of an integral r: the reduced row
+    echelon form over O_K/pO_K = F_{p^2} of the top two rows [A | B] of r
+    mod p, each entry a pair (a, b) standing for a + b*omega.  For a
+    representative of T_p it is a totally isotropic 2-space of the hermitian
+    form J4 (A B* - B A* = 0 mod p), a generator of the polar space H(3, p^2).
     """
-    reps = coset_reps(field, p, N)
-    if pairwise:
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                if _same_coset(field, p, N, reps[i], reps[j]):
-                    return False
-        return True
-    import numpy as np
+    if not r.is_integral():
+        raise ValueError("a coset key needs an integral representative")
+    t, n = field.omega_trace, field.omega_norm
 
-    n = len(reps)
-    t, nn = field.omega_trace, field.omega_norm
-    Rx, Ry = _coeff_tensors(reps)
-    Ix, Iy = _coeff_tensors([r.inv() for r in reps])
-    # each entry of cx, cy below combines sums of 4 products; bounded in
-    # Python integers, it must fit numpy's int64
-    prod = 4 * _max_abs(Rx, Ry) * _max_abs(Ix, Iy)
-    if prod * (2 + abs(nn) + abs(t)) >= 2**63:
-        raise OverflowError(f"verify_reps_distinct: coset products for p = {p}, N = {N} exceed int64")
-    matches = 0
-    step = max(1, 2_000_000 // (n * 16))
-    # only the B block (mod p) and the C block (mod N) of y enter the test
-    blocks = ((slice(0, 2), slice(2, 4), p), (slice(2, 4), slice(0, 2), N))
-    for lo in range(0, n, step):
-        same = True
-        for rows, cols, mod in blocks:
-            # that block of y = reps[j] * inv(reps[i]) for all pairs (i, j) of
-            # the chunk: (X1 + w Y1)(X2 + w Y2), w^2 = -norm + trace*w
-            Ax, Ay = Rx[None, :, rows], Ry[None, :, rows]
-            Bx, By = Ix[lo:lo + step, None, :, cols], Iy[lo:lo + step, None, :, cols]
-            xx, xy, yx, yy = Ax @ Bx, Ax @ By, Ay @ Bx, Ay @ By
-            cx = xx - nn * yy
-            cy = xy + yx + t * yy
-            same = same & ((cx % mod == 0) & (cy % mod == 0)).all(axis=(2, 3))
-        matches += int(same.sum())
-    # each rep matches exactly itself iff all cosets are distinct
-    return matches == n
+    def mul(x, y):  # omega^2 = t*omega - n
+        return ((x[0] * y[0] - n * x[1] * y[1]) % p,
+                (x[0] * y[1] + x[1] * y[0] + t * x[1] * y[1]) % p)
+
+    def inv(x):  # conj(x) / N(x), and N(x) != 0 mod p because p is inert
+        a, b = x
+        s = pow(a * a + t * a * b + n * b * b, -1, p)
+        return (a + t * b) * s % p, -b * s % p
+
+    rows = [[(int(x.a) % p, int(x.b) % p) for x in row] for row in r.rows[:2]]
+    lead = 0
+    for c in range(4):
+        piv = next((i for i in range(lead, 2) if rows[i][c] != (0, 0)), None)
+        if piv is None:
+            continue
+        rows[lead], rows[piv] = rows[piv], rows[lead]
+        s = inv(rows[lead][c])
+        rows[lead] = [mul(s, x) for x in rows[lead]]
+        other = 1 - lead
+        f = rows[other][c]
+        if f != (0, 0):
+            rows[other] = [((x[0] - fy[0]) % p, (x[1] - fy[1]) % p)
+                           for x, fy in zip(rows[other], (mul(f, y) for y in rows[lead]))]
+        lead += 1
+        if lead == 2:
+            break
+    return tuple(map(tuple, rows))
 
 
-def _max_abs(*arrays) -> int:
-    """The largest absolute entry of integer arrays, as a Python int."""
-    return max(max(int(x.max()), -int(x.min())) for x in arrays)
+def verify_reps_distinct(field: QuadField, p: int, N: int,
+                         reps: list[UnitaryMat4] | None = None) -> bool:
+    """Exact check that reps (default coset_reps(field, p, N)) lie in
+    pairwise distinct right cosets.
 
-
-def _coeff_tensors(mats: list) -> tuple:
-    """The integer coefficient tensors (shape (n, 4, 4)) of a list of integral
-    UnitaryMat4 in the basis (1, omega)."""
-    import numpy as np
-
-    xs = [[[int(x.a) for x in row] for row in m.rows] for m in mats]
-    ys = [[[int(x.b) for x in row] for row in m.rows] for m in mats]
-    return np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+    Representatives are bucketed by coset_key.  The key of a coset is well
+    defined: if r2 = y r1 with y's B block = 0 mod p, then top(r2) = A_y
+    top(r1) mod p, and det y is a unit = det A_y det D_y mod p, so A_y is
+    invertible mod p.  Each collision is then decided by the exact
+    membership test _same_coset, so the verdict equals that of comparing all
+    pairs, at linear cost when the keys are distinct.  Raises ValueError
+    for a non-integral representative.
+    """
+    _check_inert(field, p, N)
+    if reps is None:
+        reps = coset_reps(field, p, N)
+    buckets: dict[tuple, list[UnitaryMat4]] = {}
+    for r in reps:
+        buckets.setdefault(coset_key(field, p, r), []).append(r)
+    return not any(_same_coset(field, p, N, r1, r2)
+                   for rs in buckets.values()
+                   for i, r1 in enumerate(rs) for r2 in rs[i + 1:])
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ class QuadField:
         return hash(("QuadField", self.D))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlgInt:
     """a + b*omega in O_K (omega depends on the field)."""
 

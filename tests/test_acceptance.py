@@ -209,8 +209,10 @@ def test_c07_lift_pipeline():
 
 
 def test_c08_hecke_layer():
-    """Coset representative count 1 + p + p^3 + p^4 with pairwise
-    distinctness at (D=3,p=2), (D=4,p=3), (D=3,p=5) for two levels each, and
+    """Coset representative count 1 + p + p^3 + p^4 with exact distinctness
+    (one canonical key per coset: the echelon form over F_{p^2} of the top
+    two rows mod p, with every key collision decided by the exact membership
+    test) at (D=3,p=2), (D=4,p=3), (D=3,p=5) for two levels each, and
     the transformed beta tables satisfy the divisor-sum identities exactly
     for 50 random rational tables at k in {8, 12}.
 
@@ -222,7 +224,7 @@ def test_c08_hecke_layer():
         f = QuadField(D)
         reps = coset_reps(f, p, N)
         assert len(reps) == 1 + p + p**3 + p**4, (D, p, N)
-        assert verify_reps_distinct(f, p, N), (D, p, N)
+        assert verify_reps_distinct(f, p, N, reps), (D, p, N)
     rng = random.Random(8)
     for k in (8, 12):
         for trial in range(25):

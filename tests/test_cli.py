@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from hermlift.cli import MODES, main, run_mode
+from hermlift.cli import MODES, _inert_primes, main, run_mode
+from hermlift.quadfield import QuadField
 
 
 def run(args):
@@ -84,6 +85,28 @@ def test_verify_hecke_checks_distinctness_for_p5(capsys):
     cases = {c["p"]: c for c in rep["cases"]}
     assert sorted(cases) == [2, 5]
     assert cases[5]["distinct"] is True and cases[2]["distinct"] is True
+
+
+@pytest.mark.parametrize("N,primes", [(1, [2, 5]), (2, [5, 11]), (10, [11, 17])])
+def test_hecke_mode_takes_inert_primes_prime_to_N(N, primes):
+    # a level divisible by an inert prime must not shrink the checked cases
+    assert _inert_primes(QuadField(3), N, 2) == primes
+
+
+def test_hecke_mode_builds_the_representatives_once(monkeypatch):
+    import hermlift.cli as cli
+    import hermlift.hecke as hecke
+
+    calls, real = [], hecke.coset_reps
+
+    def counted(field, p, N):
+        calls.append(p)
+        return real(field, p, N)
+
+    for module in (cli, hecke):
+        monkeypatch.setattr(module, "coset_reps", counted)
+    assert run_mode("hecke", 3, 1)["ok"]
+    assert sorted(calls) == [2, 5]
 
 
 def test_lift_table(tmp_path):

@@ -1,12 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from hermlift.hecke import (BetaTable, TableRangeError, UnitaryMat4, beta_Tp,
-                            coset_reps, verify_beta_conditions,
-                            verify_reps_distinct)
-from hermlift.quadfield import QuadField
+from hermlift.hecke import (BetaTable, TableRangeError, UnitaryMat4, _same_coset,
+                            beta_Tp, coset_key, coset_reps,
+                            verify_beta_conditions, verify_reps_distinct)
+from hermlift.quadfield import AlgInt, QuadField
 
 
 def test_similitude_checked_on_build():
@@ -17,6 +18,9 @@ def test_similitude_checked_on_build():
     with pytest.raises(ValueError):
         UnitaryMat4.make(f, [[1, 0, 0, 0], [0, 1, 0, 0],
                              [0, 0, 2, 0], [0, 0, 0, 1]])
+    with pytest.raises(ValueError):  # g* J4 g has an entry off the J4 pattern
+        UnitaryMat4.make(f, [[1, 1, 0, 0], [0, 1, 0, 0],
+                             [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 def test_inverse_and_product():
@@ -36,11 +40,69 @@ def test_coset_rep_count(D, p, N):
     assert len(reps) == 1 + p + p**3 + p**4
 
 
-@pytest.mark.parametrize("D,p,N", [(3, 2, 1), (3, 2, 5), (4, 3, 1)])
+def _all_pairs_distinct(f, p, N, reps):
+    """The oracle: compare every pair of representatives directly."""
+    return not any(_same_coset(f, p, N, r1, r2)
+                   for i, r1 in enumerate(reps) for r2 in reps[i + 1:])
+
+
+@pytest.mark.parametrize("D,p,N", [(3, 2, 1), (3, 2, 5), (4, 3, 1), (4, 3, 5)])
 def test_distinctness_fast_agrees_with_pairwise(D, p, N):
     f = QuadField(D)
+    reps = coset_reps(f, p, N)
     assert verify_reps_distinct(f, p, N) is True
-    assert verify_reps_distinct(f, p, N, pairwise=True) is True
+    assert _all_pairs_distinct(f, p, N, reps) is True
+
+
+def _fp2_mul(x, y, f, p):
+    t, n = f.omega_trace, f.omega_norm
+    return ((x[0] * y[0] - n * x[1] * y[1]) % p,
+            (x[0] * y[1] + x[1] * y[0] + t * x[1] * y[1]) % p)
+
+
+def _fp2_conj(x, f, p):
+    return ((x[0] + f.omega_trace * x[1]) % p, -x[1] % p)
+
+
+def _planes(p):
+    """Every 2-space of F_{p^2}^4 once, as its reduced row echelon form."""
+    elems = list(itertools.product(range(p), repeat=2))
+    zero, one = (0, 0), (1, 0)
+    for c0, c1 in itertools.combinations(range(4), 2):
+        free0 = [c for c in range(c0 + 1, 4) if c != c1]
+        free1 = list(range(c1 + 1, 4))
+        for v0 in itertools.product(elems, repeat=len(free0)):
+            for v1 in itertools.product(elems, repeat=len(free1)):
+                rows = [[zero] * 4, [zero] * 4]
+                rows[0][c0] = rows[1][c1] = one
+                for c, x in zip(free0, v0):
+                    rows[0][c] = x
+                for c, x in zip(free1, v1):
+                    rows[1][c] = x
+                yield tuple(map(tuple, rows))
+
+
+def _herm(x, y, f, p):
+    """x J4 conj(y)^T = x2 y0' + x3 y1' - x0 y2' - x1 y3' over F_{p^2}."""
+    out = (0, 0)
+    for sign, u, v in ((1, x[2], y[0]), (1, x[3], y[1]), (-1, x[0], y[2]), (-1, x[1], y[3])):
+        m = _fp2_mul(u, _fp2_conj(v, f, p), f, p)
+        out = ((out[0] + sign * m[0]) % p, (out[1] + sign * m[1]) % p)
+    return out
+
+
+@pytest.mark.parametrize("D,p,planes,isotropic", [(3, 2, 357, 27), (4, 3, 7462, 112)])
+def test_coset_keys_are_the_isotropic_planes(D, p, planes, isotropic):
+    # the keys of the representatives are exactly the totally isotropic
+    # 2-spaces of J4 over F_{p^2}, so the representatives form a complete
+    # system of the 1 + p + p^3 + p^4 cosets, not only a distinct one
+    f = QuadField(D)
+    candidates = list(_planes(p))
+    assert len(candidates) == len(set(candidates)) == planes
+    want = {rows for rows in candidates
+            if all(_herm(x, y, f, p) == (0, 0) for x in rows for y in rows)}
+    assert len(want) == isotropic == 1 + p + p**3 + p**4
+    assert {coset_key(f, p, r) for r in coset_reps(f, p, 1)} == want
 
 
 def test_coset_reps_rejects_bad_input():
@@ -112,39 +174,35 @@ def test_beta_table_zero_extension():
     assert t.value(2, 5) == 11
 
 
-def test_distinctness_refuses_int64_overflow(monkeypatch):
-    # entries of 2^31 make the sums of 4 products reach 2^64: the einsum
-    # would wrap, so the check must raise instead of returning a verdict
-    import hermlift.hecke as hecke
-
-    real = hecke._coeff_tensors
-
-    def large(mats):
-        x, y = real(mats)
-        return x * 2**31, y
-
-    f = QuadField(3)
-    assert verify_reps_distinct(f, 2, 1) is True
-    monkeypatch.setattr(hecke, "_coeff_tensors", large)
-    with pytest.raises(OverflowError):
-        verify_reps_distinct(f, 2, 1)
-
-
-@pytest.mark.parametrize("block,N,distinct", [("B", 1, False), ("B", 5, False), ("C", 5, True)])
-def test_distinctness_sees_a_repeated_coset(monkeypatch, block, N, distinct):
+@pytest.mark.parametrize("block,N,distinct",
+                         [("B", 1, False), ("B", 5, False), ("C", 5, True), ("A", 5, False)])
+def test_distinctness_sees_a_repeated_coset(block, N, distinct):
     # replace reps[1] by h * reps[0].  h = [[I, pE], [0, I]] lies in
-    # alpha^{-1} Gamma_{0,2}(Np) alpha, so the first coset repeats; h =
-    # [[I, 0], [E, I]] with E != 0 mod N does not (only the C block differs)
-    import hermlift.hecke as hecke
-
+    # alpha^{-1} Gamma_{0,2}(Np) alpha, so the first coset repeats; so does
+    # h = [[A, 0], [0, A*^-1]], which mixes the top rows (the key must be
+    # their echelon form, not the rows); h = [[I, 0], [E, I]] with E != 0
+    # mod N does not (only the C block differs, so the coset keys collide
+    # and the membership test must tell the two apart)
     f, p = QuadField(3), 2
+    w = AlgInt(f, 0, 1)
+    h = {"B": [[1, 0, p, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+         "A": [[0, 1, 0, 0], [1, w, 0, 0], [0, 0, -w.conj(), 1], [0, 0, 1, 0]],
+         "C": [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]]}[block]
     reps = coset_reps(f, p, N)
-    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    if block == "B":
-        rows[0][2] = p
-    else:
-        rows[2][0] = 1
-    changed = reps[:1] + [UnitaryMat4.make(f, rows) * reps[0]] + reps[2:]
-    monkeypatch.setattr(hecke, "coset_reps", lambda *args: changed)
-    assert verify_reps_distinct(f, p, N) is distinct
-    assert verify_reps_distinct(f, p, N, pairwise=True) is distinct
+    reps[1] = UnitaryMat4.make(f, h) * reps[0]
+    assert coset_key(f, p, reps[1]) == coset_key(f, p, reps[0])
+    assert verify_reps_distinct(f, p, N, reps) is distinct
+    assert _all_pairs_distinct(f, p, N, reps) is distinct
+
+
+def test_distinctness_refuses_a_non_integral_representative():
+    # [[I, B], [0, I]] with hermitian B = diag(1/2, 0) is a unitary
+    # similitude with mu = 1, but not integral
+    f, p = QuadField(3), 2
+    reps = coset_reps(f, p, 1)
+    half = Fraction(1, 2)
+    bad = UnitaryMat4.make(f, [[1, 0, half, 0], [0, 1, 0, 0],
+                               [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert bad.mu == 1
+    with pytest.raises(ValueError, match="integral"):
+        verify_reps_distinct(f, p, 1, reps[:1] + [bad] + reps[2:])
