@@ -13,9 +13,8 @@ from .ikeda import (EigenData, coeff, fQ_coeff, fstar_coeff, fstar_plus_check,
 from .lift import (AlphaSeries, HermitianCoeffKey, beta_from_alpha,
                    maass_coeff, plus_coeff_from_alpha, special_jacobi_alpha,
                    theta_decompose)
-from .plusform import (PmMatrix, QExpansion, TruncationError, apply_Um,
-                       apply_Vm, build_Pm, eisenstein_star, is_plus,
-                       slash_eval)
+from .plusform import (QExpansion, TruncationError, apply_Um, apply_Vm,
+                       build_Pm, eisenstein_star, is_plus, slash_eval)
 from .quadfield import AlgInt, Character, DiffClass, QuadField, a_D, classes
 from .thetamat import Mat2Z, mat_mul, theta_matrix, theta_matrix_closed
 

@@ -47,6 +47,11 @@ def _field(D: int) -> QuadField:
         raise UsageError(str(e)) from e
 
 
+def _check_level(D: int, N: int) -> None:
+    if N < 1 or math.gcd(D, N) != 1:
+        raise UsageError(f"N = {N} must be positive and coprime to D = {D}")
+
+
 def _emit(report: dict, out: str | None, name: str) -> None:
     text = json.dumps(report, indent=2, default=str)
     if out is None:
@@ -69,8 +74,7 @@ def _emit(report: dict, out: str | None, name: str) -> None:
 def run_mode(mode: str, D: int, N: int, *, seed: int = 0,
              arithmetic: str = "exact") -> dict:
     field = _field(D)
-    if N < 1 or math.gcd(D, N) != 1:
-        raise UsageError(f"N = {N} must be positive and coprime to D = {D}")
+    _check_level(D, N)
     reports = {
         "criterion": lambda: _report_criterion(field, N, seed, arithmetic),
         "theta": lambda: _report_theta(field, seed),
@@ -240,8 +244,6 @@ def cmd_verify(args) -> int:
     all_ok = True
     for D in discs:
         for N in levels:
-            if math.gcd(D, N) != 1:
-                raise UsageError(f"gcd(D, N) = gcd({D}, {N}) != 1")
             for mode in modes:
                 rep = run_mode(mode, D, N, seed=args.seed, arithmetic=arithmetic)
                 all_ok = all_ok and rep["ok"]
@@ -253,8 +255,7 @@ def cmd_verify(args) -> int:
 
 def cmd_lift(args) -> int:
     field = _field(args.D)
-    if math.gcd(args.D, args.N) != 1:
-        raise UsageError(f"gcd(D, N) = gcd({args.D}, {args.N}) != 1")
+    _check_level(args.D, args.N)
     if args.input:
         g = QExpansion.from_dict(json.loads(Path(args.input).read_text()))
     else:
@@ -308,16 +309,17 @@ def cmd_gauss(args) -> int:
 
 def cmd_hecke_reps(args) -> int:
     field = _field(args.D)
-    if not is_prime(args.p) or field.chi(args.p) != -1:
-        raise UsageError(f"p = {args.p} must be a prime inert in the field")
-    if args.N % args.p == 0 or math.gcd(args.D, args.N) != 1:
-        raise UsageError("N must be prime to p and to D")
-    reps = coset_reps(field, args.p, args.N)
+    _check_level(args.D, args.N)
+    try:
+        reps = coset_reps(field, args.p, args.N)
+    except ValueError as e:  # p not an inert prime prime to N
+        raise UsageError(str(e)) from e
+    want = 1 + args.p + args.p**3 + args.p**4
     rep = {
         "mode": "hecke-reps", "D": args.D, "p": args.p, "N": args.N,
-        "count": len(reps), "expected": 1 + args.p + args.p**3 + args.p**4,
+        "count": len(reps), "expected": want,
         "reps": [r.to_json() for r in reps],
-        "ok": len(reps) == 1 + args.p + args.p**3 + args.p**4,
+        "ok": len(reps) == want,
     }
     _emit(rep, args.out, f"hecke-reps-D{args.D}-p{args.p}-N{args.N}")
     return 0 if rep["ok"] else 1

@@ -35,7 +35,7 @@ from functools import lru_cache
 from .arith import bezout, component, crt, divisors, inverse_mod, valuation
 from .charsums import gauss_sum
 from .cyclotomic import CycloNum, csum, ext_root, root_of_unity
-from .quadfield import DiffClass, QuadField, chi_component, class_index, classes
+from .quadfield import DiffClass, QuadField, chi_component, classes
 from .thetamat import (IDENTITY, Mat2Z, mat_mul, theta_matrix, theta_matrix_closed,
                        theta_matrix_closed_factored)
 
@@ -50,9 +50,7 @@ class SigmaContext:
     mu: int
     m: int
     n: int
-    f: int      # val_2(a+cj); only meaningful when m != mu
     kappa: int
-    lam: int    # (b + dj - kappa*(a + cj)) / n
 
 
 def sigma_context(field: QuadField, sigma: Mat2Z, j: int) -> SigmaContext:
@@ -63,11 +61,10 @@ def sigma_context(field: QuadField, sigma: Mat2Z, j: int) -> SigmaContext:
     acj = a + c * j
     bdj = b + d * j
     if acj == 0:
-        return SigmaContext(field, sigma, j, D, D, 1, 0, 0, bdj)
+        return SigmaContext(field, sigma, j, D, D, 1, 0)
     mu = math.gcd(acj, D)
     m = component(D, mu)
     n = D // m
-    f = 0
     if m != mu:
         f = valuation(acj, 2)
         kappa = crt([
@@ -76,9 +73,8 @@ def sigma_context(field: QuadField, sigma: Mat2Z, j: int) -> SigmaContext:
         ])
     else:
         kappa = bdj * inverse_mod(acj, n) % n if n > 1 else 0
-    num = bdj - kappa * acj
-    assert num % n == 0
-    return SigmaContext(field, sigma, j, mu, m, n, f, kappa, num // n)
+    assert (bdj - kappa * acj) % n == 0
+    return SigmaContext(field, sigma, j, mu, m, n, kappa)
 
 
 def R_factor(ctx: SigmaContext, v: DiffClass) -> CycloNum:
@@ -92,9 +88,11 @@ def R_factor(ctx: SigmaContext, v: DiffClass) -> CycloNum:
     return (1 + tw * ctx.field.chi2(5 - 2 * ctx.n * c)) * Fraction(1, 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _j_table(D: int, entries: tuple[int, int, int, int]):
-    """Per j: (context, G(psi_m; nc) * psi_n(a+cj)) with sigma fixed."""
+    """Per j: (context, G(psi_m; nc) * psi_n(a+cj)) with sigma fixed.  Its
+    callers take one sigma at a time, so a few entries keep every hit while
+    the random translates of a long campaign cannot grow it."""
     field = QuadField(D)
     sigma = Mat2Z(*entries)
     a, _, c, _ = entries
@@ -235,22 +233,6 @@ def expected_delta(field: QuadField, v: DiffClass, w: DiffClass) -> int:
     return 1 if (w.dnorm - v.dnorm) % field.D == 0 else 0
 
 
-def criterion_lhs(field: QuadField, sigma: Mat2Z, v: DiffClass, w: DiffClass,
-                  use_closed: bool = False) -> CycloNum:
-    """A = sum_u M_{u,v}(sigma) A_u / D."""
-    cls = classes(field)
-    if use_closed:
-        M = theta_matrix_closed(field, sigma)
-        inner = inner_sum_closed
-    else:
-        M = theta_matrix(field, sigma)
-        inner = inner_sum_direct
-    iv = class_index(field, v)
-    total = csum(M[i][iv] * inner(field, sigma, u, w)
-                 for i, u in enumerate(cls) if M[i][iv].coeffs)
-    return total * Fraction(1, field.D)
-
-
 # ---------------------------------------------------------------------------
 # independent floating-point route
 
@@ -308,18 +290,6 @@ def _inner_sum_float(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass)
     return au * w.mult / u.mult
 
 
-def criterion_lhs_float(field: QuadField, sigma: Mat2Z, v: DiffClass, w: DiffClass) -> complex:
-    """A recomputed entirely in complex floating point (no shared cyclotomic
-    machinery beyond the integer context data)."""
-    total = 0j
-    for u in classes(field):
-        m_entry = _theta_entry_float(field, sigma, u, v)
-        if abs(m_entry) < 1e-15:
-            continue
-        total += m_entry * _inner_sum_float(field, sigma, u, w)
-    return total / field.D
-
-
 # ---------------------------------------------------------------------------
 # verification harness
 
@@ -338,12 +308,12 @@ def sweep_sigmas(field: QuadField) -> list[Mat2Z]:
     return out
 
 
-def random_gamma0(field: QuadField, rng: random.Random, bound: int = 3) -> Mat2Z:
+def random_gamma0(field: QuadField, rng: random.Random) -> Mat2Z:
     """A random element of Gamma_0(D), drawn with lower-left entry 0 or D so
     that its theta matrix has a cheap (monomial) form."""
     D = field.D
     if rng.random() < 0.25:
-        s = rng.randint(-bound, bound)
+        s = rng.randint(-3, 3)
         e = 1 if rng.random() < 0.5 else -1
         return Mat2Z(e, s, 0, e)
     while True:
@@ -358,7 +328,10 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
                      arithmetic: str = "exact", translates: int = 3,
                      tol: float = 1e-9) -> dict:
     """Check A = delta for the full representative sweep and random
-    Gamma_0(D)-translates; returns a JSON-ready report."""
+    Gamma_0(D)-translates; returns a JSON-ready report.
+
+    The level N is validated (positive, coprime to D) and reported, but it
+    does not change the sweep."""
     if N < 1 or math.gcd(field.D, N) != 1:
         raise ValueError("level N must be a positive integer coprime to D")
     if arithmetic not in ("exact", "float"):

@@ -8,13 +8,14 @@ Three pieces:
       (iii) beta(u, v) = beta(1, v u^2) for u | N^infinity;
   * the right-coset representatives R_N of the inert-prime Hecke operator
     T_p = Gamma_{0,2}(N) diag(I, pI) Gamma_{0,2}(N) (count 1 + p + p^3 + p^4),
-    with an exact distinctness verifier.  Each coset has a canonical key, the
-    reduced row echelon form over O_K/pO_K = F_{p^2} of the top two rows
-    [A | B] of a representative mod p: if r2 = y r1 with y's B block = 0 mod
-    p, then top(r2) = A_y top(r1) mod p with A_y invertible mod p (det y is
-    a unit = det A_y det D_y).  Representatives are bucketed by key and any
-    collision is decided by the exact membership test, so the check is
-    linear when the keys are distinct;
+    integral unitary 4x4 matrices in U(2,2)(O_K), with an exact distinctness
+    verifier.  Each coset has a canonical key, the reduced row echelon form
+    over O_K/pO_K = F_{p^2} of the top two rows [A | B] of a representative
+    mod p: if r2 = y r1 with y's B block = 0 mod p, then top(r2) = A_y
+    top(r1) mod p with A_y invertible mod p (det y is a unit = det A_y
+    det D_y).  Representatives are bucketed by key and any collision is
+    decided by the exact membership test, so the check is linear when the
+    keys are distinct;
   * beta_Tp -- the three-branch recursion transporting beta under T_p, which
     preserves conditions (ii)/(iii) (checked by verify_beta_conditions).
 """
@@ -55,103 +56,65 @@ class BetaTable:
 
 
 # ---------------------------------------------------------------------------
-# unitary similitude matrices and the T_p coset representatives
+# integral unitary matrices and the T_p coset representatives
 
 
 @dataclass(frozen=True)
 class UnitaryMat4:
-    """A 4x4 matrix over K (entries a + b*omega, rational a, b) together with
-    its similitude mu, where g* J4 g = mu * J4 is checked exactly on build."""
+    """A 4x4 matrix g in U(2,2)(O_K): entries a + b*omega with integers a, b,
+    and g* J4 g = J4, both checked exactly by make."""
 
     field: QuadField
     rows: tuple[tuple[AlgInt, ...], ...]
-    mu: Fraction
 
     @staticmethod
     def make(field: QuadField, rows) -> "UnitaryMat4":
-        rs = tuple(tuple(_as_alg(field, x) for x in row) for row in rows)
+        rs = tuple(tuple(x if isinstance(x, AlgInt) else AlgInt(field, x, 0) for x in row)
+                   for row in rows)
         if len(rs) != 4 or any(len(r) != 4 for r in rs):
             raise ValueError("need a 4x4 matrix")
-        mu = _similitude(field, rs)
-        return UnitaryMat4(field, rs, mu)
+        if not all(isinstance(x.a, int) and isinstance(x.b, int) for r in rs for x in r):
+            raise ValueError("entries must be integral")
+        _check_unitary(field, rs)
+        return UnitaryMat4(field, rs)
 
     def __mul__(self, other: "UnitaryMat4") -> "UnitaryMat4":
+        zero = AlgInt(self.field, 0, 0)
         rows = tuple(
-            tuple(
-                _sum_alg(self.field, [self.rows[i][k] * other.rows[k][j] for k in range(4)])
-                for j in range(4)
-            )
+            tuple(sum((self.rows[i][k] * other.rows[k][j] for k in range(4)), zero)
+                  for j in range(4))
             for i in range(4)
         )
-        return UnitaryMat4(self.field, rows, self.mu * other.mu)
-
-    def conj_transpose(self) -> "UnitaryMat4":
-        rows = tuple(tuple(self.rows[j][i].conj() for j in range(4)) for i in range(4))
-        return UnitaryMat4(self.field, rows, self.mu)
+        return UnitaryMat4(self.field, rows)
 
     def inv(self) -> "UnitaryMat4":
-        """g^{-1} = (1/mu) * (-J4 g* J4)."""
-        s = self.conj_transpose()
-        # -J4 M J4 swaps blocks: [[A,B],[C,D]] -> [[D, -B], [-C, A]]
-        A = [[s.rows[i][j] for j in range(2)] for i in range(2)]
-        B = [[s.rows[i][j + 2] for j in range(2)] for i in range(2)]
-        C = [[s.rows[i + 2][j] for j in range(2)] for i in range(2)]
-        D = [[s.rows[i + 2][j + 2] for j in range(2)] for i in range(2)]
-        # -J4 [[A,B],[C,D]] J4 = [[D, -C], [-B, A]]
-        q = 1 / self.mu
-        rows = []
-        for i in range(2):
-            rows.append(tuple(_scale(x, q) for x in (D[i][0], D[i][1], -C[i][0], -C[i][1])))
-        for i in range(2):
-            rows.append(tuple(_scale(x, q) for x in (-B[i][0], -B[i][1], A[i][0], A[i][1])))
-        return UnitaryMat4(self.field, tuple(rows), Fraction(1) / self.mu)
-
-    def is_integral(self) -> bool:
-        return all(x.a.denominator == 1 and x.b.denominator == 1
-                   for r in self.rows for x in r)
+        """g^{-1} = -J4 g* J4: with g* = [[A, B], [C, D]], [[D, -C], [-B, A]]."""
+        s = [[self.rows[j][i].conj() for j in range(4)] for i in range(4)]
+        rows = ([tuple(s[i + 2][2:] + [-x for x in s[i + 2][:2]]) for i in range(2)]
+                + [tuple([-x for x in s[i][2:]] + s[i][:2]) for i in range(2)])
+        return UnitaryMat4(self.field, tuple(rows))
 
     def c_block_divisible_by(self, M: int) -> bool:
         return all(x.a % M == 0 and x.b % M == 0
                    for i in range(2) for x in self.rows[i + 2][:2])
 
     def to_json(self) -> list:
-        return [[[int(x.a), int(x.b)] for x in row] for row in self.rows]
+        return [[[x.a, x.b] for x in row] for row in self.rows]
 
 
-def _as_alg(field: QuadField, x) -> AlgInt:
-    if isinstance(x, AlgInt):
-        return x
-    return AlgInt(field, x, 0)
-
-
-def _scale(x: AlgInt, q: Fraction) -> AlgInt:
-    return x if q == 1 else AlgInt(x.field, x.a * q, x.b * q)
-
-
-def _sum_alg(field: QuadField, xs) -> AlgInt:
-    out = AlgInt(field, 0, 0)
-    for x in xs:
-        out = out + x
-    return out
-
-
-def _similitude(field: QuadField, rows) -> Fraction:
-    """mu with g* J4 g = mu J4, raising if g is not a similitude matrix."""
+def _check_unitary(field: QuadField, rows) -> None:
+    """Raise unless g* J4 g = J4."""
     # (g* J4 g)_{ij} = sum_k conj(g_{ki}) (J4 g)_{kj};  J4 g swaps row blocks.
     # g* J4 g is skew-hermitian, as J4 is real and skew, so the entries on
-    # and above the diagonal decide it: (0,2), (1,3) = -mu, the rest 0
+    # and above the diagonal decide it: (0,2), (1,3) = -1, the rest 0
     jg = [tuple(-x for x in rows[2]), tuple(-x for x in rows[3]), rows[0], rows[1]]
     gc = [[x.conj() for x in row] for row in rows]
-    mu = None
+    zero = AlgInt(field, 0, 0)
     for i in range(4):
         for j in range(i, 4):
-            x = _sum_alg(field, [gc[k][i] * jg[k][j] for k in range(4)])
-            if (i, j) == (0, 2):
-                mu = Fraction(-x.a)
-            want = -mu if (i, j) in ((0, 2), (1, 3)) else 0
-            if x.a != want or x.b != 0:
-                raise ValueError("matrix is not a unitary similitude")
-    return mu
+            x = sum((gc[k][i] * jg[k][j] for k in range(4)), zero)
+            if (x.a, x.b) != ((-1, 0) if j == i + 2 else (0, 0)):
+                raise ValueError("matrix is not in U(2,2)(O_K)")
 
 
 def _bezout_pair(p: int, N: int) -> tuple[int, int]:
@@ -176,14 +139,14 @@ def coset_reps(field: QuadField, p: int, N: int) -> list[UnitaryMat4]:
     """The 1 + p^4 + p + p^3 right-coset representatives R_N for
     alpha^{-1} Gamma_{0,2}(Np) alpha \\ Gamma_{0,2}(N), alpha = diag(I, pI),
     p inert and prime to N.  Every representative is verified to lie in
-    U(2,2)(Z) with lower-left block divisible by N."""
+    U(2,2)(O_K) with lower-left block divisible by N."""
     _check_inert(field, p, N)
     xi, lam = _bezout_pair(p, N)
     reps = []
 
     def add(rows):
         g = UnitaryMat4.make(field, rows)
-        if g.mu != 1 or not g.is_integral() or not g.c_block_divisible_by(N):
+        if not g.c_block_divisible_by(N):
             raise AssertionError("representative fails Gamma_{0,2}(N) membership")
         reps.append(g)
 
@@ -238,25 +201,19 @@ def _same_coset(field: QuadField, p: int, N: int, r1: UnitaryMat4, r2: UnitaryMa
     """True iff alpha r2 r1^{-1} alpha^{-1} lies in Gamma_{0,2}(Np), i.e. r1
     and r2 represent the same right coset."""
     y = r2 * r1.inv()
-    if y.mu != 1:
-        return False
-    # alpha [[A,B],[C,D]] alpha^{-1} = [[A, B/p], [pC, D]]: membership needs
-    # B = 0 mod p (integrality) and pC = 0 mod Np, i.e. C = 0 mod N
-    if not y.is_integral():
-        return False
+    # y is integral and unitary, and alpha [[A,B],[C,D]] alpha^{-1} =
+    # [[A, B/p], [pC, D]]: membership needs B = 0 mod p and C = 0 mod N
     b_div = all(x.a % p == 0 and x.b % p == 0 for i in range(2) for x in y.rows[i][2:])
     return b_div and y.c_block_divisible_by(N)
 
 
 def coset_key(field: QuadField, p: int, r: UnitaryMat4) -> tuple:
-    """The canonical key of the right coset of an integral r: the reduced row
+    """The canonical key of the right coset of r: the reduced row
     echelon form over O_K/pO_K = F_{p^2} of the top two rows [A | B] of r
     mod p, each entry a pair (a, b) standing for a + b*omega.  For a
     representative of T_p it is a totally isotropic 2-space of the hermitian
     form J4 (A B* - B A* = 0 mod p), a generator of the polar space H(3, p^2).
     """
-    if not r.is_integral():
-        raise ValueError("a coset key needs an integral representative")
     t, n = field.omega_trace, field.omega_norm
 
     def mul(x, y):  # omega^2 = t*omega - n
@@ -268,7 +225,7 @@ def coset_key(field: QuadField, p: int, r: UnitaryMat4) -> tuple:
         s = pow(a * a + t * a * b + n * b * b, -1, p)
         return (a + t * b) * s % p, -b * s % p
 
-    rows = [[(int(x.a) % p, int(x.b) % p) for x in row] for row in r.rows[:2]]
+    rows = [[(x.a % p, x.b % p) for x in row] for row in r.rows[:2]]
     lead = 0
     for c in range(4):
         piv = next((i for i in range(lead, 2) if rows[i][c] != (0, 0)), None)
@@ -298,8 +255,7 @@ def verify_reps_distinct(field: QuadField, p: int, N: int,
     top(r1) mod p, and det y is a unit = det A_y det D_y mod p, so A_y is
     invertible mod p.  Each collision is then decided by the exact
     membership test _same_coset, so the verdict equals that of comparing all
-    pairs, at linear cost when the keys are distinct.  Raises ValueError
-    for a non-integral representative.
+    pairs, at linear cost when the keys are distinct.
     """
     _check_inert(field, p, N)
     if reps is None:

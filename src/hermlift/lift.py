@@ -24,7 +24,7 @@ from .charsums import i_sqrtD
 from .cyclotomic import CycloNum
 from .hecke import BetaTable, TableRangeError
 from .plusform import QExpansion
-from .quadfield import QuadField, a_D, classes
+from .quadfield import AlgInt, QuadField, a_D, classes
 
 
 @dataclass(frozen=True)
@@ -150,13 +150,8 @@ class HermitianCoeffKey:
     @cached_property
     def ddet(self) -> int:
         """D * det(T) = D*ell*m - N(t1 + t2*omega), an integer."""
-        t = _alg_norm(self.field, self.t1, self.t2)
+        t = AlgInt(self.field, self.t1, self.t2).norm()
         return self.field.D * self.ell * self.m - t
-
-
-def _alg_norm(field: QuadField, a: int, b: int) -> int:
-    t, n = field.omega_trace, field.omega_norm
-    return a * a + t * a * b + n * b * b
 
 
 def epsilon_T(key: HermitianCoeffKey) -> int:
@@ -169,15 +164,10 @@ def epsilon_T(key: HermitianCoeffKey) -> int:
 
 def maass_coeff(field: QuadField, N: int, k: int, alpha: AlphaSeries,
                 key: HermitianCoeffKey):
-    """c_F(T) = sum_{d | eps(T), gcd(d,N)=1} d^(k-1) alpha_F(D det T / d^2)."""
+    """c_F(T) = sum_{d | eps(T), gcd(d,N)=1} d^(k-1) alpha_F(D det T / d^2)
+    = beta(eps(T), D det T / eps(T)^2)."""
     eps = epsilon_T(key)
-    out = None
-    for d in divisors(eps):
-        if math.gcd(d, N) != 1:
-            continue
-        term = d ** (k - 1) * alpha.value(key.ddet // (d * d))
-        out = term if out is None else out + term
-    return out
+    return beta_from_alpha(alpha, k, N).value(eps, key.ddet // (eps * eps))
 
 
 def beta_from_alpha(alpha: AlphaSeries, k: int, N: int) -> BetaTable:

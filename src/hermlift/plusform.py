@@ -27,6 +27,7 @@ from .quadfield import QuadField, a_D
 from .thetamat import Mat2Z
 
 Coeff = Union[int, Fraction, float, complex, None]
+TAIL_TOL = 1e-9  # the largest tail bound QExpansion.eval accepts
 
 
 class TruncationError(Exception):
@@ -85,12 +86,12 @@ class QExpansion:
 
     # -- numeric evaluation -------------------------------------------------
 
-    def eval(self, tau: complex, tail_tol: float = 1e-9) -> complex:
+    def eval(self, tau: complex) -> complex:
         """sum_l coeffs[l] e[l*tau/denom] over the stored (specified) range.
 
         The tail beyond the stored precision is bounded assuming polynomial
         coefficient growth |a_l| <= A*(l+1)^weight with A read off the stored
-        coefficients; a bound above tail_tol raises TruncationError.
+        coefficients; a bound above TAIL_TOL raises TruncationError.
         Unspecified (None) coefficients are skipped.
         """
         q = cmath.exp(2j * cmath.pi * tau / self.denom)
@@ -112,9 +113,9 @@ class QExpansion:
             bound += term
             ell += 1
             term *= r * ((ell + 1) / ell) ** self.weight
-        if bound > tail_tol:
+        if bound > TAIL_TOL:
             raise TruncationError(
-                f"tail bound {bound:.3g} exceeds {tail_tol:.3g}; "
+                f"tail bound {bound:.3g} exceeds {TAIL_TOL:.3g}; "
                 f"need more coefficients at Im(tau) = {tau.imag:.4g}"
             )
         return total
@@ -208,14 +209,6 @@ def eisenstein_star(field: QuadField, k: int, upto: int) -> QExpansion:
 # P_m, Q_m, U_m, V_m
 
 
-@dataclass(frozen=True)
-class PmMatrix:
-    m: int
-    n: int
-    N: int
-    matrix: Mat2Z
-
-
 def _check_Pm(P: Mat2Z, m: int, n: int, N: int) -> None:
     M1, M2 = m * m, (n * N) ** 2
     a, b, c, d = P.entries()
@@ -227,7 +220,7 @@ def _check_Pm(P: Mat2Z, m: int, n: int, N: int) -> None:
         raise AssertionError("P_m is not congruent to I mod (nN)^2")
 
 
-def build_Pm(D: int, m: int, N: int) -> PmMatrix:
+def build_Pm(D: int, m: int, N: int) -> Mat2Z:
     """An SL2(Z) matrix P_m = J mod m^2 and = I mod (nN)^2, where n = D/m.
 
     Entries are solved by CRT modulo M = m^2 (nN)^2 and the resulting
@@ -252,7 +245,7 @@ def build_Pm(D: int, m: int, N: int) -> PmMatrix:
     if m == 1:
         P = Mat2Z(1, 0, 0, 1)
         _check_Pm(P, m, n, N)
-        return PmMatrix(m, n, N, P)
+        return P
     # bottom row: c0 >= 1 here since c0 = 1 mod m^2 with m > 1
     c, d = c0, d0
     while math.gcd(c, d) != 1:
@@ -265,11 +258,10 @@ def build_Pm(D: int, m: int, N: int) -> PmMatrix:
     a, b = a1 + s * c, b1 + s * d
     P = Mat2Z(a, b, c, d)
     _check_Pm(P, m, n, N)
-    return PmMatrix(m, n, N, P)
+    return P
 
 
-def slash_eval(g: QExpansion, gamma: Mat2Z, tau: complex,
-               tail_tol: float = 1e-9) -> complex:
+def slash_eval(g: QExpansion, gamma: Mat2Z, tau: complex) -> complex:
     """(g |_{weight} gamma)(tau) = (c*tau+d)^(-weight) g(gamma*tau) for
     integral gamma with positive determinant (no determinant normalization)."""
     if gamma.det() <= 0:
@@ -277,26 +269,20 @@ def slash_eval(g: QExpansion, gamma: Mat2Z, tau: complex,
     a, b, c, d = gamma.entries()
     j = c * tau + d
     gtau = (a * tau + b) / j
-    return j ** (-g.weight) * g.eval(gtau, tail_tol)
+    return j ** (-g.weight) * g.eval(gtau)
 
 
-def apply_Um(g: QExpansion, m: int, tau: complex, tail_tol: float = 1e-9) -> complex:
+def apply_Um(g: QExpansion, m: int, tau: complex) -> complex:
     """(g|U_m)(tau) = sum_{j=0}^{m-1} (g | [[1,j],[0,m]])(tau)."""
-    return sum(
-        slash_eval(g, Mat2Z(1, j, 0, m), tau, tail_tol) for j in range(m)
-    )
+    return sum(slash_eval(g, Mat2Z(1, j, 0, m), tau) for j in range(m))
 
 
-def apply_Vm(g: QExpansion, field: QuadField, m: int, N: int, tau: complex,
-             tail_tol: float = 1e-9) -> complex:
+def apply_Vm(g: QExpansion, field: QuadField, m: int, N: int, tau: complex) -> complex:
     """(g|V_m)(tau) with V_m = U_m followed by Q_m = P_m * diag(m, 1).
 
     Since the unnormalized slash is a right action on GL2+(Q), the double
     slash collapses to a single m-term sum over [[1,j],[0,m]] * Q_m.
     """
-    Pm = build_Pm(field.D, m, N)
-    pa, pb, pc, pd = Pm.matrix.entries()
+    pa, pb, pc, pd = build_Pm(field.D, m, N).entries()
     Qm = Mat2Z(pa * m, pb, pc * m, pd)
-    return sum(
-        slash_eval(g, Mat2Z(1, j, 0, m) * Qm, tau, tail_tol) for j in range(m)
-    )
+    return sum(slash_eval(g, Mat2Z(1, j, 0, m) * Qm, tau) for j in range(m))

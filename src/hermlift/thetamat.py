@@ -49,9 +49,6 @@ class Mat2Z:
             raise ValueError("only SL2 matrices are inverted here")
         return Mat2Z(self.d, -self.b, -self.c, self.a)
 
-    def __neg__(self) -> "Mat2Z":
-        return Mat2Z(-self.a, -self.b, -self.c, -self.d)
-
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 

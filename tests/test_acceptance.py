@@ -273,9 +273,9 @@ def test_c10_Pm_construction():
                     continue
                 P = build_Pm(D, m, N)  # re-verifies the congruences exactly
                 n = D // m
-                a, b, c, d = P.matrix.entries()
+                a, b, c, d = P.entries()
                 M1, M2 = m * m, (n * N) ** 2
-                assert P.matrix.det() == 1
+                assert P.det() == 1
                 assert (a % M1, (b + 1) % M1, (c - 1) % M1, d % M1) == (0, 0, 0, 0)
                 assert ((a - 1) % M2, b % M2, c % M2, (d - 1) % M2) == (0, 0, 0, 0)
     f = QuadField(3)

@@ -23,6 +23,11 @@ def test_usage_error_level_not_coprime():
     assert run(["verify", "--D", "3", "--N", "6", "--mode", "gauss"]) == 2
 
 
+def test_lift_rejects_a_level_below_1():
+    # chi(-1) = -1, so N = -1 would emit the N = 1 table negated
+    assert run(["lift", "--D", "3", "--N", "-1", "--upto", "1"]) == 2
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as ei:
         run(["frobnicate"])
@@ -75,8 +80,12 @@ def test_hecke_reps_emission(tmp_path):
     assert len(rep["reps"]) == 27
 
 
-def test_hecke_reps_rejects_split_prime():
-    assert run(["hecke-reps", "--D", "3", "--p", "7"]) == 2
+def test_hecke_reps_rejects_split_prime(capsys):
+    # a split prime, a non-prime, a p dividing N, and a level below 1
+    for args in (["--p", "7"], ["--p", "4"], ["--p", "2", "--N", "4"],
+                 ["--p", "2", "--N", "-1"]):
+        assert run(["hecke-reps", "--D", "3", *args]) == 2, args
+        assert capsys.readouterr().err.startswith("error: "), args
 
 
 def test_verify_hecke_checks_distinctness_for_p5(capsys):

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from hermlift import criterion
-from hermlift.criterion import (criterion_lhs, criterion_lhs_float,
-                                expected_delta, inner_sum_closed,
+from hermlift.criterion import (expected_delta, inner_sum_closed,
                                 inner_sum_direct, random_gamma0, sweep_sigmas,
                                 verify_criterion)
 from hermlift.quadfield import QuadField, classes
@@ -27,28 +26,16 @@ def test_inner_sums_closed_vs_direct(D):
 
 @pytest.mark.parametrize("D", (3, 4))
 def test_criterion_single_triples(D):
-    f = QuadField(D)
-    cls = classes(f)
-    for sigma in sweep_sigmas(f):
-        for v in cls:
-            for w in cls:
-                got = criterion_lhs(f, sigma, v, w)
-                want = expected_delta(f, v, w)
-                assert (got - want).is_zero(), (D, sigma.entries(), v.key, w.key)
+    rep = verify_criterion(QuadField(D), 1, translates=0)
+    assert rep["failures"] == []
+    assert rep["triples_checked"] == len(sweep_sigmas(QuadField(D))) * D * D
 
 
 @pytest.mark.parametrize("D", SMALL_D)
 def test_criterion_float_agrees(D):
-    f = QuadField(D)
-    cls = classes(f)
-    rng = random.Random(D)
-    sigmas = [s for s in sweep_sigmas(f)][:4]
-    for sigma in sigmas:
-        for v in cls:
-            for w in cls:
-                gf = criterion_lhs_float(f, sigma, v, w)
-                want = expected_delta(f, v, w)
-                assert abs(gf - want) < 1e-9
+    rep = verify_criterion(QuadField(D), 1, arithmetic="float", translates=0, tol=1e-9)
+    assert rep["failures"] == []
+    assert rep["triples_checked"] == len(sweep_sigmas(QuadField(D))) * D * D
 
 
 def test_expected_delta_is_congruence_indicator():
@@ -110,3 +97,21 @@ def test_verify_criterion_reports_injected_fault(monkeypatch, arithmetic, target
         c = fail["sigma"][2]
         assert c > 0 and D % c == 0
         assert fail["expected"] == 1
+
+
+def test_j_table_is_bounded_and_keeps_its_hits(monkeypatch):
+    # one miss per distinct sigma of the direct inner sums: the bound does
+    # not cost a hit, and random translates cannot grow the cache
+    seen, orig = set(), criterion.inner_sum_direct
+
+    def recorded(field, sigma, u, w):
+        seen.add(sigma.entries())
+        return orig(field, sigma, u, w)
+
+    monkeypatch.setattr(criterion, "inner_sum_direct", recorded)
+    criterion._j_table.cache_clear()
+    rep = verify_criterion(QuadField(7), 1, seed=3, translates=2)
+    assert rep["failures"] == []
+    info = criterion._j_table.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 16
+    assert info.misses == len(seen) > info.maxsize

@@ -12,9 +12,9 @@ from hermlift.quadfield import AlgInt, QuadField
 
 def test_similitude_checked_on_build():
     f = QuadField(3)
-    reps = coset_reps(f, 2, 1)
-    for r in reps:
-        assert r.mu == 1
+    with pytest.raises(ValueError):  # alpha = diag(I, 2I): g* J4 g = 2 J4
+        UnitaryMat4.make(f, [[1, 0, 0, 0], [0, 1, 0, 0],
+                             [0, 0, 2, 0], [0, 0, 0, 2]])
     with pytest.raises(ValueError):
         UnitaryMat4.make(f, [[1, 0, 0, 0], [0, 1, 0, 0],
                              [0, 0, 2, 0], [0, 0, 0, 1]])
@@ -196,13 +196,13 @@ def test_distinctness_sees_a_repeated_coset(block, N, distinct):
 
 
 def test_distinctness_refuses_a_non_integral_representative():
-    # [[I, B], [0, I]] with hermitian B = diag(1/2, 0) is a unitary
-    # similitude with mu = 1, but not integral
+    # [[I, B], [0, I]] with hermitian B = diag(1/2, 0) satisfies
+    # g* J4 g = J4, but is not integral: make refuses it, so no such
+    # representative reaches the distinctness check
     f, p = QuadField(3), 2
     reps = coset_reps(f, p, 1)
     half = Fraction(1, 2)
-    bad = UnitaryMat4.make(f, [[1, 0, half, 0], [0, 1, 0, 0],
-                               [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert bad.mu == 1
     with pytest.raises(ValueError, match="integral"):
+        bad = UnitaryMat4.make(f, [[1, 0, half, 0], [0, 1, 0, 0],
+                                   [0, 0, 1, 0], [0, 0, 0, 1]])
         verify_reps_distinct(f, p, 1, reps[:1] + [bad] + reps[2:])

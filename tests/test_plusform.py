@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from hermlift.plusform import (PmMatrix, QExpansion, TruncationError,
-                               apply_Um, apply_Vm, build_Pm, eisenstein_star,
-                               is_plus, slash_eval)
+from hermlift.plusform import (QExpansion, TruncationError, apply_Um,
+                               apply_Vm, build_Pm, eisenstein_star, is_plus,
+                               slash_eval)
 from hermlift.quadfield import QuadField, a_D
 from hermlift.thetamat import Mat2Z
 from tests.conftest import ALL_D
@@ -90,8 +90,8 @@ def test_build_Pm_congruences(D):
                 continue
             P = build_Pm(D, m, N)
             n = D // m
-            a, b, c, d = P.matrix.entries()
-            assert P.matrix.det() == 1
+            a, b, c, d = P.entries()
+            assert P.det() == 1
             M1, M2 = m * m, (n * N) ** 2
             assert (a % M1, (b + 1) % M1, (c - 1) % M1, d % M1) == (0, 0, 0, 0)
             assert ((a - 1) % M2, b % M2, c % M2, (d - 1) % M2) == (0, 0, 0, 0)
@@ -99,7 +99,7 @@ def test_build_Pm_congruences(D):
 
 def test_build_Pm_trivial_and_errors():
     P = build_Pm(3, 1, 4)
-    assert P.matrix.entries() == (1, 0, 0, 1)
+    assert P.entries() == (1, 0, 0, 1)
     with pytest.raises(ValueError):
         build_Pm(3, 2, 1)  # m does not divide D
     with pytest.raises(ValueError):
