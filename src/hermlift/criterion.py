@@ -20,6 +20,14 @@ and the statement verified here is A = 1 if D|w|^2 = D|v|^2 mod D, else 0.
 A_u also has closed forms when c | D, c > 0 (one for odd D; a two-branch
 B_u + C_u expression for even D); both routes are implemented and compared
 exactly.  The closed forms absorb the a_w/a_u factor.
+
+`verify_criterion` decides exactly in residues (`residues`): each value of
+one sigma lies in Q(zeta_L), L = D (odd D) or 2D, stored as its phi(L)
+residues mod a prime p = 1 (mod L) with D (p-1)^2 < 2^63, so no int64 sum of
+D residue products wraps.  With B >= ||den (A - delta)||_1 tracked in Python
+ints, vanishing residues prove A = delta once B is below the product of the
+primes used; a nonzero residue proves A != delta.  A failure's `lhs` is the
+residue vector of A with its prime.  The float route is an independent oracle.
 """
 
 from __future__ import annotations
@@ -28,24 +36,24 @@ import cmath
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 from .arith import bezout, component, crt, divisors, inverse_mod, valuation
 from .charsums import gauss_sum
 from .cyclotomic import CycloNum, csum, ext_root, root_of_unity
 from .quadfield import DiffClass, QuadField, chi_component, classes
-from .thetamat import (IDENTITY, Mat2Z, mat_mul, theta_matrix, theta_matrix_closed,
+from .residues import ResidueRing, certifies_zero
+from .thetamat import (IDENTITY, Mat2Z, theta_matrix, theta_matrix_closed,
                        theta_matrix_closed_factored)
 
 
-@dataclass(frozen=True)
-class SigmaContext:
+class SigmaContext(NamedTuple):
     """Per-j data entering the transformation formula."""
 
-    field: QuadField
-    sigma: Mat2Z
     j: int
     mu: int
     m: int
@@ -61,7 +69,7 @@ def sigma_context(field: QuadField, sigma: Mat2Z, j: int) -> SigmaContext:
     acj = a + c * j
     bdj = b + d * j
     if acj == 0:
-        return SigmaContext(field, sigma, j, D, D, 1, 0)
+        return SigmaContext(j, D, D, 1, 0)
     mu = math.gcd(acj, D)
     m = component(D, mu)
     n = D // m
@@ -74,18 +82,18 @@ def sigma_context(field: QuadField, sigma: Mat2Z, j: int) -> SigmaContext:
     else:
         kappa = bdj * inverse_mod(acj, n) % n if n > 1 else 0
     assert (bdj - kappa * acj) % n == 0
-    return SigmaContext(field, sigma, j, mu, m, n, kappa)
+    return SigmaContext(j, mu, m, n, kappa)
 
 
-def R_factor(ctx: SigmaContext, v: DiffClass) -> CycloNum:
+def R_factor(field: QuadField, sigma: Mat2Z, ctx: SigmaContext, v: DiffClass) -> CycloNum:
     """R_sigma(v, j): 1 unless m = 4*mu, else
     (1 + e[-(a+cj) D|v|^2 / (2m)] chi_2(5 - 2nc)) / 2."""
     if ctx.m != 4 * ctx.mu:
         return CycloNum.from_rational(1)
-    a, _, c, _ = ctx.sigma.entries()
+    a, _, c, _ = sigma.entries()
     acj = a + c * ctx.j
     tw = root_of_unity(Fraction(-acj * v.dnorm, 2 * ctx.m))
-    return (1 + tw * ctx.field.chi2(5 - 2 * ctx.n * c)) * Fraction(1, 2)
+    return (1 + tw * field.chi2(5 - 2 * ctx.n * c)) * Fraction(1, 2)
 
 
 @lru_cache(maxsize=8)
@@ -109,7 +117,7 @@ def inner_sum_direct(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass)
     """A_u assembled term by term over j mod D (includes the a_w/a_u factor)."""
     D = field.D
     return csum(
-        base * R_factor(ctx, w)
+        base * R_factor(field, sigma, ctx, w)
         * root_of_unity(Fraction(u.dnorm * ctx.j - w.dnorm * ctx.kappa, D))
         for ctx, base in _j_table(D, sigma.entries())
         if math.gcd(w.dnorm, ctx.m) == ctx.mu
@@ -252,12 +260,8 @@ def _theta_entry_float(field: QuadField, sigma: Mat2Z, u: DiffClass, v: DiffClas
     acc = 0j
     for al in range(abs(c)):
         for be in range(abs(c)):
-            if field.e == 0:
-                g1 = float(u1) + al + be / 2.0
-                g2 = float(u2) + be / 2.0
-            else:
-                g1 = float(u1) + al
-                g2 = float(u2) + be / 2.0
+            g1 = float(u1) + al + (be / 2.0 if field.e == 0 else 0.0)
+            g2 = float(u2) + be / 2.0
             nrm = g1 * g1 + D * g2 * g2
             pair = 2 * (g1 * float(v1) + D * g2 * float(v2))
             acc += cmath.exp(tp * (a * nrm - pair + dv) / c)
@@ -324,11 +328,52 @@ def random_gamma0(field: QuadField, rng: random.Random) -> Mat2Z:
     return Mat2Z(x, (x * t - 1) // D, D, t)
 
 
+def inner_sums_residues(ring: ResidueRing, field: QuadField, sigma: Mat2Z,
+                        reps: list[DiffClass]) -> tuple[np.ndarray, int, int]:
+    """A_u for every pair (u, w) of `reps` as residues [u, w, t], with a bound
+    and a denominator: den * A_u has ||.||_1 <= bound.  The terms are those of
+    inner_sum_direct, built from integer exponent tables reduced mod L."""
+    D, L, p, pw = field.D, ring.L, ring.p, ring.pw
+    a, _, c, _ = sigma.entries()
+    dn = [r.dnorm for r in reps]
+    base, mask, ex, r_ex, norm, halves = [], [], [], [], 0, 1
+    for j in range(D):
+        ctx = sigma_context(field, sigma, j)
+        m, n, mu = ctx.m, ctx.n, ctx.mu
+        g, ng = ring.gauss(chi_component(field, m), n * c)
+        base.append(g * chi_component(field, n)(a + c * j) % p)
+        mask.append([math.gcd(x, m) == mu for x in dn])
+        norm += ng
+        # e[-D|w|^2 kappa / D] R, with R = (1 + chi_2(5-2nc) e[-(a+cj) D|w|^2/(2m)])/2
+        # when m = 4 mu (L is even, and -1 = e[1/2]) and R = 1 = (1 + e[0])/2 otherwise
+        ex.append([-x * ctx.kappa * (L // D) % L for x in dn])
+        r, h = 0, 0
+        if m == 4 * mu:
+            halves, r = 2, (a + c * j) * (L // (2 * m))
+            h = 0 if field.chi2(5 - 2 * n * c) == 1 else L // 2
+        r_ex.append([(k - r * x + h) % L for k, x in zip(ex[-1], dn)])
+    R = (pw[ex] + pw[r_ex]) % p * ((p + 1) // 2) % p
+    coef = np.array(base)[:, None, :] * R % p * np.array(mask)[:, :, None]
+    # sum_j e[D|u|^2 j / D] coef[j, w]: one product over j per residue index
+    E = pw[[[x * j * (L // D) % L for x in dn] for j in range(D)]]
+    mults = [r.mult for r in reps]
+    ratio = np.array([[w * pow(u, -1, p) % p for w in mults] for u in mults])
+    A = np.einsum("jut,jwt->uwt", E, coef) % p * ratio[:, :, None] % p
+    # terms: Gauss sum * R (norm 2 over 2) * root of unity; a_w/a_u <= max a/min a
+    lcm = math.lcm(*mults)
+    return A, halves * norm * max(mults) * (lcm // min(mults)), halves * lcm
+
+
 def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
                      arithmetic: str = "exact", translates: int = 3,
                      tol: float = 1e-9) -> dict:
     """Check A = delta for the full representative sweep and random
     Gamma_0(D)-translates; returns a JSON-ready report.
+
+    Exact verdicts are residues mod p = 1 (mod L), D (p-1)^2 < 2^63: one holds
+    when all residues of A - delta vanish and the bound B is below the product
+    of the primes used, more primes being taken while it is not.  A failure's
+    `lhs` is A's residues and prime; `certificate` has L, primes, max B bits.
 
     The level N is validated (positive, coprime to D) and reported, but it
     does not change the sweep."""
@@ -340,72 +385,70 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
     t0 = time.monotonic()
     cls = classes(field)
     D = field.D
-    failures = []
+    L = D if field.e == 0 else 2 * D
+    failures, rings, bounds = [], [], [0]
 
     # A_u and the expected delta depend on u, w only through D|u|^2 mod D
     # (and the multiplicity, itself a function of that value), so evaluate
     # per distinct value and fan the verdicts out to all classes
     dn_of = [u.dnorm % D for u in cls]
-    rep_of: dict[int, DiffClass] = {}
-    for i, u in enumerate(cls):
-        rep_of.setdefault(dn_of[i], u)
+    values = sorted(set(dn_of), key=dn_of.index)  # in order of first class
+    reps = [cls[dn_of.index(x)] for x in values]
+    row_of = [values.index(x) for x in dn_of]
+    delta = np.array([[expected_delta(field, v, w) for w in reps] for v in cls])
 
-    def check_sigma(sigma: Mat2Z, M, inner, scale, add, nonzero, close) -> None:
-        # A = scale * sum_u M_{u,v} A_u; the exact route keeps the dense
-        # Gauss-sum factor of M(sigma) in the scale, so it multiplies once
-        # per verdict instead of once per matrix entry.  A failure is
-        # recorded once per (v, distinct D|w|^2 value).
-        au = {
-            dnu: {dnw: inner(field, sigma, ru, rw) for dnw, rw in rep_of.items()}
-            for dnu, ru in rep_of.items()
-        }
-        for iv, v in enumerate(cls):
-            col = [(dn_of[i], M[i][iv]) for i in range(D) if nonzero(M[i][iv])]
-            for dnw, rw in rep_of.items():
-                got = scale * add(m_entry * au[dnu][dnw] for dnu, m_entry in col)
-                want = expected_delta(field, v, rw)
-                if not close(got, want):
-                    failures.append({
-                        "sigma": list(sigma.entries()),
-                        "v": list(v.key),
-                        "w": list(rw.key),
-                        "lhs": repr(got),
-                        "expected": want,
-                    })
+    def fail(sigma: Mat2Z, iv: int, iw: int, lhs) -> None:
+        failures.append({"sigma": list(sigma.entries()), "v": list(cls[iv].key),
+                         "w": list(reps[iw].key), "lhs": lhs, "expected": int(delta[iv, iw])})
 
-    add, nonzero, close = (
-        (csum, lambda x: x.coeffs, lambda got, want: (got - want).is_zero())
-        if arithmetic == "exact" else
-        (sum, lambda x: abs(x) > 1e-15, lambda got, want: abs(got - want) < tol)
-    )
+    def check_float(sigma: Mat2Z) -> None:
+        # A = sum_u M_{u,v} A_u / D, one verdict per (v, distinct D|w|^2)
+        M = [[_theta_entry_float(field, sigma, u, v) for v in cls] for u in cls]
+        au = [[_inner_sum_float(field, sigma, ru, rw) for rw in reps] for ru in reps]
+        for iv, iw in np.ndindex(delta.shape):
+            got = sum(M[i][iv] * au[row_of[i]][iw] for i in range(D)) / D
+            if not abs(got - delta[iv, iw]) < tol:
+                fail(sigma, iv, iw, repr(got))
+
+    def check_exact(sigma: Mat2Z, base_parts, M_g) -> None:
+        # A [v, w, t] mod one prime after another, until their product
+        # exceeds the bound on ||den (A - delta)||_1
+        done = []
+        while not done or not certifies_zero(bounds[-1], [r.p for r, _ in done]):
+            if len(done) == len(rings):  # a kernel sum has at most D terms
+                rings.append(ResidueRing(L, D, below=rings[-1].p if rings else None))
+            ring = rings[len(done)]
+            (s, ns, ds), (M, nM, dM) = base_parts(ring)
+            if M_g is not None:
+                Mg, ng, dg = ring.matrix(M_g)
+                M, nM, dM = np.einsum("ikt,kvt->ivt", M, Mg) % ring.p, nM * ng, dM * dg
+            A, nA, dA = inner_sums_residues(ring, field, sigma, reps)
+            done.append((ring, np.einsum("ivt,iwt->vwt", M, A[row_of]) % ring.p * s % ring.p))
+            bounds.append(nM * nA * ns + dM * dA * ds)
+        wrong = [((got - delta[:, :, None]) % r.p).any(axis=2) for r, got in done]
+        for iv, iw in np.argwhere(np.logical_or.reduce(wrong)):
+            k = next(k for k, nz in enumerate(wrong) if nz[iv, iw])
+            fail(sigma, iv, iw, {"prime": done[k][0].p, "residues": done[k][1][iv, iw].tolist()})
 
     sigmas = sweep_sigmas(field)
     for base in sigmas:
         gammas = [random_gamma0(field, rng) for _ in range(translates)]
         if arithmetic == "float":
             for sigma in [base] + [base * g for g in gammas]:
-                Mf = [[_theta_entry_float(field, sigma, u, v) for v in cls] for u in cls]
-                check_sigma(sigma, Mf, _inner_sum_float, 1 / D, add, nonzero, close)
+                check_float(sigma)
             continue
-        if base.c > 0 and D % base.c == 0:
-            scalar, M_base = theta_matrix_closed_factored(field, base)
-            inner = inner_sum_closed
-        else:
-            scalar, M_base = CycloNum.from_rational(1), theta_matrix(field, base)
-            inner = inner_sum_direct
-        scale = scalar * Fraction(1, D)
-        check_sigma(base, M_base, inner, scale, add, nonzero, close)
+        # A = scale * sum_u M_{u,v} A_u: the dense Gauss-sum factor of M(base)
+        # is in the scale, its light entries (monomials, short sums) in M
+        scalar, light = (theta_matrix_closed_factored(field, base) if base.c > 0
+                         else (CycloNum.from_rational(1), theta_matrix(field, base)))
+        base_parts = cache(lambda ring: (ring.of(scalar * Fraction(1, D)), ring.matrix(light)))
+        check_exact(base, base_parts, None)
         for g in gammas:
-            # M(base*g) = M(base) M(g): the homomorphism is pinned exactly
-            # by separate tests, so translates reuse it for speed; gamma's
-            # theta matrix is monomial (c is 0 or D), keeping M light
+            # M(base*g) = M(base) M(g): the homomorphism is pinned exactly by
+            # separate tests, and M(g) is monomial (g's c is 0 or D)
             M_g = theta_matrix_closed(field, g) if g.c > 0 else theta_matrix(field, g)
-            check_sigma(base * g, mat_mul(M_base, M_g), inner_sum_direct, scale,
-                        add, nonzero, close)
-    return {
-        "D": field.D,
-        "N": N,
-        "triples_checked": (1 + translates) * len(sigmas) * len(cls) ** 2,
-        "failures": failures,
-        "wall_time": time.monotonic() - t0,
-    }
+            check_exact(base * g, base_parts, M_g)
+    cert = {"order": L, "primes": [r.p for r in rings], "max_bound_bits": max(bounds).bit_length()}
+    return {"D": D, "N": N, "triples_checked": (1 + translates) * len(sigmas) * D * D,
+            "failures": failures, **({"certificate": cert} if rings else {}),
+            "wall_time": time.monotonic() - t0}

@@ -54,6 +54,31 @@ def test_verify_criterion_small(capsys):
     assert rep["ok"] and rep["failures"] == [] and rep["seed"] == 5
 
 
+def test_verify_criterion_reports_its_certificate(capsys):
+    assert run(["verify", "--D", "7"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    cert = rep["certificate"]
+    assert cert["order"] == 7 and len(cert["primes"]) == 1
+    p = cert["primes"][0]
+    assert p % 7 == 1 and 7 * (p - 1) ** 2 < 2**63
+    assert 0 < cert["max_bound_bits"] < p.bit_length()
+
+
+def test_campaign_config_is_validated_before_it_runs(tmp_path, capsys):
+    # N = 6 is not coprime to D = 3: nothing runs, no report is written
+    cfg = tmp_path / "campaign.json"
+    outdir = tmp_path / "reports"
+    cfg.write_text(json.dumps({
+        "discriminants": [3, 4],
+        "levels": [1, 6],
+        "modes": ["gauss"],
+        "output_dir": str(outdir) + "/",
+    }))
+    assert run(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not outdir.exists()
+
+
 def test_campaign_config(tmp_path):
     cfg = tmp_path / "campaign.json"
     outdir = tmp_path / "reports"
