@@ -47,7 +47,7 @@ from .charsums import gauss_sum
 from .cyclotomic import CycloNum, csum, ext_root, root_of_unity
 from .quadfield import DiffClass, QuadField, chi_component, classes
 from .residues import ResidueRing, certifies_zero
-from .thetamat import (IDENTITY, Mat2Z, theta_matrix, theta_matrix_closed,
+from .thetamat import (IDENTITY, Mat2Z, lattice_coords, theta_matrix, theta_matrix_closed,
                        theta_matrix_closed_factored)
 
 
@@ -248,24 +248,14 @@ def expected_delta(field: QuadField, v: DiffClass, w: DiffClass) -> int:
 def _theta_entry_float(field: QuadField, sigma: Mat2Z, u: DiffClass, v: DiffClass) -> complex:
     a, b, c, d = sigma.entries()
     D = field.D
-    u1, u2 = u.coords()
-    v1, v2 = v.coords()
     tp = 2j * cmath.pi
-    if c == 0:
-        uu = v.scaled(a)
-        if uu.key != u.key:
-            return 0j
-        return (1 if a > 0 else -1) * cmath.exp(tp * a * b * uu.dnorm / D)
-    dv = float(d) * (float(v1) ** 2 + D * float(v2) ** 2)
-    acc = 0j
-    for al in range(abs(c)):
-        for be in range(abs(c)):
-            g1 = float(u1) + al + (be / 2.0 if field.e == 0 else 0.0)
-            g2 = float(u2) + be / 2.0
-            nrm = g1 * g1 + D * g2 * g2
-            pair = 2 * (g1 * float(v1) + D * g2 * float(v2))
-            acc += cmath.exp(tp * (a * nrm - pair + dv) / c)
-    return (-1j / (c * math.sqrt(D))) * acc
+    if c == 0:  # sign(a) delta_{u, av} e[ab|u|^2]
+        return ((1 if a > 0 else -1) * cmath.exp(tp * a * b * u.dnorm / D)
+                if v.scaled(a).key == u.key else 0j)
+    v1, v2 = (float(x) for x in v.coords())
+    g1, g2 = lattice_coords(field, u, *np.divmod(np.arange(c * c), abs(c)))
+    num = a * (g1 * g1 + D * g2 * g2) - 2 * (g1 * v1 + D * g2 * v2) + d * (v1 * v1 + D * v2 * v2)
+    return (-1j / (c * math.sqrt(D))) * complex(np.exp(tp / c * num).sum())
 
 
 def _inner_sum_float(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass) -> complex:
@@ -277,19 +267,13 @@ def _inner_sum_float(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass)
         ctx = sigma_context(field, sigma, j)
         if math.gcd(w.dnorm, ctx.m) != ctx.mu:
             continue
-        g = sum(
-            chi_component(field, ctx.m)(s) * cmath.exp(tp * s * ctx.n * c / ctx.m)
-            for s in range(ctx.m)
-        ) if ctx.m > 1 else 1.0
+        g = sum(chi_component(field, ctx.m)(s) * cmath.exp(tp * s * ctx.n * c / ctx.m)
+                for s in range(ctx.m)) if ctx.m > 1 else 1.0
         psi_n = chi_component(field, ctx.n)(a + c * j)
+        r = 1.0
         if ctx.m == 4 * ctx.mu:
-            r = 0.5 * (
-                1
-                + cmath.exp(-tp * (a + c * j) * w.dnorm / (2 * ctx.m))
-                * field.chi2(5 - 2 * ctx.n * c)
-            )
-        else:
-            r = 1.0
+            r = 0.5 * (1 + cmath.exp(-tp * (a + c * j) * w.dnorm / (2 * ctx.m))
+                       * field.chi2(5 - 2 * ctx.n * c))
         au += g * psi_n * r * cmath.exp(tp * (u.dnorm * j - w.dnorm * ctx.kappa) / D)
     return au * w.mult / u.mult
 

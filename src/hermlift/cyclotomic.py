@@ -122,6 +122,11 @@ class CycloNum:
         return _raw(1, {0: q.numerator} if q else {}, q.denominator)
 
     @staticmethod
+    def from_numerators(order: int, coeffs: dict[int, int], den: int) -> "CycloNum":
+        """sum_k coeffs[k] e[k/order] / den: nonzero ints, 0 <= k < order, den > 0."""
+        return _normal(order, coeffs, den)
+
+    @staticmethod
     def i() -> "CycloNum":
         return root_of_unity(Fraction(1, 4))
 

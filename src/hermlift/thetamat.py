@@ -11,6 +11,10 @@ much cheaper; both are implemented and cross-checked exactly in the tests.
 
 The scalar -i/sqrt(D) is represented exactly as -G(chi_K)/D in the cyclotomic
 ring (G(chi_K) = i*sqrt(D) since chi_K is odd; see charsums.i_sqrtD).
+`theta_matrix` stays the defining sum, the oracle for the closed forms.  Its
+exponents are integers over L0 = 4D^2|c|; G(chi_K)'s term chi(k) e[k/D] adds
+k L0/D to each, so the prefactor is folded into their int64 counts before any
+CycloNum exists, and only entries that stay nonzero are built.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .arith import valuation
 from .charsums import gauss_sum, i_sqrtD
@@ -58,9 +64,20 @@ J = Mat2Z(0, -1, 1, 0)
 T = Mat2Z(1, 1, 0, 1)
 
 
+# lattice terms per block of the defining sum: int64 temporaries of ~0.25 MB
+_BLOCK = 2**12
+
+
+def _gauss_fold(field: QuadField) -> np.ndarray:
+    """W[q, q'] = chi(q' - q): counts over exponents q/D, times W, are G(chi_K) times them."""
+    k = np.arange(field.D)
+    return np.array(chi_component(field, field.D).table)[(k - k[:, None]) % field.D]
+
+
 def theta_matrix(field: QuadField, sigma: Mat2Z) -> list[list[CycloNum]]:
     """The D x D matrix (M_{u,v}(sigma)) from the defining sum, rows/columns
-    in canonical class order."""
+    in canonical class order.  For c != 0 the exponents of a block of entries
+    form one integer histogram, with the prefactor -G(chi_K)/(Dc) folded in."""
     if sigma.det() != 1:
         raise ValueError("sigma must have determinant 1")
     a, b, c, d = sigma.entries()
@@ -75,55 +92,50 @@ def theta_matrix(field: QuadField, sigma: Mat2Z) -> list[list[CycloNum]]:
             out[class_index(field, u)][class_index(field, v)] = val
         return out
 
-    pref = i_sqrtD(D) * Fraction(-1, D * c)
-    # The lattice sum per entry has |c|^2 terms gamma = u + al + be*omega;
-    # scaling all coordinates by t = 2D makes every exponent an integer over
-    # t^2 |c|, so the grid runs in vectorized integer arithmetic (a CycloNum
-    # add per term would copy the growing accumulator, O(c^4) overall).
-    import numpy as np
-
-    t = 2 * D
-    cabs = abs(c)
+    # The lattice sum per entry has |c|^2 terms gamma = u + al + be*omega; scaled
+    # by t = 2D, every exponent is an integer over L0 = t^2 |c|.
+    t, cabs = 2 * D, abs(c)
     L0 = t * t * cabs
     # only a*nrm and d*nrm enter the exponent, which is taken mod L0
     a, d = a % L0, d % L0
     # gamma = u + al + be*omega in coordinates (g1, g2) along (1, i sqrt(D));
     # odd D: omega = 1/2 + i sqrt(D)/2, even D: omega = i sqrt(D)/2
-    U1 = [int(t * u.coords()[0]) for u in cls]
-    U2 = [int(t * u.coords()[1]) for u in cls]
-    # |num| below, bounded in Python integers, must fit numpy's int64
-    v1, v2 = max(map(abs, U1)), max(map(abs, U2))
+    U1, U2 = (np.array([int(t * u.coords()[k]) for u in cls], dtype=np.int64) for k in (0, 1))
+    # |num| below and the keys, bounded in Python integers, must fit int64
+    v1, v2 = int(abs(U1).max()), int(abs(U2).max())
     g1, g2 = v1 + 2 * t * cabs, v2 + t * cabs
-    if (a * (g1 * g1 + D * g2 * g2) + 2 * (g1 * v1 + D * g2 * v2)
-            + d * (v1 * v1 + D * v2 * v2)) >= 2**63:
+    if max(a * (g1 * g1 + D * g2 * g2) + 2 * (g1 * v1 + D * g2 * v2)
+           + d * (v1 * v1 + D * v2 * v2), D * D * L0) >= 2**63:
         raise OverflowError(f"theta_matrix: lattice sum for c = {c} exceeds int64")
-    al = np.repeat(np.arange(cabs, dtype=np.int64), cabs)
-    be = np.tile(np.arange(cabs, dtype=np.int64), cabs)
-    out = []
-    for ui, u in enumerate(cls):
-        if field.e == 0:
-            G1 = U1[ui] + t * al + (t // 2) * be
-        else:
-            G1 = U1[ui] + t * al
-        G2 = U2[ui] + (t // 2) * be
-        NG = a * (G1 * G1 + D * G2 * G2)
-        row = []
-        for vi, v in enumerate(cls):
-            V1, V2 = U1[vi], U2[vi]
-            # t^2 * (a*nrm(gamma) - (gamma*conj(v) + conj(gamma)*v) + d*nrm(v)),
-            # to be divided by t^2 * c
-            num = NG - 2 * (G1 * V1 + D * G2 * V2) + d * (V1 * V1 + D * V2 * V2)
-            if c < 0:
-                num = -num
-            keys, counts = np.unique(np.mod(num, L0), return_counts=True)
-            g = L0
-            for k in keys:
-                g = math.gcd(g, int(k))
-            acc = CycloNum(L0 // g, {
-                int(k) // g: int(m) for k, m in zip(keys, counts)
-            })
-            row.append(pref * acc)
-        out.append(row)
+    al, be = np.divmod(np.arange(cabs * cabs, dtype=np.int64), cabs)
+    L1, L2 = t * al + (t // 2) * be * (field.e == 0), (t // 2) * be
+    # the prefactor -i/(c sqrt(D)) = -G(chi_K)/(D c) over the denominator D|c|
+    M, fold = L0 // D, _gauss_fold(field) * (-1 if c > 0 else 1)
+    out = [[CycloNum.zero()] * D for _ in cls]
+    per = max(1, _BLOCK // (cabs * cabs))
+    for i0 in range(0, D * D, per):
+        uv = np.arange(i0, min(i0 + per, D * D))
+        u, v = np.divmod(uv, D)
+        G1, G2, V1, V2 = U1[u, None] + L1, U2[u, None] + L2, U1[v, None], U2[v, None]
+        # t^2 * (a*nrm(gamma) - (gamma*conj(v) + conj(gamma)*v) + d*nrm(v)),
+        # to be divided by t^2 * c; the exponent mod L0 is q M + r
+        num = a * (G1 * G1 + D * G2 * G2) - 2 * (G1 * V1 + D * G2 * V2) + d * (V1 * V1 + D * V2 * V2)
+        q, r = np.divmod((num if c > 0 else -num) % L0, M)
+        keys, counts = np.unique((uv[:, None] * M + r) * D + q, return_counts=True)
+        # G's term k shifts q by k: per (entry, r), counts over q convolve with W
+        ur, j = np.unique(keys // D, return_inverse=True)
+        hist = np.zeros((len(ur), D), dtype=np.int64)
+        hist[j, keys % D] = counts
+        hist = hist @ fold
+        j, q = np.nonzero(hist)
+        terms: dict[int, dict[int, int]] = {}
+        for x, y, n in zip(ur[j].tolist(), q.tolist(), hist[j, q].tolist()):
+            terms.setdefault(x // M, {})[y * M + x % M] = n
+        # one CycloNum per nonzero entry, of order L0/g, g = gcd(L0, exponents)
+        for i, cs in terms.items():
+            g = math.gcd(L0, *cs)
+            out[i // D][i % D] = CycloNum.from_numerators(
+                L0 // g, {e // g: n for e, n in cs.items()}, D * cabs)
     return out
 
 
@@ -207,7 +219,8 @@ def theta_matrix_closed(field: QuadField, sigma: Mat2Z) -> list[list[CycloNum]]:
 
 
 def matrices_equal(A: list[list[CycloNum]], B: list[list[CycloNum]]) -> bool:
-    return all((x - y).is_zero() for ra, rb in zip(A, B) for x, y in zip(ra, rb))
+    return all((x - y).is_zero() for ra, rb in zip(A, B) for x, y in zip(ra, rb)
+               if x.coeffs or y.coeffs)
 
 
 def mat_mul(A: list[list[CycloNum]], B: list[list[CycloNum]]) -> list[list[CycloNum]]:
@@ -220,6 +233,13 @@ def mat_mul(A: list[list[CycloNum]], B: list[list[CycloNum]]) -> list[list[Cyclo
 # numeric theta series, for analytic spot checks only
 
 
+def lattice_coords(field: QuadField, u: DiffClass, al, be) -> tuple[np.ndarray, np.ndarray]:
+    """Float coordinates (g1, g2) along (1, i sqrt(D)) of gamma = u + al + be*omega."""
+    u1, u2 = u.coords()
+    g1 = float(u1) + al + (be / 2 if field.e == 0 else 0)
+    return g1, float(u2) + be / 2
+
+
 def theta_eval(field: QuadField, u: DiffClass, tau: complex, z: complex, w: complex,
                radius: int = 12) -> complex:
     """Truncated theta_u(tau, z, w) = sum_{a in u+O_K} e[|a|^2 tau + conj(a) z + a w].
@@ -229,22 +249,11 @@ def theta_eval(field: QuadField, u: DiffClass, tau: complex, z: complex, w: comp
     """
     if tau.imag <= 0:
         raise ValueError("tau must be in the upper half-plane")
-    u1, u2 = u.coords()
-    D = field.D
-    sD = math.sqrt(D)
-    total = 0j
-    for al in range(-radius, radius + 1):
-        for be in range(-radius, radius + 1):
-            if field.e == 0:
-                g1 = float(u1) + al + be / 2.0
-                g2 = float(u2) + be / 2.0
-            else:
-                g1 = float(u1) + al
-                g2 = float(u2) + be / 2.0
-            aa = complex(g1, g2 * sD)
-            nrm = g1 * g1 + D * g2 * g2
-            total += cmath.exp(2j * cmath.pi * (nrm * tau + aa.conjugate() * z + aa * w))
-    return total
+    r = np.arange(-radius, radius + 1)
+    g1, g2 = lattice_coords(field, u, r[:, None], r[None, :])
+    aa = g1 + 1j * math.sqrt(field.D) * g2
+    nrm = g1 * g1 + field.D * g2 * g2
+    return complex(np.exp(2j * np.pi * (nrm * tau + aa.conjugate() * z + aa * w)).sum())
 
 
 def theta_slash(field: QuadField, u: DiffClass, sigma: Mat2Z, tau: complex, z: complex,

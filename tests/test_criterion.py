@@ -119,6 +119,26 @@ def test_verify_criterion_reports_injected_fault(monkeypatch, arithmetic, target
         assert fail["expected"] == 1
 
 
+def test_float_route_reports_perturbed_lattice_term(monkeypatch):
+    # move the last lattice point of the float defining sum by 1/4 along 1:
+    # only entries with c != 0 see it, so every witness is at such a sigma
+    orig = criterion.lattice_coords
+
+    def moved(field, u, al, be):
+        g1, g2 = orig(field, u, al, be)
+        g1 = g1.copy()
+        g1[-1] += 0.25
+        return g1, g2
+
+    monkeypatch.setattr(criterion, "lattice_coords", moved)
+    rep = verify_criterion(QuadField(7), 1, arithmetic="float", translates=0)
+    assert rep["failures"]
+    for fail in rep["failures"]:
+        assert set(fail) == {"sigma", "v", "w", "lhs", "expected"}
+        assert fail["sigma"][2] != 0
+        assert not abs(complex(fail["lhs"]) - fail["expected"]) < 1e-9
+
+
 def test_j_table_is_bounded_and_keeps_its_hits():
     # c02's access pattern, every (u, w) of one sigma before the next: one
     # miss per distinct sigma, and more sigmas than the bound

@@ -1,8 +1,15 @@
+import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from hermlift import thetamat
+from hermlift.arith import bezout
+from hermlift.charsums import i_sqrtD
 from hermlift.criterion import random_gamma0, sweep_sigmas
+from hermlift.cyclotomic import CycloNum
 from hermlift.quadfield import QuadField, classes
 from hermlift.thetamat import (Mat2Z, mat_mul, matrices_equal, theta_eval,
                                theta_matrix, theta_matrix_closed,
@@ -136,3 +143,103 @@ def test_defining_sum_refuses_int64_overflow():
     c = 10**6
     with pytest.raises(OverflowError):
         theta_matrix(QuadField(3), Mat2Z(35 * c + 1, 35, c, 1))
+
+
+# ---------------------------------------------------------------------------
+# the block histogram against the per-entry defining sum it replaced
+
+
+def _theta_matrix_per_entry(field, sigma):
+    """M(sigma) for c != 0 entry by entry: one histogram of the |c|^2
+    exponents per (u, v), times the prefactor -G(chi_K)/(D c) as a CycloNum."""
+    a, b, c, d = sigma.entries()
+    D = field.D
+    cls = classes(field)
+    pref = i_sqrtD(D) * Fraction(-1, D * c)
+    t = 2 * D
+    cabs = abs(c)
+    L0 = t * t * cabs
+    a, d = a % L0, d % L0
+    U1 = [int(t * u.coords()[0]) for u in cls]
+    U2 = [int(t * u.coords()[1]) for u in cls]
+    al = np.repeat(np.arange(cabs, dtype=np.int64), cabs)
+    be = np.tile(np.arange(cabs, dtype=np.int64), cabs)
+    out = []
+    for ui in range(D):
+        G1 = U1[ui] + t * al + ((t // 2) * be if field.e == 0 else 0)
+        G2 = U2[ui] + (t // 2) * be
+        NG = a * (G1 * G1 + D * G2 * G2)
+        row = []
+        for V1, V2 in zip(U1, U2):
+            num = NG - 2 * (G1 * V1 + D * G2 * V2) + d * (V1 * V1 + D * V2 * V2)
+            if c < 0:
+                num = -num
+            keys, counts = np.unique(np.mod(num, L0), return_counts=True)
+            g = math.gcd(L0, *keys.tolist())
+            acc = CycloNum(L0 // g, {int(k) // g: int(m) for k, m in zip(keys, counts)})
+            row.append(pref * acc)
+        out.append(row)
+    return out
+
+
+def _with_c(c, d):
+    """A sigma of determinant 1 with lower row (c, d), gcd(c, d) = 1."""
+    g, x, y = bezout(d, -c)  # d*x - c*y = g = +-1
+    return Mat2Z(g * x, g * y, c, d)
+
+
+@pytest.mark.parametrize("D", (3, 4, 7, 8, 15, 20, 24))
+def test_block_histogram_equals_per_entry_sum(D):
+    f = QuadField(D)
+    for c in (1, -1, 2, -2, 3, D, -D, -2 * D, 4 * D):
+        d = next(x for x in range(5, 5 + abs(c) + 2) if math.gcd(x, c) == 1)
+        sigma = _with_c(c, d)
+        assert matrices_equal(theta_matrix(f, sigma),
+                              _theta_matrix_per_entry(f, sigma)), (D, sigma.entries())
+
+
+@pytest.mark.parametrize("block", (1, 2**30))
+def test_blocks_do_not_change_the_sum(monkeypatch, block):
+    # one entry per block, and the whole matrix in one block
+    f = QuadField(15)
+    sigma = _with_c(30, 7)
+    whole = theta_matrix(f, sigma)
+    monkeypatch.setattr(thetamat, "_BLOCK", block)
+    assert matrices_equal(theta_matrix(f, sigma), whole)
+
+
+def _dropped_shift(W):
+    # G(chi_K) without its term chi(k) e[k/D] for the least k > 1 with chi(k) != 0
+    W = W.copy()
+    k = next(k for k in range(2, len(W)) if W[0, k])
+    for q in range(len(W)):
+        W[q, (q + k) % len(W)] = 0
+    return W
+
+
+@pytest.mark.parametrize("fault", ("sign", "drop"))
+@pytest.mark.parametrize("D", (7, 8))
+def test_injected_prefactor_fault_is_reported(monkeypatch, fault, D):
+    # the fault turns M(sigma) into lam * M(sigma) wherever c != 0, with
+    # lam = -1 (sign) or 1 - chi(k) e[k/D] / G(chi_K) (drop; lam^2 != 1), so
+    # the c03 homomorphism fails exactly at the pairs where lam^[c(g1 g2) != 0]
+    # differs from lam^([c(g1) != 0] + [c(g2) != 0]), and the closed form at
+    # every sigma of the sweep
+    f = QuadField(D)
+    rng = random.Random(D)
+    pairs = [random_pair(f, rng) for _ in range(20)]
+    fold = thetamat._gauss_fold
+    monkeypatch.setattr(thetamat, "_gauss_fold", lambda field: (
+        -fold(field) if fault == "sign" else _dropped_shift(fold(field))))
+    failed = 0
+    for g1, g2 in pairs:
+        n1, n2, n = ((g.c != 0) for g in (g1, g2, g1 * g2))
+        want = (n1 + n2 - n) % 2 == 1 if fault == "sign" else n1 + n2 != n
+        got = not matrices_equal(theta_matrix(f, g1 * g2),
+                                 mat_mul(theta_matrix(f, g1), theta_matrix(f, g2)))
+        assert got == want, (D, g1.entries(), g2.entries())
+        failed += got
+    assert failed
+    for sigma in sweep_sigmas(f):
+        if sigma.c > 0 and D % sigma.c == 0:
+            assert not matrices_equal(theta_matrix(f, sigma), theta_matrix_closed(f, sigma))
