@@ -5,7 +5,7 @@ from .arith import crt, divisors, factorize, is_prime, kronecker, valuation
 from .charsums import (check_closed_form, gauss_sum, gauss_sum_inverse,
                        norm_sum, norm_sum_check, salie_check)
 from .criterion import verify_criterion
-from .cyclotomic import CycloNum, e_frac, root_of_unity
+from .cyclotomic import CycloNum, root_of_unity
 from .hecke import (BetaTable, TableRangeError, UnitaryMat4, beta_Tp,
                     coset_reps, verify_beta_conditions, verify_reps_distinct)
 from .ikeda import (EigenData, coeff, fQ_coeff, fstar_coeff, fstar_plus_check,

@@ -1,6 +1,8 @@
 """Gauss sums, the Gauss--Salie identity, and quadratic norm sums.
 
-All sums are evaluated exactly in the cyclotomic ring; the closed forms
+All sums are evaluated exactly in the cyclotomic ring, each as one exponent
+histogram (`esum`): the terms are integer pairs (exponent, weight), and no
+CycloNum or Fraction is built per term.  The closed forms
 G(psi_m) = eps(psi_m)*sqrt(m) are checked in squared (exact) and embedded
 (numeric) form.
 """
@@ -12,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import kronecker
-from .cyclotomic import CycloNum, csum, e_frac
+from .cyclotomic import CycloNum, esum
 from .quadfield import Character, QuadField, chi_component
 
 
@@ -27,17 +29,11 @@ class LegendreChar:
     def __call__(self, n: int) -> int:
         return kronecker(n, self.modulus)
 
-    @property
-    def parity(self) -> int:
-        return self(-1)
-
 
 def gauss_sum(psi, b: int = 1) -> CycloNum:
     """G(psi; b) = sum_{a mod M} psi(a) e[a*b/M], exactly."""
     M = psi.modulus
-    if M == 1:
-        return CycloNum.from_rational(1)
-    return csum(v * e_frac(a * b, M) for a in range(M) if (v := psi(a)))
+    return esum(M, ((a * b, v) for a in range(M) if (v := psi(a))))
 
 
 @lru_cache(maxsize=None)
@@ -69,8 +65,7 @@ def check_closed_form(psi: Character) -> bool:
 def salie_lhs(p: int, x: int, y: int, z: int) -> CycloNum:
     """sum_{j=1}^{p-1} (j|p) e[z(j x^2 + j^{-1} y^2)/p], by brute force."""
     psi = LegendreChar(p)
-    return csum(psi(j) * e_frac(z * (j * x * x + pow(j, -1, p) * y * y), p)
-                for j in range(1, p))
+    return esum(p, ((z * (j * x * x + pow(j, -1, p) * y * y), psi(j)) for j in range(1, p)))
 
 
 def salie_rhs(p: int, x: int, y: int, z: int) -> CycloNum:
@@ -83,7 +78,7 @@ def salie_rhs(p: int, x: int, y: int, z: int) -> CycloNum:
     mid = Fraction(psi(x * x) + psi(y * y), 1 + psi(y * y))
     if mid == 0:
         return CycloNum.zero()
-    tail = csum(e_frac(2 * x * z * g, p) for g in range(p) if (g * g - y * y) % p == 0)
+    tail = esum(p, ((2 * x * z * g, 1) for g in range(p) if (g * g - y * y) % p == 0))
     return gauss_sum(psi, z) * mid * tail
 
 
@@ -98,8 +93,8 @@ def salie_check(p: int, x: int, y: int, z: int) -> tuple[CycloNum, CycloNum, boo
 def norm_sum(field: QuadField, N: int, t: int) -> CycloNum:
     """sum over gamma in O_K/N O_K of e[t|gamma|^2 / N]."""
     tr, nm = field.omega_trace, field.omega_norm
-    return csum(e_frac(t * (a * a + tr * a * b + nm * b * b), N)
-                for a in range(N) for b in range(N))
+    return esum(N, ((t * (a * a + tr * a * b + nm * b * b), 1)
+                    for a in range(N) for b in range(N)))
 
 
 def norm_sum_check(field: QuadField, N: int, t: int) -> bool:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .arith import bezout, component, crt, divisors, inverse_mod, valuation
 from .charsums import gauss_sum
-from .cyclotomic import CycloNum, csum, ext_root, root_of_unity
+from .cyclotomic import CycloNum, csum, esum, ext_root, root_of_unity
 from .quadfield import DiffClass, QuadField, chi_component, classes
 from .residues import ResidueRing, certifies_zero
 from .thetamat import (IDENTITY, Mat2Z, lattice_coords, theta_matrix, theta_matrix_closed,
@@ -107,9 +107,8 @@ def _j_table(D: int, entries: tuple[int, int, int, int]):
     out = []
     for j in range(D):
         ctx = sigma_context(field, sigma, j)
-        g = gauss_sum(chi_component(field, ctx.m), ctx.n * c) if ctx.m > 1 else CycloNum.from_rational(1)
-        psi_n = chi_component(field, ctx.n)(a + c * j)
-        out.append((ctx, g * psi_n))
+        g = gauss_sum(chi_component(field, ctx.m), ctx.n * c)
+        out.append((ctx, g * chi_component(field, ctx.n)(a + c * j)))
     return tuple(out)
 
 
@@ -132,8 +131,8 @@ def _inner_closed_odd(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass
         return CycloNum.zero()
     h = crt([(b % c, c), (inverse_mod(c % Dstar, Dstar), Dstar)])
     x = u.key[0]
-    F = csum(root_of_unity(Fraction(2 * x * h * h * g, Dstar))
-             for g in range(Dstar) if (g * g - w.dnorm) % Dstar == 0)
+    F = esum(Dstar, ((2 * x * h * h * g, 1)
+                     for g in range(Dstar) if (g * g - w.dnorm) % Dstar == 0))
     return (
         c
         * F
@@ -158,8 +157,9 @@ def _inner_closed_even(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClas
     # F_u: sum over square roots of D|w|^2 mod D'/c'
     Dpc = Dp // cp
     x = u.key[1]
-    F = csum(ext_root(Fraction(2 * x * g, c * cstar * (2**f2)), Dpc)
-             for g in range(Dpc) if (g * g - dnw) % Dpc == 0)
+    # e[(2xg / (c c* 2^f2)) / (D'/c')]: the denominator is inverted mod D'/c'
+    inv = pow(c * cstar * (2**f2), -1, Dpc)
+    F = esum(Dpc, ((2 * x * g * inv, 1) for g in range(Dpc) if (g * g - dnw) % Dpc == 0))
     K = (
         ext_root(Fraction(-dnu * a * b, D // cp), cp)
         * ext_root(Fraction(-dnu * a, c * cstar), Dstar)
@@ -258,23 +258,29 @@ def _theta_entry_float(field: QuadField, sigma: Mat2Z, u: DiffClass, v: DiffClas
     return (-1j / (c * math.sqrt(D))) * complex(np.exp(tp / c * num).sum())
 
 
-def _inner_sum_float(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass) -> complex:
+def _j_data_float(field: QuadField, sigma: Mat2Z) -> list[tuple[SigmaContext, complex]]:
+    """Per j: (context, G(psi_m; nc) psi_n(a+cj)), the Gauss sum in floating point."""
+    a, _, c, _ = sigma.entries()
+    ctxs = [sigma_context(field, sigma, j) for j in range(field.D)]
+    return [(x, sum(chi_component(field, x.m)(s) * cmath.exp(2j * cmath.pi * s * x.n * c / x.m)
+                    for s in range(x.m)) * chi_component(field, x.n)(a + c * x.j)) for x in ctxs]
+
+
+def _inner_sum_float(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass,
+                     j_data: list[tuple[SigmaContext, complex]]) -> complex:
+    """A_u in floating point from sigma's `_j_data_float`."""
     a, b, c, d = sigma.entries()
     D = field.D
     tp = 2j * cmath.pi
     au = 0j
-    for j in range(D):
-        ctx = sigma_context(field, sigma, j)
+    for ctx, base in j_data:
         if math.gcd(w.dnorm, ctx.m) != ctx.mu:
             continue
-        g = sum(chi_component(field, ctx.m)(s) * cmath.exp(tp * s * ctx.n * c / ctx.m)
-                for s in range(ctx.m)) if ctx.m > 1 else 1.0
-        psi_n = chi_component(field, ctx.n)(a + c * j)
         r = 1.0
         if ctx.m == 4 * ctx.mu:
-            r = 0.5 * (1 + cmath.exp(-tp * (a + c * j) * w.dnorm / (2 * ctx.m))
+            r = 0.5 * (1 + cmath.exp(-tp * (a + c * ctx.j) * w.dnorm / (2 * ctx.m))
                        * field.chi2(5 - 2 * ctx.n * c))
-        au += g * psi_n * r * cmath.exp(tp * (u.dnorm * j - w.dnorm * ctx.kappa) / D)
+        au += base * r * cmath.exp(tp * (u.dnorm * ctx.j - w.dnorm * ctx.kappa) / D)
     return au * w.mult / u.mult
 
 
@@ -388,7 +394,8 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
     def check_float(sigma: Mat2Z) -> None:
         # A = sum_u M_{u,v} A_u / D, one verdict per (v, distinct D|w|^2)
         M = [[_theta_entry_float(field, sigma, u, v) for v in cls] for u in cls]
-        au = [[_inner_sum_float(field, sigma, ru, rw) for rw in reps] for ru in reps]
+        j_data = _j_data_float(field, sigma)
+        au = [[_inner_sum_float(field, sigma, ru, rw, j_data) for rw in reps] for ru in reps]
         for iv, iw in np.ndindex(delta.shape):
             got = sum(M[i][iv] * au[row_of[i]][iw] for i in range(D)) / D
             if not abs(got - delta[iv, iw]) < tol:

@@ -10,7 +10,9 @@ reduced modulo the M-th cyclotomic polynomial Phi_M.
 
 `csum` adds many terms into one dict over one order and one denominator, so a
 long sum costs one pass over its terms instead of a copy of the accumulator
-per term.
+per term.  `esum` sums roots of unity given as integer pairs (exponent,
+weight): one exponent histogram, and no CycloNum or Fraction per term.  A
+rational factor scales the numerators (and the denominator) directly.
 
 Division is deliberately NOT general: only division by nonzero rationals and
 by roots of unity is provided here (Gauss sums are inverted at call sites via
@@ -156,9 +158,13 @@ class CycloNum:
 
     def __mul__(self, other) -> "CycloNum":
         if type(other) is not CycloNum:
-            if isinstance(other, (int, Fraction)) and not other:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
                 return CycloNum.zero()
-            other = _coerce(other)
+            # a rational n/d scales the numerators by n and the denominator by d
+            n, d = other.numerator, other.denominator
+            return _normal(self.order, {k: c * n for k, c in self.coeffs.items()}, self.den * d)
         M = self.order
         if M == other.order:
             a, b = self.coeffs, other.coeffs
@@ -334,16 +340,24 @@ def csum(terms: Iterable) -> CycloNum:
     return _normal(M, {k: c for k, c in cs.items() if c}, den)
 
 
+def esum(M: int, terms: Iterable[tuple[int, int]]) -> CycloNum:
+    """sum w e[k/M] over the integer pairs (k, w) of terms, M >= 1, with one
+    exponent histogram mod M.  The order is M/g, g = gcd(M, every k seen):
+    for nonzero weights, the representation csum gives for the same
+    monomials."""
+    cs: dict[int, int] = {}
+    for k, w in terms:
+        k %= M
+        cs[k] = cs.get(k, 0) + w
+    g = math.gcd(M, *cs)
+    return _raw(M // g, {k // g: c for k, c in cs.items() if c}, 1)
+
+
 def root_of_unity(r: Rat) -> CycloNum:
     """e[r] = exp(2*pi*i*r) for rational r; the order is the denominator."""
     r = Fraction(r)
     M = r.denominator
     return _raw(M, {r.numerator % M: 1}, 1)
-
-
-def e_frac(num: int, den: int) -> CycloNum:
-    """e[num/den]."""
-    return root_of_unity(Fraction(num, den))
 
 
 def ext_root(r: Rat, M: int) -> CycloNum:
@@ -352,10 +366,7 @@ def ext_root(r: Rat, M: int) -> CycloNum:
     inverted modulo M)."""
     if M < 0:
         return ext_root(-Fraction(r), -M)
-    if M == 1:
-        return CycloNum.from_rational(1)
     r = Fraction(r)
     if math.gcd(r.denominator, M) != 1:
         raise ValueError(f"denominator of {r} not invertible mod {M}")
-    s = r.numerator * pow(r.denominator, -1, M) % M
-    return e_frac(s, M)
+    return root_of_unity(Fraction(r.numerator * pow(r.denominator, -1, M), M))

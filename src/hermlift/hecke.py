@@ -103,17 +103,23 @@ class UnitaryMat4:
 
 
 def _check_unitary(field: QuadField, rows) -> None:
-    """Raise unless g* J4 g = J4."""
-    # (g* J4 g)_{ij} = sum_k conj(g_{ki}) (J4 g)_{kj};  J4 g swaps row blocks.
-    # g* J4 g is skew-hermitian, as J4 is real and skew, so the entries on
-    # and above the diagonal decide it: (0,2), (1,3) = -1, the rest 0
-    jg = [tuple(-x for x in rows[2]), tuple(-x for x in rows[3]), rows[0], rows[1]]
-    gc = [[x.conj() for x in row] for row in rows]
-    zero = AlgInt(field, 0, 0)
+    """Raise unless g* J4 g = J4, on the integer pairs (x0, x1) of the entries
+    x0 + x1*omega: conj(x) y = ((x0 + t x1) y0 + n x1 y1, x0 y1 - x1 y0) with
+    t, n the trace and norm of omega."""
+    # J4 g = [-g_2; -g_3; g_0; g_1], so (g* J4 g)_{ij} = sum_{k=0,1} conj(g_{k+2,i})
+    # g_{kj} - conj(g_{ki}) g_{k+2,j}.  It is skew-hermitian (J4 is real and skew):
+    # the entries on and above the diagonal decide it, (0,2), (1,3) = -1, the rest 0
+    t, n = field.omega_trace, field.omega_norm
+    g = [[(x.a, x.b) for x in row] for row in rows]
     for i in range(4):
         for j in range(i, 4):
-            x = sum((gc[k][i] * jg[k][j] for k in range(4)), zero)
-            if (x.a, x.b) != ((-1, 0) if j == i + 2 else (0, 0)):
+            re = im = 0
+            for k in (0, 1):
+                (a0, a1), (b0, b1) = g[k + 2][i], g[k][j]
+                (c0, c1), (d0, d1) = g[k][i], g[k + 2][j]
+                re += (a0 + t * a1) * b0 + n * a1 * b1 - (c0 + t * c1) * d0 - n * c1 * d1
+                im += a0 * b1 - a1 * b0 - c0 * d1 + c1 * d0
+            if (re, im) != ((-1, 0) if j == i + 2 else (0, 0)):
                 raise ValueError("matrix is not in U(2,2)(O_K)")
 
 

@@ -34,7 +34,9 @@ class AlphaSeries:
     role is one of "plus" (a_l(g)), "alpha_star" (special-Jacobi alpha*),
     "maass" (alpha_F); for the lift the last two coincide.  Indices in
     `unspecified` carry no value and accessing them is an error; access
-    beyond bound raises TableRangeError.
+    beyond bound raises TableRangeError.  An integral Fraction value comes
+    back as its int numerator, so beta sums over an integral table stay in
+    int arithmetic; the table itself is not converted.
     """
 
     table: dict
@@ -47,7 +49,8 @@ class AlphaSeries:
             raise TableRangeError(f"index {ell} outside [0, {self.bound}]")
         if ell in self.unspecified:
             raise ValueError(f"coefficient {ell} is unspecified")
-        return self.table.get(ell, 0)
+        v = self.table.get(ell, 0)
+        return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
 
 def _scale(scal: CycloNum, c):

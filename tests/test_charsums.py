@@ -1,13 +1,16 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
+import tests.test_acceptance as acceptance
+from hermlift import charsums
 from hermlift.arith import divisors
-from hermlift.charsums import (check_closed_form, gauss_sum,
+from hermlift.charsums import (LegendreChar, check_closed_form, gauss_sum,
                                gauss_sum_inverse, norm_sum, norm_sum_check,
-                               salie_check)
-from hermlift.cyclotomic import e_frac
+                               salie_check, salie_lhs, salie_rhs)
+from hermlift.cyclotomic import CycloNum, csum, root_of_unity
 from hermlift.quadfield import QuadField, chi_component
 from tests.conftest import ALL_D
 
@@ -78,11 +81,9 @@ def test_salie_exhaustive_small(p):
 def test_salie_lhs_is_the_defining_sum():
     # one hand-computed case: p = 3, x = y = z = 1:
     # sum over j in (Z/3)^* of (j|3) e[(j + j^{-1})/3]
-    from hermlift.charsums import salie_lhs
-
     # j=1: +e[2/3]; j=2: -e[4/3] = -e[1/3]
     got = salie_lhs(3, 1, 1, 1)
-    assert (got - (e_frac(2, 3) - e_frac(4, 3))).is_zero()
+    assert (got - (root_of_unity(Fraction(2, 3)) - root_of_unity(Fraction(4, 3)))).is_zero()
 
 
 @pytest.mark.parametrize("D", ALL_D)
@@ -106,3 +107,124 @@ def test_norm_sum_rejects_bad_args():
         norm_sum_check(f, 6, 1)  # N not coprime to D
     with pytest.raises(ValueError):
         norm_sum_check(f, 4, 2)  # t not coprime to N
+
+
+# -- the sums term by term: one CycloNum per term, added by csum -------------
+
+
+def _gauss_sum_oracle(psi, b=1):
+    M = psi.modulus
+    if M == 1:
+        return CycloNum.from_rational(1)
+    return csum(v * root_of_unity(Fraction(a * b, M)) for a in range(M) if (v := psi(a)))
+
+
+def _salie_lhs_oracle(p, x, y, z):
+    psi = LegendreChar(p)
+    return csum(psi(j) * root_of_unity(Fraction(z * (j * x * x + pow(j, -1, p) * y * y), p))
+                for j in range(1, p))
+
+
+def _salie_rhs_oracle(p, x, y, z):
+    psi = LegendreChar(p)
+    mid = Fraction(psi(x * x) + psi(y * y), 1 + psi(y * y))
+    if mid == 0:
+        return CycloNum.zero()
+    tail = csum(root_of_unity(Fraction(2 * x * z * g, p))
+                for g in range(p) if (g * g - y * y) % p == 0)
+    return _gauss_sum_oracle(psi, z) * CycloNum.from_rational(mid) * tail
+
+
+def _norm_sum_oracle(field, N, t):
+    tr, nm = field.omega_trace, field.omega_norm
+    return csum(root_of_unity(Fraction(t * (a * a + tr * a * b + nm * b * b), N))
+                for a in range(N) for b in range(N))
+
+
+def _rep(x):
+    return x.order, x.coeffs, x.den
+
+
+@pytest.mark.parametrize("D", ALL_D)
+def test_histogram_sums_equal_the_term_by_term_oracle(D):
+    # every norm sum with N <= 20, 0 <= t <= N (t = 0 and t not coprime to
+    # N included), and every Gauss component twisted by b in [-m, 2m)
+    f = QuadField(D)
+    for N in range(1, 21):
+        for t in range(N + 1):
+            assert _rep(norm_sum(f, N, t)) == _rep(_norm_sum_oracle(f, N, t)), (N, t)
+    for m in divisors(D):
+        if math.gcd(m, D // m) != 1:
+            continue
+        psi = chi_component(f, m)
+        for b in range(-m, 2 * m):
+            assert _rep(gauss_sum(psi, b)) == _rep(_gauss_sum_oracle(psi, b)), (m, b)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_salie_sums_equal_the_term_by_term_oracle(p):
+    for x in range(p):
+        for y in range(p):
+            for z in range(1, p):
+                assert _rep(salie_lhs(p, x, y, z)) == _rep(_salie_lhs_oracle(p, x, y, z))
+                assert _rep(salie_rhs(p, x, y, z)) == _rep(_salie_rhs_oracle(p, x, y, z))
+
+
+# -- injected faults: the campaign checks c04-c06 locate them ----------------
+
+
+def _faulty_esum(monkeypatch, edit, when=lambda M: True):
+    """Replace charsums.esum by one that passes the terms of each sum it
+    makes while armed, and for which when(M) holds, through edit.  Returns
+    the arming flag, set."""
+    real, armed = charsums.esum, [True]
+
+    def esum(M, terms):
+        return real(M, edit(list(terms)) if armed[0] and when(M) else terms)
+
+    monkeypatch.setattr(charsums, "esum", esum)
+    return armed
+
+
+def _arm_only_at(monkeypatch, armed, module, name, target):
+    """Wrap module.name so that the fault is armed on the arguments target only."""
+    real = getattr(module, name)
+
+    def wrapped(*args):
+        armed[0] = args == target
+        try:
+            return real(*args)
+        finally:
+            armed[0] = False
+
+    armed[0] = False
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def _shift_first_exponent(terms):
+    (k, w), *rest = terms
+    return [(k + 1, w), *rest]
+
+
+def _negate_first_weight(terms):
+    (k, w), *rest = terms
+    return [(k, -w), *rest]
+
+
+def test_c06_locates_a_shifted_norm_sum_exponent(monkeypatch):
+    armed = _faulty_esum(monkeypatch, _shift_first_exponent)
+    f = QuadField(7)
+    _arm_only_at(monkeypatch, armed, acceptance, "norm_sum", (f, 5, 2))
+    assert acceptance.norm_sum_failures() == [(7, 5, 2)]
+
+
+def test_c04_locates_a_shifted_salie_term(monkeypatch):
+    armed = _faulty_esum(monkeypatch, _shift_first_exponent)
+    _arm_only_at(monkeypatch, armed, charsums, "salie_lhs", (7, 3, 2, 4))
+    assert acceptance.salie_failures() == [(7, 3, 2, 4)]
+
+
+def test_c05_locates_a_negated_gauss_term(monkeypatch):
+    # every Gauss sum mod 5 loses the sign of its first term
+    _faulty_esum(monkeypatch, _negate_first_weight, when=lambda M: M == 5)
+    assert acceptance.gauss_failures() == [(15, 5), (20, 5)]

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermlift.cyclotomic import (CycloNum, csum, cyclotomic_polynomial,
-                                 e_frac, ext_root, root_of_unity)
+from hermlift.cyclotomic import (CycloNum, csum, cyclotomic_polynomial, esum,
+                                 ext_root, root_of_unity)
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 roots = st.builds(root_of_unity,
@@ -46,15 +46,15 @@ def test_ring_axioms_spotwise(a, b, q):
 
 def test_is_zero_nontrivial_relation():
     # 1 + z + z^2 = 0 for z a primitive cube root
-    z = e_frac(1, 3)
+    z = root_of_unity(Fraction(1, 3))
     assert (1 + z + z * z).is_zero()
     # sum of all p-th roots vanishes
     for p in (5, 7, 11):
         s = CycloNum.zero()
         for j in range(p):
-            s = s + e_frac(j, p)
+            s = s + root_of_unity(Fraction(j, p))
         assert s.is_zero()
-    assert not (1 + e_frac(1, 5)).is_zero()
+    assert not (1 + root_of_unity(Fraction(1, 5))).is_zero()
 
 
 @given(roots)
@@ -64,27 +64,27 @@ def test_conjugate_embeds(a):
 
 def test_division():
     # division is defined by rationals and by single roots of unity
-    a = 1 + e_frac(1, 3)
+    a = 1 + root_of_unity(Fraction(1, 3))
     assert ((a / 2) * 2 - a).is_zero()
-    z = e_frac(5, 7) * Fraction(3, 2)
+    z = root_of_unity(Fraction(5, 7)) * Fraction(3, 2)
     assert ((a / z) * z - a).is_zero()
     with pytest.raises(ZeroDivisionError):
         a / 0
     with pytest.raises(TypeError):
-        a / (1 + e_frac(1, 5))
+        a / (1 + root_of_unity(Fraction(1, 5)))
 
 
 def test_rational_part():
-    z = e_frac(1, 4)
+    z = root_of_unity(Fraction(1, 4))
     x = Fraction(3, 2) + z - z  # stays rational
     assert x.is_rational() and x.rational_part() == Fraction(3, 2)
-    assert not (1 + e_frac(1, 3)).is_rational()
+    assert not (1 + root_of_unity(Fraction(1, 3))).is_rational()
 
 
 def test_ext_root_inverts_denominator():
     # ext_root(r, M) = e[s/M] with den(r)*s = num(r) mod M
-    assert (ext_root(3, 8) - e_frac(3, 8)).is_zero()
-    assert (ext_root(Fraction(1, 3), 4) - e_frac(3, 4)).is_zero()
+    assert (ext_root(3, 8) - root_of_unity(Fraction(3, 8))).is_zero()
+    assert (ext_root(Fraction(1, 3), 4) - root_of_unity(Fraction(3, 4))).is_zero()
     for M in (3, 4, 5, 8):
         for num in range(1, 6):
             for den in (1, 3, 7):
@@ -164,24 +164,59 @@ def test_csum_equals_the_fold_of_add(xs):
 
 def test_csum_edge_cases():
     assert (csum([]).order, csum([]).coeffs, csum([]).den) == (1, {}, 1)
-    z = csum([CycloNum.zero(), e_frac(1, 5) - e_frac(1, 5), 0])
+    z = csum([CycloNum.zero(), root_of_unity(Fraction(1, 5)) - root_of_unity(Fraction(1, 5)), 0])
     assert z.is_zero() and z.order == 5 and z.den == 1
     # mixed orders and denominators, with full cancellation
-    x = csum([e_frac(1, 3) * Fraction(1, 2), Fraction(1, 6), e_frac(1, 4),
-              -e_frac(2, 6) * Fraction(1, 2), -e_frac(3, 12), Fraction(-1, 6)])
+    x = csum([root_of_unity(Fraction(1, 3)) * Fraction(1, 2), Fraction(1, 6),
+              root_of_unity(Fraction(1, 4)), -root_of_unity(Fraction(2, 6)) * Fraction(1, 2),
+              -root_of_unity(Fraction(3, 12)), Fraction(-1, 6)])
     assert x.order == 12 and x.coeffs == {} and x.den == 1
 
 
 @given(fracs, st.sampled_from([2, 3, 4, 5, 6, 8, 12, 15]))
 def test_rational_part_of_a_non_monomial_rational(q, M):
     # -q * sum_{k=1}^{M-1} e[k/M] = q, stored with no e[0] term at all
-    x = csum(e_frac(k, M) * -q for k in range(1, M))
+    x = csum(root_of_unity(Fraction(k, M)) * -q for k in range(1, M))
     assert 0 not in x.coeffs or q == 0
     assert x.is_rational() and x.rational_part() == q
 
 
 def test_rational_part_non_integral():
-    x = (Fraction(-7, 6) + e_frac(1, 3) + e_frac(2, 3)) * Fraction(5, 4)
+    x = ((Fraction(-7, 6) + root_of_unity(Fraction(1, 3)) + root_of_unity(Fraction(2, 3)))
+         * Fraction(5, 4))
     assert x.den > 1
     assert x.is_rational() and x.rational_part() == Fraction(-65, 24)
     assert type(x.rational_part()) is Fraction
+
+
+def rep(x):
+    return x.order, x.coeffs, x.den
+
+
+@given(cyclos, st.integers(-50, 50).filter(bool), nonzero_fracs)
+@settings(max_examples=150)
+def test_rational_factor_scales_the_numerators(x, n, q):
+    # the scalar path gives the representation of the product with the
+    # rational as a CycloNum of order 1
+    for r in (n, q, Fraction(n), -q):
+        want = rep(x * CycloNum.from_rational(r))
+        assert rep(x * r) == rep(r * x) == want
+    assert (x * 0).is_zero() and (x * Fraction(0)).is_zero()
+
+
+@given(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 15, 20, 24]),
+       st.lists(st.tuples(st.integers(-60, 60), st.integers(-4, 4).filter(bool)), max_size=12))
+@settings(max_examples=200)
+def test_esum_equals_the_csum_of_its_monomials(M, terms):
+    s = esum(M, terms)
+    assert_canonical(s)
+    assert rep(s) == rep(csum(w * root_of_unity(Fraction(k, M)) for k, w in terms))
+
+
+def test_esum_edge_cases():
+    assert rep(esum(7, [])) == rep(csum([])) == (1, {}, 1)
+    # full cancellation keeps the order of the exponents seen, as csum does
+    terms = [(3, 2), (6, 1), (15, -2), (-6, -1), (9, 5), (-3, -5)]
+    want = csum(w * root_of_unity(Fraction(k, 12)) for k, w in terms)
+    assert rep(esum(12, terms)) == rep(want) == (4, {}, 1)
+    assert rep(esum(5, [(0, 3), (5, -1)])) == (1, {0: 2}, 1)

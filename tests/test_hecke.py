@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from hermlift.hecke import (BetaTable, TableRangeError, UnitaryMat4, _same_coset,
-                            beta_Tp, coset_key, coset_reps,
+from hermlift.hecke import (BetaTable, TableRangeError, UnitaryMat4, _check_unitary,
+                            _same_coset, beta_Tp, coset_key, coset_reps,
                             verify_beta_conditions, verify_reps_distinct)
+from hermlift.lift import AlphaSeries, beta_from_alpha
 from hermlift.quadfield import AlgInt, QuadField
 
 
@@ -38,6 +39,46 @@ def test_coset_rep_count(D, p, N):
     f = QuadField(D)
     reps = coset_reps(f, p, N)
     assert len(reps) == 1 + p + p**3 + p**4
+
+
+def _check_unitary_oracle(field, rows):
+    """g* J4 g = J4 as a product of AlgInts, entry by entry on and above the
+    diagonal."""
+    jg = [tuple(-x for x in rows[2]), tuple(-x for x in rows[3]), rows[0], rows[1]]
+    gc = [[x.conj() for x in row] for row in rows]
+    zero = AlgInt(field, 0, 0)
+    for i in range(4):
+        for j in range(i, 4):
+            x = sum((gc[k][i] * jg[k][j] for k in range(4)), zero)
+            if (x.a, x.b) != ((-1, 0) if j == i + 2 else (0, 0)):
+                raise ValueError("matrix is not in U(2,2)(O_K)")
+
+
+def _accepts(check, field, rows):
+    try:
+        check(field, rows)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("D,p,N", [(3, 2, 1), (4, 3, 1), (3, 5, 7)])
+def test_unitarity_check_agrees_with_the_algint_oracle(D, p, N):
+    # every representative, and each with one entry moved by +-1 or +-omega;
+    # the moved entry runs through all 16 positions in turn
+    f = QuadField(D)
+    shifts = [AlgInt(f, 1, 0), AlgInt(f, -1, 0), AlgInt(f, 0, 1), AlgInt(f, 0, -1)]
+    rejected = 0
+    for n, r in enumerate(coset_reps(f, p, N)):
+        assert _accepts(_check_unitary, f, r.rows) and _accepts(_check_unitary_oracle, f, r.rows)
+        i, j = divmod(n % 16, 4)
+        for s in shifts:
+            rows = [list(row) for row in r.rows]
+            rows[i][j] = rows[i][j] + s
+            got = _accepts(_check_unitary, f, rows)
+            assert got == _accepts(_check_unitary_oracle, f, rows), (r.to_json(), i, j, s)
+            rejected += not got
+    assert rejected > 0
 
 
 def _all_pairs_distinct(f, p, N, reps):
@@ -134,8 +175,6 @@ def _random_beta(rng, k, N, bound=60):
 def test_beta_Tp_preserves_conditions(D, p, k):
     # beta_G built from an UNCONSTRAINED random table will not satisfy the
     # divisor-sum identities; build beta_F from an alpha first
-    from hermlift.lift import AlphaSeries, beta_from_alpha
-
     rng = random.Random(100 * D + k)
     f = QuadField(D)
     N = 1
@@ -150,8 +189,6 @@ def test_beta_Tp_preserves_conditions(D, p, k):
 
 
 def test_verify_beta_conditions_catches_corruption():
-    from hermlift.lift import AlphaSeries, beta_from_alpha
-
     alpha = AlphaSeries({ell: ell + 1 for ell in range(25000)}, "maass", 24999)
     good = beta_from_alpha(alpha, 8, 1)
     rep = verify_beta_conditions(good, (10, 24), 1)
@@ -206,3 +243,30 @@ def test_distinctness_refuses_a_non_integral_representative():
         bad = UnitaryMat4.make(f, [[1, 0, half, 0], [0, 1, 0, 0],
                                    [0, 0, 1, 0], [0, 0, 0, 1]])
         verify_reps_distinct(f, p, 1, reps[:1] + [bad] + reps[2:])
+
+
+def test_verify_beta_conditions_locates_a_non_integral_fault():
+    # beta(4, 5) + 1/2 on a table from an integral alpha: only the identities
+    # that read beta(4, 5) meet a Fraction.  Every identity is linear in
+    # beta, so the witnesses are those of beta(4, 5) + 1, found in int
+    # arithmetic, and each of them reads beta(4, 5)
+    alpha = AlphaSeries({ell: Fraction(ell % 7 - 3) for ell in range(25000)}, "maass", 24999)
+    good = beta_from_alpha(alpha, 8, 1)
+    reps = []
+    for bump in (Fraction(1, 2), 1):
+        bad = BetaTable(8, 1, lambda u, v, b=bump: good.value(u, v) + (b if (u, v) == (4, 5) else 0))
+        reps.append(verify_beta_conditions(bad, (10, 24), 1))
+    half, one = reps
+    assert one["failures"] and half["failures"] == one["failures"]
+    assert (half["checked"], half["skipped"]) == (one["checked"], one["skipped"])
+    for w in half["failures"]:
+        u, d = w["u"], w["d"]
+        if w["cond"] == "iii":
+            args = [(u, d), (1, d * u * u)]
+        else:
+            p = w["p"]
+            v = 0
+            while u % p ** (v + 1) == 0:
+                v += 1
+            args = [(u, d), (u // p if v else 0, d), (u // p**v, d * p ** (2 * v))]
+        assert (4, 5) in args, w

@@ -3,6 +3,8 @@ import random
 import pytest
 from sympy import primerange
 
+import tests.test_acceptance as acceptance
+from hermlift import ikeda
 from hermlift.cyclotomic import CycloNum
 from hermlift.ikeda import (EigenData, chi_under, coeff, fQ_coeff,
                             fstar_coeff, fstar_plus_check, rho_coeff,
@@ -119,3 +121,16 @@ def test_fstar_requires_coprime_ell():
     ed = _ed(3)
     with pytest.raises(ValueError):
         fstar_coeff(ed, 3, 10)
+
+
+@pytest.mark.parametrize("D", ALL_D)
+def test_c09_locates_a_negated_chi_under(monkeypatch, D):
+    # with chi_under_q negated, c09's check raises at its first M.  At
+    # M = ell = 1 the subset sum becomes prod_q (1 - chi_q(-1)) against the
+    # closed form prod_q (1 + chi_q(-1)); both vanish when D has two prime
+    # components of opposite parity, so D = 15, 20, 24 fail at a later M
+    real = ikeda.chi_under
+    monkeypatch.setattr(ikeda, "chi_under", lambda field, q, M: -real(field, q, M))
+    M = {15: 5, 20: 2, 24: 3}.get(D, 1)
+    with pytest.raises(AssertionError, match=f"disagree at M={M}, ell=1$"):
+        acceptance.check_twist_paths(D)

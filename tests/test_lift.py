@@ -23,6 +23,16 @@ def test_alpha_series_access():
         a.value(11)
 
 
+def test_alpha_series_reads_integral_fractions_as_int():
+    # the table keeps its Fractions; only an integral value is read as int
+    z = CycloNum.i()
+    table = {1: Fraction(6), 2: Fraction(-4, 2), 3: Fraction(1, 3), 4: z}
+    a = AlphaSeries(table, "maass", 10)
+    assert [(type(a.value(ell)), a.value(ell)) for ell in (1, 2, 3, 5)] == [
+        (int, 6), (int, -2), (Fraction, Fraction(1, 3)), (int, 0)]
+    assert a.value(4) is z and type(table[1]) is Fraction
+
+
 @pytest.mark.parametrize("D", ALL_D)
 @pytest.mark.parametrize("N", (1, 7))
 def test_roundtrip_alpha_and_plus_coeffs(D, N):
