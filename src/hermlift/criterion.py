@@ -19,7 +19,10 @@ and the statement verified here is A = 1 if D|w|^2 = D|v|^2 mod D, else 0.
 
 A_u also has closed forms when c | D, c > 0 (one for odd D; a two-branch
 B_u + C_u expression for even D); both routes are implemented and compared
-exactly.  The closed forms absorb the a_w/a_u factor.
+exactly.  The closed forms absorb the a_w/a_u factor.  The direct terms are
+built once per sigma as integers (`_direct_rows`) and read two ways: one
+exponent histogram (`inner_sum_direct`) and residues over all pairs at once
+(`inner_sums_residues`).
 
 `verify_criterion` decides exactly in residues (`residues`): each value of
 one sigma lies in Q(zeta_L), L = D (odd D) or 2D, stored as its phi(L)
@@ -27,7 +30,8 @@ residues mod a prime p = 1 (mod L) with D (p-1)^2 < 2^63, so no int64 sum of
 D residue products wraps.  With B >= ||den (A - delta)||_1 tracked in Python
 ints, vanishing residues prove A = delta once B is below the product of the
 primes used; a nonzero residue proves A != delta.  A failure's `lhs` is the
-residue vector of A with its prime.  The float route is an independent oracle.
+residue vector of A with its prime.  The float route (`_inner_sum_float`) is
+the independent oracle of both readers.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import cmath
 import math
 import random
 import time
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, lru_cache
 from typing import NamedTuple
@@ -44,7 +49,7 @@ import numpy as np
 
 from .arith import bezout, component, crt, divisors, inverse_mod, valuation
 from .charsums import gauss_sum
-from .cyclotomic import CycloNum, csum, esum, ext_root, root_of_unity
+from .cyclotomic import CycloNum, esum, ext_root, root_of_unity
 from .quadfield import DiffClass, QuadField, chi_component, classes
 from .residues import ResidueRing, certifies_zero
 from .thetamat import (IDENTITY, Mat2Z, lattice_coords, theta_matrix, theta_matrix_closed,
@@ -85,42 +90,57 @@ def sigma_context(field: QuadField, sigma: Mat2Z, j: int) -> SigmaContext:
     return SigmaContext(j, mu, m, n, kappa)
 
 
-def R_factor(field: QuadField, sigma: Mat2Z, ctx: SigmaContext, v: DiffClass) -> CycloNum:
-    """R_sigma(v, j): 1 unless m = 4*mu, else
-    (1 + e[-(a+cj) D|v|^2 / (2m)] chi_2(5 - 2nc)) / 2."""
-    if ctx.m != 4 * ctx.mu:
-        return CycloNum.from_rational(1)
-    a, _, c, _ = sigma.entries()
-    acj = a + c * ctx.j
-    tw = root_of_unity(Fraction(-acj * v.dnorm, 2 * ctx.m))
-    return (1 + tw * field.chi2(5 - 2 * ctx.n * c)) * Fraction(1, 2)
+def _order(field: QuadField) -> int:
+    """L = D (odd D) or 2D: every value of one sigma lies in Q(zeta_L)."""
+    return field.D if field.e == 0 else 2 * field.D
+
+
+# sigma's direct A_u terms per j mod D, exponents over L: mu, m, n, psi_n(a+cj),
+# j L/D, kappa L/D and R = (1 + e[(h - r D|w|^2)/L])/2, h = L/2 exactly when
+# chi_2(5 - 2nc) = -1 if m = 4 mu, and r = h = 0 (R = 1 = (1 + e[0])/2) otherwise
+DirectRow = namedtuple("DirectRow", "mu m n psi jL kL r h")
 
 
 @lru_cache(maxsize=8)
-def _j_table(D: int, entries: tuple[int, int, int, int]):
-    """Per j: (context, G(psi_m; nc) * psi_n(a+cj)) with sigma fixed.  Its
-    callers take one sigma at a time, so a few entries keep every hit while
-    the random translates of a long campaign cannot grow it."""
-    field = QuadField(D)
-    sigma = Mat2Z(*entries)
+def _direct_rows(D: int, entries: tuple[int, int, int, int]) -> tuple[tuple[DirectRow, ...], int]:
+    """sigma's rows for j mod D and `halves`, 2 when some row has m = 4 mu
+    (else 1).  Its readers take one sigma at a time, so a few entries keep
+    every hit while the random translates of a long campaign cannot grow it."""
+    field, sigma = QuadField(D), Mat2Z(*entries)
     a, _, c, _ = entries
-    out = []
+    L = _order(field)
+    rows = []
     for j in range(D):
-        ctx = sigma_context(field, sigma, j)
-        g = gauss_sum(chi_component(field, ctx.m), ctx.n * c)
-        out.append((ctx, g * chi_component(field, ctx.n)(a + c * j)))
-    return tuple(out)
+        x = sigma_context(field, sigma, j)
+        r = h = 0
+        if x.m == 4 * x.mu:
+            r = (a + c * j) * (L // (2 * x.m))
+            h = 0 if field.chi2(5 - 2 * x.n * c) == 1 else L // 2
+        rows.append(DirectRow(x.mu, x.m, x.n, chi_component(field, x.n)(a + c * j),
+                              j * (L // D), x.kappa * (L // D), r, h))
+    return tuple(rows), 2 if any(x.m == 4 * x.mu for x in rows) else 1
+
+
+@cache
+def _gauss_terms(field: QuadField, m: int, b: int) -> tuple[tuple[int, int], ...]:
+    """G(psi_m; b) as (exponent over L, weight) pairs, weights nonzero."""
+    g = gauss_sum(chi_component(field, m), b)
+    return tuple((k * (_order(field) // g.order), v) for k, v in g.coeffs.items())
 
 
 def inner_sum_direct(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass) -> CycloNum:
-    """A_u assembled term by term over j mod D (includes the a_w/a_u factor)."""
-    D = field.D
-    return csum(
-        base * R_factor(field, sigma, ctx, w)
-        * root_of_unity(Fraction(u.dnorm * ctx.j - w.dnorm * ctx.kappa, D))
-        for ctx, base in _j_table(D, sigma.entries())
-        if math.gcd(w.dnorm, ctx.m) == ctx.mu
-    ) * Fraction(w.mult, u.mult)
+    """A_u term by term over j mod D (includes the a_w/a_u factor): one
+    exponent histogram over L of sigma's `_direct_rows`."""
+    rows, halves = _direct_rows(field.D, sigma.entries())
+    c, dnu, dnw = sigma.c, u.dnorm, w.dnorm
+    terms = []
+    for mu, m, n, psi, jL, kL, r, h in rows:
+        if math.gcd(dnw, m) != mu:
+            continue
+        k = dnu * jL - dnw * kL
+        shifts = (k,) if halves == 1 else (k, k + h - r * dnw)
+        terms += [(e + s, psi * v) for s in shifts for e, v in _gauss_terms(field, m, n * c % m)]
+    return esum(_order(field), terms) * Fraction(w.mult, halves * u.mult)
 
 
 def _inner_closed_odd(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass) -> CycloNum:
@@ -322,35 +342,25 @@ def inner_sums_residues(ring: ResidueRing, field: QuadField, sigma: Mat2Z,
                         reps: list[DiffClass]) -> tuple[np.ndarray, int, int]:
     """A_u for every pair (u, w) of `reps` as residues [u, w, t], with a bound
     and a denominator: den * A_u has ||.||_1 <= bound.  The terms are those of
-    inner_sum_direct, built from integer exponent tables reduced mod L."""
-    D, L, p, pw = field.D, ring.L, ring.p, ring.pw
-    a, _, c, _ = sigma.entries()
-    dn = [r.dnorm for r in reps]
-    base, mask, ex, r_ex, norm, halves = [], [], [], [], 0, 1
-    for j in range(D):
-        ctx = sigma_context(field, sigma, j)
-        m, n, mu = ctx.m, ctx.n, ctx.mu
-        g, ng = ring.gauss(chi_component(field, m), n * c)
-        base.append(g * chi_component(field, n)(a + c * j) % p)
-        mask.append([math.gcd(x, m) == mu for x in dn])
-        norm += ng
-        # e[-D|w|^2 kappa / D] R, with R = (1 + chi_2(5-2nc) e[-(a+cj) D|w|^2/(2m)])/2
-        # when m = 4 mu (L is even, and -1 = e[1/2]) and R = 1 = (1 + e[0])/2 otherwise
-        ex.append([-x * ctx.kappa * (L // D) % L for x in dn])
-        r, h = 0, 0
-        if m == 4 * mu:
-            halves, r = 2, (a + c * j) * (L // (2 * m))
-            h = 0 if field.chi2(5 - 2 * n * c) == 1 else L // 2
-        r_ex.append([(k - r * x + h) % L for k, x in zip(ex[-1], dn)])
-    R = (pw[ex] + pw[r_ex]) % p * ((p + 1) // 2) % p
-    coef = np.array(base)[:, None, :] * R % p * np.array(mask)[:, :, None]
+    inner_sum_direct, read from the same `_direct_rows` over j and w at once."""
+    L, p, pw = ring.L, ring.p, ring.pw
+    rows, halves = _direct_rows(field.D, sigma.entries())
+    mu, m, _, psi, jL, kL, r, h = np.array(rows).T[:, :, None]
+    dn = np.array([x.dnorm for x in reps])
+    gauss = [ring.gauss(chi_component(field, x.m), x.n * sigma.c) for x in rows]
+    base = np.array([g for g, _ in gauss]) * psi % p
+    # e[-D|w|^2 kappa / D] R [j, w], R = (1 + e[(h - r D|w|^2)/L])/2
+    ex = -dn * kL % L
+    R = (pw[ex] + pw[(ex + h - r * dn) % L]) % p * ((p + 1) // 2) % p
+    coef = base[:, None, :] * R % p * (np.gcd(dn, m) == mu)[:, :, None]
     # sum_j e[D|u|^2 j / D] coef[j, w]: one product over j per residue index
-    E = pw[[[x * j * (L // D) % L for x in dn] for j in range(D)]]
-    mults = [r.mult for r in reps]
+    E = pw[dn * jL % L]
+    mults = [x.mult for x in reps]
     ratio = np.array([[w * pow(u, -1, p) % p for w in mults] for u in mults])
     A = np.einsum("jut,jwt->uwt", E, coef) % p * ratio[:, :, None] % p
     # terms: Gauss sum * R (norm 2 over 2) * root of unity; a_w/a_u <= max a/min a
     lcm = math.lcm(*mults)
+    norm = sum(ng for _, ng in gauss)
     return A, halves * norm * max(mults) * (lcm // min(mults)), halves * lcm
 
 
@@ -374,8 +384,7 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
     rng = random.Random(seed)
     t0 = time.monotonic()
     cls = classes(field)
-    D = field.D
-    L = D if field.e == 0 else 2 * D
+    D, L = field.D, _order(field)
     failures, rings, bounds = [], [], [0]
 
     # A_u and the expected delta depend on u, w only through D|u|^2 mod D

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .arith import factorize, prime_divisors, valuation
+from .arith import factorize, valuation
 from .cyclotomic import CycloNum
 from .quadfield import QuadField, a_D
 
@@ -131,23 +131,10 @@ def synthetic_eigendata(field: QuadField, weight: int, level_m: int,
 # the twists f_Q and the star map
 
 
-def _split_M(field: QuadField, Q: frozenset, M: int) -> tuple[int, int, int]:
-    """(M', M'_Q, M_Q): parts of M supported off D, on D \\ Q, on Q."""
-    Mp = MpQ = MQ = 1
-    for p, e in factorize(M):
-        if field.D % p != 0:
-            Mp *= p**e
-        elif p in Q:
-            MQ *= p**e
-        else:
-            MpQ *= p**e
-    return Mp, MpQ, MQ
-
-
 def _eta(field: QuadField, q: int) -> int:
     """eta_q = prod_{p | D, p != q} chi_p(q)."""
     out = 1
-    for p in prime_divisors(field.D):
+    for p in field.primes:
         if p != q:
             out *= field.chi_p(p, q)
     return out
@@ -159,16 +146,22 @@ def chi_under(field: QuadField, q: int, M: int) -> int:
     return field.chi_p(q, M // q**e) * _eta(field, q) ** e
 
 
-def fQ_coeff(ed: EigenData, Q, M: int) -> CycloNum:
-    """a_{f_Q}(M) = a_f(M' M'_Q) conj(a_f(M_Q)) prod_{q in Q} chi_under_q(M)."""
-    Q = frozenset(Q)
-    if not Q <= set(prime_divisors(ed.field.D)):
-        raise ValueError("Q must consist of prime divisors of D")
-    Mp, MpQ, MQ = _split_M(ed.field, Q, M)
-    out = coeff(ed, Mp * MpQ) * coeff(ed, MQ).conjugate()
+def _fQ(ed: EigenData, Q: frozenset, M: int, fac: list[tuple[int, int]]) -> CycloNum:
+    """fQ_coeff from the factorization `fac` of M."""
+    MQ = math.prod(p**e for p, e in fac if p in Q)
+    out = coeff(ed, M // MQ) * coeff(ed, MQ).conjugate()
     for q in Q:
         out = out * chi_under(ed.field, q, M)
     return out
+
+
+def fQ_coeff(ed: EigenData, Q, M: int) -> CycloNum:
+    """a_{f_Q}(M) = a_f(M' M'_Q) conj(a_f(M_Q)) prod_{q in Q} chi_under_q(M)
+    (M' = part of M prime to D, M_Q / M'_Q = parts supported on Q / on D\\Q)."""
+    Q = frozenset(Q)
+    if not Q <= set(ed.field.primes):
+        raise ValueError("Q must consist of prime divisors of D")
+    return _fQ(ed, Q, M, factorize(M))
 
 
 def _subsets(primes: list[int]):
@@ -187,24 +180,17 @@ def fstar_coeff(ed: EigenData, ell: int, M: int) -> CycloNum:
     field = ed.field
     if math.gcd(ell, field.D) != 1:
         raise ValueError("ell must be coprime to D")
-    QD = prime_divisors(field.D)
+    fac = factorize(M)
     total = CycloNum.zero()
-    for Q in _subsets(QD):
+    for Q in _subsets(field.primes):
         chiQ = 1
         for q in Q:
             chiQ *= field.chi_p(q, -ell)
-        total = total + chiQ * fQ_coeff(ed, Q, M)
+        total = total + chiQ * _fQ(ed, Q, M, fac)
     # closed form
-    Mp = 1
-    for p, e in factorize(M):
-        if field.D % p != 0:
-            Mp *= p**e
-    prod = coeff(ed, Mp) * a_D(field, ell * M)
-    for q in QD:
-        eq = valuation(M, q) if M else 0
-        if eq == 0:
-            continue
-        Mq = q**eq
+    onD = [(q, q**e) for q, e in fac if field.D % q == 0]
+    prod = coeff(ed, M // math.prod(Mq for _, Mq in onD)) * a_D(field, ell * M)
+    for q, Mq in onD:
         aq = coeff(ed, Mq)
         prod = prod * (
             aq

@@ -163,9 +163,10 @@ class QExpansion:
 
 
 def is_plus(field: QuadField, g: QExpansion) -> bool:
-    """True iff every stored coefficient a_l with a_D(l) = 0 vanishes
-    (within 1e-12 for inexact coefficients).  Requires denom = 1; unspecified
-    coefficients are skipped.
+    """True iff every stored coefficient a_l with a_D(l) = 0 vanishes:
+    exactly for int, Fraction and CycloNum coefficients, within 1e-12 for
+    the float and complex ones `QExpansion.from_dict` reads.  Requires
+    denom = 1; unspecified coefficients are skipped.
 
     a_D(l) = 0 means chi_p(-l) = -1 for some prime component p of D, i.e. l
     is not congruent to -D|u|^2 mod D for any class u; such coefficients can
@@ -176,7 +177,7 @@ def is_plus(field: QuadField, g: QExpansion) -> bool:
     for ell, c in enumerate(g.coeffs):
         if c is None or a_D(field, ell) != 0:
             continue
-        if abs(complex(c)) > 1e-12:
+        if abs(c) > 1e-12 if isinstance(c, (float, complex)) else c != 0:
             return False
     return True
 

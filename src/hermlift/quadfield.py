@@ -45,6 +45,7 @@ class QuadField:
             raise ValueError(f"-{D} is not a fundamental discriminant (-D must be 0 or 1 mod 4)")
         self.D = D
         self.Dprime = D >> self.e
+        self.primes = prime_divisors(D)  # the prime components, 2 for the even part
         if self.e == 0:
             # omega = (1 + i sqrt(D))/2: trace 1, norm (1+D)/4
             self.omega_trace = 1
@@ -244,7 +245,7 @@ def a_D(field: QuadField, ell: int) -> int:
     """a_D(ell) = prod_{p | D} (1 + chi_p(-ell)), the number of classes u with
     D|u|^2 = -ell mod D (the 2-part 2^e counts once via chi_2)."""
     out = 1
-    for p in prime_divisors(field.D):
+    for p in field.primes:
         out *= 1 + field.chi_p(p, -ell)
         if out == 0:
             return 0

@@ -1,9 +1,12 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 from sympy import isprime
 
+import tests.test_acceptance as acceptance
 from hermlift import criterion, residues
 from hermlift.criterion import (expected_delta, inner_sum_closed,
                                 inner_sum_direct, random_gamma0, sweep_sigmas,
@@ -139,21 +142,80 @@ def test_float_route_reports_perturbed_lattice_term(monkeypatch):
         assert not abs(complex(fail["lhs"]) - fail["expected"]) < 1e-9
 
 
-def test_j_table_is_bounded_and_keeps_its_hits():
+def test_direct_rows_are_bounded_and_keep_their_hits():
     # c02's access pattern, every (u, w) of one sigma before the next: one
     # miss per distinct sigma, and more sigmas than the bound
     f = QuadField(7)
     cls = classes(f)
     rng = random.Random(3)
     sigmas = [s * random_gamma0(f, rng) for s in sweep_sigmas(f)]
-    criterion._j_table.cache_clear()
+    criterion._direct_rows.cache_clear()
     for sigma in sigmas:
         for u in cls:
             for w in cls:
                 inner_sum_direct(f, sigma, u, w)
-    info = criterion._j_table.cache_info()
+    info = criterion._direct_rows.cache_info()
     assert info.maxsize is not None and info.maxsize <= 16
     assert info.misses == len({s.entries() for s in sigmas}) > info.maxsize
+
+
+@pytest.mark.parametrize("D, values, keys", [(8, 8, 6), (20, 19, 9)])
+def test_inner_sum_direct_depends_on_the_classes_only_mod_D(D, values, keys):
+    # verify_criterion evaluates one class per value of D|.|^2 mod D.  At
+    # even D the canonical D|u|^2 is not reduced mod D, so this is not a
+    # tautology: there are more distinct values than keys
+    f = QuadField(D)
+    cls = classes(f)
+    assert (len({u.dnorm for u in cls}), len({u.dnorm % D for u in cls})) == (values, keys)
+    rng = random.Random(D)
+    for sigma in [t for s in sweep_sigmas(f) for t in (s, s * random_gamma0(f, rng))]:
+        first = {}
+        for u in cls:
+            for w in cls:
+                x = inner_sum_direct(f, sigma, u, w)
+                y = first.setdefault((u.dnorm % D, w.dnorm % D), x)
+                assert x is y or x == y, (sigma.entries(), u.key, w.key)
+
+
+def _mutated(func, old, new):
+    """func recompiled from its source with the one occurrence of `old`
+    replaced by `new`, in its own module's namespace."""
+    src = textwrap.dedent(inspect.getsource(func))
+    assert src.count(old) == 1
+    scope = {}
+    exec(compile(src.replace(old, new), inspect.getsourcefile(func), "exec"),
+         func.__globals__, scope)
+    return scope[func.__name__]
+
+
+def test_c02_locates_a_flipped_chi2_in_R(monkeypatch):
+    # chi_2(5 - 2nc) negated, h -> h + L/2 where m = 4 mu: among SMALL_D
+    # only D = 8 has such a j (mu = 2, m = 8), at every witness's sigma
+    orig = criterion._direct_rows
+
+    def flipped(D, entries):
+        rows, halves = orig(D, entries)
+        return tuple(x._replace(h=(x.h + D) % (2 * D)) if x.m == 4 * x.mu else x
+                     for x in rows), halves
+
+    monkeypatch.setattr(criterion, "_direct_rows", flipped)
+    got = acceptance.closed_vs_direct_failures(SMALL_D)
+    assert len(got) == 64 and {D for D, *_ in got} == {8}
+    for D, sigma, u, w in got:
+        assert any(x.m == 4 * x.mu for x in orig(D, sigma)[0]), sigma
+        assert {u, w} <= {x.key for x in classes(QuadField(D))}
+
+
+def test_c02_locates_a_dropped_C_branch(monkeypatch):
+    # C_u is reached only for odd c with 2 | D|w|^2: the even D fail there
+    monkeypatch.setattr(criterion, "_inner_closed_even",
+                        _mutated(criterion._inner_closed_even, "return B + C\n", "return B\n"))
+    got = acceptance.closed_vs_direct_failures(SMALL_D)
+    assert [x for x in got if x[0] == 4] and {D for D, *_ in got} <= {4, 8}
+    assert len([x for x in got if x[0] == 4]) == 32
+    for D, sigma, u, w in got:
+        dnorm = {x.key: x.dnorm for x in classes(QuadField(D))}
+        assert sigma[2] == 1 and dnorm[w] % 2 == 0 and u in dnorm, (D, sigma, u, w)
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +273,19 @@ def _verdicts(rep):
 @pytest.mark.parametrize("D", (4, 7, 8, 15))
 def test_inner_sums_residues_are_the_direct_sums_within_their_bound(D):
     # entrywise: the residues are those of inner_sum_direct, and its value
-    # times the kernel's denominator has ||.||_1 within the kernel's bound
+    # times the kernel's denominator has ||.||_1 within the kernel's bound.
+    # Both read one builder, so the float route is the independent oracle
     f = QuadField(D)
     ring = ResidueRing(D if f.e == 0 else 2 * D, D)
     reps = list({u.dnorm % D: u for u in classes(f)}.values())
     rng = random.Random(D)
     for sigma in [t for s in sweep_sigmas(f) for t in (s, s * random_gamma0(f, rng))]:
         A, bound, den = criterion.inner_sums_residues(ring, f, sigma, reps)
+        j_data = criterion._j_data_float(f, sigma)
         for iu, u in enumerate(reps):
             for iw, w in enumerate(reps):
                 x = inner_sum_direct(f, sigma, u, w)
+                assert abs(x.embed() - criterion._inner_sum_float(f, sigma, u, w, j_data)) < 1e-9
                 assert (ring.of(x)[0] == A[iu, iw]).all(), (sigma, u.key, w.key)
                 assert den % x.den == 0
                 assert den // x.den * sum(map(abs, x.coeffs.values())) <= bound

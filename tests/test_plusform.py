@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from hermlift.cyclotomic import CycloNum
+from hermlift.lift import special_jacobi_alpha
 from hermlift.plusform import (QExpansion, TruncationError, apply_Um,
                                apply_Vm, build_Pm, eisenstein_star, is_plus,
                                slash_eval)
@@ -76,6 +78,18 @@ def test_is_plus_detects_violations():
     assert not is_plus(f, QExpansion.make(7, 1, 3, 1, cs))
     cs[bad] = 0
     assert is_plus(f, QExpansion.make(7, 1, 3, 1, cs))
+
+
+def test_is_plus_decides_exact_coefficients_exactly():
+    # a_D(1) = 0 at D = 3, so an exact nonzero a_1, however small, is not plus
+    f = QuadField(3)
+    assert a_D(f, 1) == 0
+    g = QExpansion.make(7, 1, 3, 1, [0, Fraction(1, 10**13)] + [0] * 10)
+    assert not is_plus(f, g)
+    with pytest.raises(ValueError):
+        special_jacobi_alpha(f, 1, g)
+    assert is_plus(f, QExpansion.make(7, 1, 3, 1, [0, 1e-13] + [0] * 10))
+    assert not is_plus(f, QExpansion.make(7, 1, 3, 1, [0, CycloNum.i() * Fraction(1, 10**13)]))
 
 
 @pytest.mark.parametrize("D", ALL_D)
