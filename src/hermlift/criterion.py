@@ -29,9 +29,10 @@ one sigma lies in Q(zeta_L), L = D (odd D) or 2D, stored as its phi(L)
 residues mod a prime p = 1 (mod L) with D (p-1)^2 < 2^63, so no int64 sum of
 D residue products wraps.  With B >= ||den (A - delta)||_1 tracked in Python
 ints, vanishing residues prove A = delta once B is below the product of the
-primes used; a nonzero residue proves A != delta.  A failure's `lhs` is the
-residue vector of A with its prime.  The float route (`_inner_sum_float`) is
-the independent oracle of both readers.
+primes used; a nonzero residue proves A != delta.  M(sigma) enters as the
+integer term table and scalar of `thetamat.theta_terms`, no CycloNum per
+entry.  A failure's `lhs` is the residue vector of A with its prime.  The
+float route (`_inner_sum_float`) is the independent oracle of both readers.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ from .charsums import gauss_sum
 from .cyclotomic import CycloNum, esum, ext_root, root_of_unity
 from .quadfield import DiffClass, QuadField, chi_component, classes
 from .residues import ResidueRing, certifies_zero
-from .thetamat import (IDENTITY, Mat2Z, lattice_coords, theta_matrix, theta_matrix_closed,
-                       theta_matrix_closed_factored)
+from .thetamat import IDENTITY, Mat2Z, lattice_coords, theta_order, theta_terms
 
 
 class SigmaContext(NamedTuple):
@@ -90,11 +90,6 @@ def sigma_context(field: QuadField, sigma: Mat2Z, j: int) -> SigmaContext:
     return SigmaContext(j, mu, m, n, kappa)
 
 
-def _order(field: QuadField) -> int:
-    """L = D (odd D) or 2D: every value of one sigma lies in Q(zeta_L)."""
-    return field.D if field.e == 0 else 2 * field.D
-
-
 # sigma's direct A_u terms per j mod D, exponents over L: mu, m, n, psi_n(a+cj),
 # j L/D, kappa L/D and R = (1 + e[(h - r D|w|^2)/L])/2, h = L/2 exactly when
 # chi_2(5 - 2nc) = -1 if m = 4 mu, and r = h = 0 (R = 1 = (1 + e[0])/2) otherwise
@@ -108,7 +103,7 @@ def _direct_rows(D: int, entries: tuple[int, int, int, int]) -> tuple[tuple[Dire
     every hit while the random translates of a long campaign cannot grow it."""
     field, sigma = QuadField(D), Mat2Z(*entries)
     a, _, c, _ = entries
-    L = _order(field)
+    L = theta_order(field)
     rows = []
     for j in range(D):
         x = sigma_context(field, sigma, j)
@@ -122,10 +117,22 @@ def _direct_rows(D: int, entries: tuple[int, int, int, int]) -> tuple[tuple[Dire
 
 
 @cache
+def _gauss(field: QuadField, m: int, b: int) -> CycloNum:
+    """G(psi_m; b) for 0 <= b < m, one CycloNum per (field, m, b mod m)."""
+    return gauss_sum(chi_component(field, m), b)
+
+
+@cache
+def _closed_factor(field: QuadField, m: int, n: int, b: int, a: int) -> CycloNum:
+    """m G(psi_n; b) psi_m(a), b mod n, a mod m: a closed form's sigma-only factor."""
+    return m * _gauss(field, n, b) * chi_component(field, m)(a)
+
+
+@cache
 def _gauss_terms(field: QuadField, m: int, b: int) -> tuple[tuple[int, int], ...]:
     """G(psi_m; b) as (exponent over L, weight) pairs, weights nonzero."""
-    g = gauss_sum(chi_component(field, m), b)
-    return tuple((k * (_order(field) // g.order), v) for k, v in g.coeffs.items())
+    g = _gauss(field, m, b)
+    return tuple((k * (theta_order(field) // g.order), v) for k, v in g.coeffs.items())
 
 
 def inner_sum_direct(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass) -> CycloNum:
@@ -140,7 +147,7 @@ def inner_sum_direct(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass)
         k = dnu * jL - dnw * kL
         shifts = (k,) if halves == 1 else (k, k + h - r * dnw)
         terms += [(e + s, psi * v) for s in shifts for e, v in _gauss_terms(field, m, n * c % m)]
-    return esum(_order(field), terms) * Fraction(w.mult, halves * u.mult)
+    return esum(theta_order(field), terms) * Fraction(w.mult, halves * u.mult)
 
 
 def _inner_closed_odd(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass) -> CycloNum:
@@ -153,13 +160,8 @@ def _inner_closed_odd(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass
     x = u.key[0]
     F = esum(Dstar, ((2 * x * h * h * g, 1)
                      for g in range(Dstar) if (g * g - w.dnorm) % Dstar == 0))
-    return (
-        c
-        * F
-        * gauss_sum(chi_component(field, Dstar))
-        * chi_component(field, c)(a)
-        * root_of_unity(Fraction(-w.dnorm * d * h, D) + Fraction(-u.dnorm * a * h * h, Dstar))
-    )
+    return (F * _closed_factor(field, c, Dstar, 1 % Dstar, a % c)
+            * root_of_unity(Fraction(-w.dnorm * d * h, D) + Fraction(-u.dnorm * a * h * h, Dstar)))
 
 
 def _inner_closed_even(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass) -> CycloNum:
@@ -188,7 +190,7 @@ def _inner_closed_even(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClas
 
     # E_u
     if c % 2 == 1:
-        E = gauss_sum(chi_component(field, 2**e), Dp * c) * chi2(dnu + dnw)
+        E = _gauss(field, 2**e, Dp * c % 2**e) * chi2(dnu + dnw)
     else:
         if (dnu - dnw - c) % (2 ** (e - 1)) != 0:
             E = CycloNum.zero()
@@ -210,15 +212,7 @@ def _inner_closed_even(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClas
     ratio = Fraction(1 + chi2(dnw), 1 + chi2(dnu))
     B = CycloNum.zero()
     if (dnu - d * d * dnw) % cp == 0:
-        B = (
-            cp
-            * F
-            * K
-            * E
-            * ratio
-            * gauss_sum(chi_component(field, Dpc), (2**f2) * cstar * c)
-            * chi_component(field, cp)(a)
-        )
+        B = F * K * E * ratio * _closed_factor(field, cp, Dpc, (2**f2) * cstar * c % Dpc, a % cp)
     if f1 == 0:
         return B
 
@@ -235,15 +229,8 @@ def _inner_closed_even(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClas
         Eprime = CycloNum.from_rational((-1) ** (ex // 2) * chi2(-1))
     C = CycloNum.zero()
     if (dnu - d * d * dnw) % c == 0:
-        C = (
-            c
-            * F
-            * K
-            * Eprime
-            * Fraction(1, 1 + chi2(dnu))
-            * gauss_sum(chi_component(field, Dstar))
-            * chi_component(field, c)(a)
-        )
+        C = (F * K * Eprime * Fraction(1, 1 + chi2(dnu))
+             * _closed_factor(field, c, Dstar, 1 % Dstar, a % c))
     return B + C
 
 
@@ -384,7 +371,7 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
     rng = random.Random(seed)
     t0 = time.monotonic()
     cls = classes(field)
-    D, L = field.D, _order(field)
+    D, L = field.D, theta_order(field)
     failures, rings, bounds = [], [], [0]
 
     # A_u and the expected delta depend on u, w only through D|u|^2 mod D
@@ -418,13 +405,13 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
             if len(done) == len(rings):  # a kernel sum has at most D terms
                 rings.append(ResidueRing(L, D, below=rings[-1].p if rings else None))
             ring = rings[len(done)]
-            (s, ns, ds), (M, nM, dM) = base_parts(ring)
+            (s, ns, ds), (M, nM) = base_parts(ring)
             if M_g is not None:
-                Mg, ng, dg = ring.matrix(M_g)
-                M, nM, dM = np.einsum("ikt,kvt->ivt", M, Mg) % ring.p, nM * ng, dM * dg
+                Mg, ng = ring.matrix(M_g, D)
+                M, nM = np.einsum("ikt,kvt->ivt", M, Mg) % ring.p, nM * ng
             A, nA, dA = inner_sums_residues(ring, field, sigma, reps)
             done.append((ring, np.einsum("ivt,iwt->vwt", M, A[row_of]) % ring.p * s % ring.p))
-            bounds.append(nM * nA * ns + dM * dA * ds)
+            bounds.append(nM * nA * ns + dA * ds)
         wrong = [((got - delta[:, :, None]) % r.p).any(axis=2) for r, got in done]
         for iv, iw in np.argwhere(np.logical_or.reduce(wrong)):
             k = next(k for k, nz in enumerate(wrong) if nz[iv, iw])
@@ -439,15 +426,13 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
             continue
         # A = scale * sum_u M_{u,v} A_u: the dense Gauss-sum factor of M(base)
         # is in the scale, its light entries (monomials, short sums) in M
-        scalar, light = (theta_matrix_closed_factored(field, base) if base.c > 0
-                         else (CycloNum.from_rational(1), theta_matrix(field, base)))
-        base_parts = cache(lambda ring: (ring.of(scalar * Fraction(1, D)), ring.matrix(light)))
+        scalar, terms = theta_terms(field, base)
+        base_parts = cache(lambda ring: (ring.of(scalar * Fraction(1, D)), ring.matrix(terms, D)))
         check_exact(base, base_parts, None)
         for g in gammas:
             # M(base*g) = M(base) M(g): the homomorphism is pinned exactly by
-            # separate tests, and M(g) is monomial (g's c is 0 or D)
-            M_g = theta_matrix_closed(field, g) if g.c > 0 else theta_matrix(field, g)
-            check_exact(base * g, base_parts, M_g)
+            # separate tests, and M(g) is monomial with scalar 1 (g's c is 0 or D)
+            check_exact(base * g, base_parts, theta_terms(field, g)[1])
     cert = {"order": L, "primes": [r.p for r in rings], "max_bound_bits": max(bounds).bit_length()}
     return {"D": D, "N": N, "triples_checked": (1 + translates) * len(sigmas) * D * D,
             "failures": failures, **({"certificate": cert} if rings else {}),

@@ -44,7 +44,8 @@ def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
         if q:
             for j, c in enumerate(den):
                 num[i + j] -= q * c
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if any(num):
+        raise ValueError("non-exact polynomial division")
     return out
 
 

@@ -10,6 +10,11 @@ ch. 5, 8): if the residues of X vanish mod p_1, ..., p_r, then
 ||X||_1 of |numerators| of any representation.  So ||X||_1 < p_1...p_r makes
 X = 0, and one nonzero residue proves X != 0.  int64 guard: a caller sums at
 most `terms` products of two residues, and terms * (p-1)^2 < 2^63.
+
+A theta matrix arrives as the integer term table of `thetamat.theta_terms`
+(rows u, v, k, w for w e[k/L]) and is read with one gather from the power
+table and one scatter-add (`matrix`); only its per-sigma scalar is a CycloNum
+(`of`).  The guards raise, so they hold under python -O too.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ class ResidueRing:
         while k > 0 and not (pow(2, k * L, k * L + 1) == 1 and is_prime(k * L + 1)):
             k -= 1
         p = k * L + 1
-        assert k > 0 and terms * (p - 1) ** 2 < 2**63, "no prime within the int64 guard"
+        if k <= 0 or terms * (p - 1) ** 2 >= 2**63:
+            raise OverflowError("no prime within the int64 guard")
         omega = next(w for w in (pow(g, (p - 1) // L, p) for g in range(2, p))
                      if all(pow(w, L // q, p) != 1 for q in prime_divisors(L)))
         powers = [pow(omega, e, p) for e in range(L)]
@@ -51,24 +57,26 @@ class ResidueRing:
 
     def of(self, x: CycloNum) -> tuple[np.ndarray, int, int]:
         """(residues, ||numerators||_1, den) of x = numerators/den."""
-        res, norm, den = self.matrix([[x]])
-        return res[0, 0], norm, den
+        p = self.p
+        if self.L % x.order:
+            raise ValueError("value outside Q(zeta_L)")
+        if x.den % p == 0:
+            raise ValueError("p divides the denominator")
+        k = np.array(list(x.coeffs), dtype=np.int64) * (self.L // x.order)
+        n = np.array([c % p for c in x.coeffs.values()], dtype=np.int64)
+        res = (n[:, None] * self.pw[k] % p).sum(axis=0) % p
+        return res * pow(x.den, -1, p) % p, sum(map(abs, x.coeffs.values())), x.den
 
-    def matrix(self, rows: list[list[CycloNum]]) -> tuple[np.ndarray, int, int]:
-        """(residues [u, v, t], bound, den) of a square CycloNum matrix: bound is
-        the largest column sum of ||den * entry||_1, submultiplicative."""
-        p, L = self.p, self.L
-        den = math.lcm(*(x.den for row in rows for x in row))
-        assert den % p, "p divides the denominator"
-        entries = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x.coeffs]
-        assert all(L % x.order == 0 for _, _, x in entries), "value outside Q(zeta_L)"
-        col = [sum(den // x.den * sum(map(abs, x.coeffs.values())) for x in column)
-               for column in zip(*rows)]
-        t = np.array([(i, j, k * (L // x.order), c * (den // x.den) % p) for i, j, x in entries
-                      for k, c in x.coeffs.items()], dtype=np.int64).reshape(-1, 4)
-        out = np.zeros((len(rows), len(rows), len(self.units)), dtype=np.int64)
-        np.add.at(out, (t[:, 0], t[:, 1]), t[:, 3:] * self.pw[t[:, 2]] % p)
-        return out % p * pow(den, -1, p) % p, max(col), den
+    def matrix(self, terms: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+        """(residues [u, v, t], bound) of the n x n matrix of a term table,
+        int64 rows (u, v, k, w) summing to sum w e[k/L] per entry
+        (`thetamat.theta_terms`): bound is the largest column sum of |w|,
+        submultiplicative."""
+        p = self.p
+        u, v, k, w = terms.T
+        out = np.zeros((n, n, len(self.units)), dtype=np.int64)
+        np.add.at(out, (u, v), w[:, None] % p * self.pw[k] % p)
+        return out % p, int(np.bincount(v, np.abs(w), n).max())
 
     def gauss(self, psi, b: int) -> tuple[np.ndarray, int]:
         """(residues, ||numerators||_1) of sum_{a mod m} psi(a) e[ab/m] = G(psi; b)."""

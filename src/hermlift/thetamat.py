@@ -9,6 +9,16 @@ for c != 0, and sign(a)*delta_{u,av}*e[ab|u|^2] for c = 0.  For c | D, c > 0
 there are closed forms (one for odd D, a two-factor one for even D) which are
 much cheaper; both are implemented and cross-checked exactly in the tests.
 
+`theta_terms` is the one builder of every matrix with c = 0 or c | D, c > 0:
+M = scalar * light, the light matrix as a term table of int64 rows
+(u, v, k, w), the entry (u, v) being the sum of w e[k/L] over its rows,
+L = D (odd D) or 2D, built with numpy over the D x D class grid.  Its
+exponents are formed over a common denominator and divided down to L
+exactly, or it raises ValueError.  Two readers: `ResidueRing.matrix` maps the
+table straight to residues on the exact criterion route, and the CycloNum
+matrices of `theta_matrix_closed(_factored)` and of `theta_matrix` at c = 0
+are one exponent histogram per nonzero entry of it.
+
 The scalar -i/sqrt(D) is represented exactly as -G(chi_K)/D in the cyclotomic
 ring (G(chi_K) = i*sqrt(D) since chi_K is odd; see charsums.i_sqrtD).
 `theta_matrix` stays the defining sum, the oracle for the closed forms.  Its
@@ -28,8 +38,8 @@ import numpy as np
 
 from .arith import valuation
 from .charsums import gauss_sum, i_sqrtD
-from .cyclotomic import CycloNum, csum, root_of_unity
-from .quadfield import DiffClass, QuadField, chi_component, class_index, classes
+from .cyclotomic import CycloNum, csum, esum
+from .quadfield import DiffClass, QuadField, chi_component, classes
 
 
 @dataclass(frozen=True)
@@ -84,13 +94,7 @@ def theta_matrix(field: QuadField, sigma: Mat2Z) -> list[list[CycloNum]]:
     D = field.D
     cls = classes(field)
     if c == 0:
-        # sign(a) * delta_{u, a v} * e[a b |u|^2]
-        out = [[CycloNum.zero() for _ in cls] for _ in cls]
-        for v in cls:
-            u = v.scaled(a)
-            val = (1 if a > 0 else -1) * root_of_unity(Fraction(a * b * u.dnorm, D))
-            out[class_index(field, u)][class_index(field, v)] = val
-        return out
+        return _read(field, theta_terms(field, sigma)[1])
 
     # The lattice sum per entry has |c|^2 terms gamma = u + al + be*omega; scaled
     # by t = 2D, every exponent is an integer over L0 = t^2 |c|.
@@ -139,77 +143,97 @@ def theta_matrix(field: QuadField, sigma: Mat2Z) -> list[list[CycloNum]]:
     return out
 
 
-def _theta_closed_entry_odd(field: QuadField, sigma: Mat2Z, u: DiffClass, v: DiffClass) -> CycloNum:
-    a, b, c, d = sigma.entries()
-    D = field.D
-    (x,), (y,) = u.key, v.key
-    if (x - d * y) % c != 0:
-        return CycloNum.zero()
-    return root_of_unity(Fraction(a * x * x - 2 * x * y + d * y * y, D * c))
+def theta_order(field: QuadField) -> int:
+    """L = D (odd D) or 2D: the values of the criterion at one sigma lie in Q(zeta_L)."""
+    return field.D if field.e == 0 else 2 * field.D
 
 
-def _theta_closed_entry_even(field: QuadField, sigma: Mat2Z, u: DiffClass, v: DiffClass) -> CycloNum:
+_ONE = CycloNum.from_rational(1)
+
+
+def _exact(L: int, num: np.ndarray, Q: int) -> np.ndarray:
+    """Exponents num/Q as integers over L | Q; ValueError unless each is exact."""
+    if (num % (Q // L)).any():
+        raise ValueError("theta entry outside Q(zeta_L)")
+    return num // (Q // L) % L
+
+
+def theta_terms(field: QuadField, sigma: Mat2Z) -> tuple[CycloNum, np.ndarray]:
+    """M(sigma) = scalar * light for c = 0 and for c | D, c > 0, with `light`
+    as a term table: int64 rows (u, v, k, w), the entry (u, v) being the sum
+    of w e[k/L] over its rows, L = theta_order(field).  Entries are monomials
+    except at even D, 4 | c < D, where (1 + root)(1 + tail) and root*tail
+    give four or two; the dense Gauss-sum factor lives in the scalar."""
+    if sigma.det() != 1:
+        raise ValueError("sigma must have determinant 1")
     a, b, c, d = sigma.entries()
-    D = field.D
-    f = valuation(c, 2)
-    cp = c >> f  # odd part c'
-    x1, x2 = u.key
-    y1, y2 = v.key
-    if (x2 - d * y2) % cp != 0:
-        return CycloNum.zero()
-    q1 = a * x1 * x1 - 2 * x1 * y1 + d * y1 * y1
-    q2 = a * x2 * x2 - 2 * x2 * y2 + d * y2 * y2
-    if f == 0:
-        return root_of_unity(Fraction(c * q1, 4) + Fraction(q2, D * c))
-    if f == 1:
-        if (x1 - d * y1) % 2 != 1 or (x2 - d * y2 - D // 4) % 2 != 0:
-            return CycloNum.zero()
-        return root_of_unity(
-            Fraction(d * b * y1 * y1, 4) + Fraction(4 * b * y1 + a * cp, 8)
-            + Fraction(q2, D * c)
-        )
-    # f in {2, 3}
-    if (x1 - d * y1) % 2 != 0 or (x2 - d * y2) % (2 ** (f - 1)) != 0:
-        return CycloNum.zero()
-    val = root_of_unity(Fraction(d * b * y1 * y1, 4) + Fraction(q2, D * c)) * (
-        1 + root_of_unity(Fraction(a * cp * (D // 4) + a * cp * (x2 - d * y2), 2**f))
-    )
-    tail = root_of_unity(Fraction(a * cp, 2**f))
-    return val * (1 + tail) if f == 2 else val * tail
+    D, L = field.D, theta_order(field)
+    if c < 0 or (c and D % c):
+        raise ValueError("term tables need c = 0 or c | D with c > 0")
+    # the class keys (x1, x2) as columns, (0, x) at odd D; class index x1 * half + x2
+    half = D // 2 if field.e else D
+    X1, X2 = np.divmod(np.arange(D, dtype=np.int64), half)
+    if c in (0, D):
+        # M_{u,v} = w delta_{u, t v} e[ab|u|^2], (t, w) = (a, sign a) or (d, chi(d))
+        t, w = (a, 1 if a > 0 else -1) if c == 0 else (d, field.chi(d))
+        u = t % 2 * X1 * half + t % half * X2 % half
+        dn = np.array([x.dnorm for x in classes(field)], dtype=np.int64)
+        k = a * b % D * dn[u] % D * (L // D)
+        return _ONE, np.stack([u, np.arange(D), k, np.full(D, w)], axis=1)
+    # exponents over Q, each fraction n/m (m | Q) entering as (Q/m)(n mod m)
+    Q = D * c if field.e == 0 else 8 * D * c
+    if Q * Q * D >= 2**60:
+        raise OverflowError(f"theta_terms: D = {D} exceeds int64")
+    a, b, d = a % Q, b % Q, d % Q
+    x1, x2, y1, y2 = X1[:, None], X2[:, None], X1[None, :], X2[None, :]
+    t2 = (x2 - d * y2) % Q
+    q2 = Q // (D * c) * ((a * x2 * x2 - 2 * x2 * y2 + d * y2 * y2) % (D * c))
+    if field.e == 0:
+        mask, ex = t2 % c == 0, [q2]
+        scalar = i_sqrtD(D) * gauss_sum(chi_component(field, c), a) * Fraction(-1, D)
+    else:
+        f = valuation(c, 2)
+        cp = c >> f  # odd part c'
+        mask = t2 % cp == 0
+        base = Q // 4 * (d * b * y1 * y1 % 4) + q2
+        if f == 0:
+            ex = [Q // 4 * (c * (a * x1 * x1 - 2 * x1 * y1 + d * y1 * y1) % 4) + q2]
+        elif f == 1:
+            mask &= ((x1 - d * y1) % 2 == 1) & ((t2 - D // 4) % 2 == 0)
+            ex = [base + Q // 8 * ((4 * b * y1 + a * cp) % 8)]
+        else:  # f in {2, 3}: (1 + root)(1 + tail) resp. (1 + root) tail
+            mask &= ((x1 - d * y1) % 2 == 0) & (t2 % 2 ** (f - 1) == 0)
+            root = (Q >> f) * (a * cp * (D // 4 + t2) % 2**f)
+            tail = (Q >> f) * (a * cp % 2**f)
+            ex = [base + tail, base + root + tail] + ([base, base + root] if f == 2 else [])
+        # 1/(i*sqrt(D)) = -i/sqrt(D); 2-power prefactor: 1, 2, 2^{f-2}
+        pref = Fraction(1) if f == 0 else Fraction(2) if f == 1 else Fraction(2**f, 4)
+        scalar = gauss_sum(chi_component(field, cp), a * (2**f)) * i_sqrtD(D) * (-pref / D)
+    u, v = np.nonzero(mask)
+    k = np.concatenate([_exact(L, e[u, v], Q) for e in ex])
+    return scalar, np.stack([np.tile(u, len(ex)), np.tile(v, len(ex)), k,
+                             np.ones(len(k), dtype=np.int64)], axis=1)
+
+
+def _read(field: QuadField, terms: np.ndarray) -> list[list[CycloNum]]:
+    """The CycloNum matrix of a term table: one exponent histogram per entry."""
+    L, D = theta_order(field), field.D
+    out = [[CycloNum.zero()] * D for _ in range(D)]
+    entries: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for u, v, k, w in terms.tolist():
+        entries.setdefault((u, v), []).append((k, w))
+    for (u, v), ks in entries.items():
+        out[u][v] = esum(L, ks)
+    return out
 
 
 def theta_matrix_closed_factored(field: QuadField, sigma: Mat2Z) -> tuple[CycloNum, list[list[CycloNum]]]:
     """Closed-form M(sigma) for c | D, c > 0, as (scalar, light matrix) with
-    M = scalar * light; the light entries are monomials (or short sums), the
-    dense Gauss-sum factor lives in the scalar."""
-    a, b, c, d = sigma.entries()
-    if sigma.det() != 1:
-        raise ValueError("sigma must have determinant 1")
-    if c <= 0 or field.D % c != 0:
+    M = scalar * light, read from `theta_terms`."""
+    if sigma.c <= 0 or field.D % sigma.c != 0:
         raise ValueError("closed form requires c | D with c > 0")
-    D = field.D
-    cls = classes(field)
-    if c == D:
-        # M_{u,v} = delta_{u, d v} e[a b |u|^2] chi(d)
-        out = [[CycloNum.zero() for _ in cls] for _ in cls]
-        chid = field.chi(d)
-        for v in cls:
-            u = v.scaled(d)
-            out[class_index(field, u)][class_index(field, v)] = chid * root_of_unity(
-                Fraction(a * b * u.dnorm, D)
-            )
-        return CycloNum.from_rational(1), out
-    if field.e == 0:
-        scalar = i_sqrtD(D) * gauss_sum(chi_component(field, c), a) * Fraction(-1, D)
-        entry = _theta_closed_entry_odd
-    else:
-        f = valuation(c, 2)
-        cp = c >> f
-        # 1/(i*sqrt(D)) = -i/sqrt(D); 2-power prefactor: 1, 2, 2^{f-2}
-        pref = Fraction(1) if f == 0 else Fraction(2) if f == 1 else Fraction(2**f, 4)
-        scalar = gauss_sum(chi_component(field, cp), a * (2**f)) * i_sqrtD(D) * (-pref / D)
-        entry = _theta_closed_entry_even
-    return scalar, [[entry(field, sigma, u, v) for v in cls] for u in cls]
+    scalar, terms = theta_terms(field, sigma)
+    return scalar, _read(field, terms)
 
 
 def theta_matrix_closed(field: QuadField, sigma: Mat2Z) -> list[list[CycloNum]]:

@@ -1,13 +1,18 @@
 import inspect
+import os
 import random
+import subprocess
+import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from sympy import isprime
 
 import tests.test_acceptance as acceptance
-from hermlift import criterion, residues
+from hermlift import criterion, cyclotomic, residues, thetamat
 from hermlift.criterion import (expected_delta, inner_sum_closed,
                                 inner_sum_direct, random_gamma0, sweep_sigmas,
                                 verify_criterion)
@@ -15,7 +20,7 @@ from hermlift.cyclotomic import CycloNum, csum, root_of_unity
 from hermlift.quadfield import QuadField, classes
 from hermlift.residues import ResidueRing, certifies_zero
 from hermlift.thetamat import (Mat2Z, mat_mul, theta_matrix, theta_matrix_closed,
-                               theta_matrix_closed_factored)
+                               theta_matrix_closed_factored, theta_order, theta_terms)
 from tests.conftest import ALL_D, SMALL_D
 
 
@@ -362,3 +367,141 @@ def test_small_primes_take_the_multi_prime_path(monkeypatch):
     monkeypatch.setattr(criterion, "inner_sums_residues", orig)
     clean = verify_criterion(f, 1, seed=0, translates=1)
     assert clean["failures"] == [] and len(clean["certificate"]["primes"]) >= 2
+
+
+# ---------------------------------------------------------------------------
+# the theta term tables on the exact route
+
+
+@pytest.mark.parametrize("D", ALL_D)
+def test_term_tables_give_the_residues_of_their_cyclonum_reading(D):
+    # every sweep sigma and every translate verify_criterion(seed=0,
+    # translates=1) draws: the table read straight into residues equals the
+    # entrywise residues of the CycloNum matrix read from the same table,
+    # and its column bound is that matrix's
+    f = QuadField(D)
+    ring = ResidueRing(theta_order(f), D)
+    rng = random.Random(0)
+    for base in sweep_sigmas(f):
+        for sigma in (base, random_gamma0(f, rng)):
+            res, bound = ring.matrix(theta_terms(f, sigma)[1], D)
+            light = (theta_matrix_closed_factored(f, sigma)[1] if sigma.c > 0
+                     else theta_matrix(f, sigma))
+            norms = [[0] * D for _ in range(D)]
+            for u, row in enumerate(light):
+                for v, x in enumerate(row):
+                    got, norms[u][v], den = ring.of(x)
+                    assert den == 1 and (got == res[u, v]).all(), (sigma.entries(), u, v)
+            assert bound == max(map(sum, zip(*norms))), sigma.entries()
+
+
+def test_matrix_bound_is_the_largest_column_sum():
+    # entry (0, 1) = 1 - 3 e[1/7] and (1, 1) = 2 e[3/7]: column sums 1 and 6,
+    # row sums 5 and 2; the residues are those of each entry
+    ring = ResidueRing(7, 7)
+    terms = np.array([(0, 0, 0, 1), (0, 1, 0, 1), (0, 1, 1, -3), (1, 1, 3, 2)], dtype=np.int64)
+    res, bound = ring.matrix(terms, 2)
+    assert bound == 6
+    e = lambda k: root_of_unity(Fraction(k, 7))  # noqa: E731
+    for (u, v), x in {(0, 0): e(0), (0, 1): 1 - 3 * e(1), (1, 0): CycloNum.zero(),
+                      (1, 1): 2 * e(3)}.items():
+        assert (res[u, v] == ring.of(x)[0]).all(), (u, v)
+
+
+@pytest.mark.parametrize("D", (8, 15, 24))
+def test_exact_route_builds_no_cyclonum_per_entry(monkeypatch, D):
+    # the theta matrices reach the residues as term tables: no root of unity
+    # is built, and only a few CycloNums per base sigma (its scalar)
+    built, roots = [0], []
+    raw, init = cyclotomic._raw, CycloNum.__init__
+
+    def counted(make):
+        def wrapped(*args):
+            built[0] += 1
+            return make(*args)
+        return wrapped
+
+    monkeypatch.setattr(cyclotomic, "_raw", counted(raw))
+    monkeypatch.setattr(CycloNum, "__init__", counted(init))
+    for module in (thetamat, criterion, cyclotomic):
+        monkeypatch.setattr(module, "root_of_unity", lambda r: roots.append(r), raising=False)
+    f = QuadField(D)
+    rep = verify_criterion(f, 1, seed=0)
+    assert rep["failures"] == [] and roots == []
+    assert built[0] < D * len(sweep_sigmas(f)), built[0]
+
+
+def _f2_sweep(D):
+    """The sweep sigma whose closed form takes the f = 2 branch: 4 || c, c < D."""
+    return [s for s in sweep_sigmas(QuadField(D)) if 0 < s.c < D and D % s.c == 0 and s.c % 8 == 4]
+
+
+def _shift_an_f2_exponent(monkeypatch):
+    # the monomial root * base of every f = 2 entry moves by 1/L
+    shifted = _mutated(thetamat.theta_terms, "[base, base + root] if f == 2",
+                       "[base, base + root + Q // L] if f == 2")
+    monkeypatch.setattr(thetamat, "theta_terms", shifted)
+    monkeypatch.setattr(criterion, "theta_terms", shifted)
+
+
+def test_c03_locates_a_shifted_f2_exponent(monkeypatch):
+    # D = 8 is the first discriminant with an f = 2 sigma; c03 stops there
+    _shift_an_f2_exponent(monkeypatch)
+    with pytest.raises(AssertionError) as err:
+        acceptance.test_c03_theta_matrix_coherence()
+    assert str(err.value).splitlines()[0] == str((8, _f2_sweep(8)[0].entries()))
+
+
+@pytest.mark.parametrize("D", (8, 20, 24))
+def test_criterion_locates_a_shifted_f2_exponent(monkeypatch, D):
+    # witnesses at every f = 2 base sigma (c03's located sigma among them at
+    # D = 8), and elsewhere only at the translates of those
+    f = QuadField(D)
+    bases = {s.entries() for s in _f2_sweep(D)}
+    rng = random.Random(0)
+    allowed = bases | {(s * g).entries() for s in sweep_sigmas(f)
+                       for g in [random_gamma0(f, rng)] if s.entries() in bases}
+    _shift_an_f2_exponent(monkeypatch)
+    got = {tuple(x["sigma"]) for x in verify_criterion(f, 1, seed=0, translates=1)["failures"]}
+    assert bases and bases <= got <= allowed
+
+
+# ---------------------------------------------------------------------------
+# exactness guards raise, also under python -O
+
+
+def test_exactness_guards_raise():
+    ring = ResidueRing(3, 3)
+    with pytest.raises(ValueError, match="outside"):
+        ring.of(root_of_unity(Fraction(1, 9)))
+    with pytest.raises(ValueError, match="outside"):
+        thetamat._exact(3, np.array([0, 3, 4]), 9)
+    with pytest.raises(ValueError, match="denominator"):
+        ring.of(CycloNum.from_rational(Fraction(1, ring.p)))
+    with pytest.raises(OverflowError):
+        ResidueRing(7, 2**62)
+    with pytest.raises(ValueError, match="non-exact"):
+        cyclotomic._poly_divmod_exact([1, 0, 1], [1, 1])
+
+
+def test_q_zeta_L_guard_survives_python_O():
+    code = textwrap.dedent("""
+        from fractions import Fraction
+        import numpy as np
+        from hermlift import thetamat
+        from hermlift.cyclotomic import root_of_unity
+        from hermlift.residues import ResidueRing
+        assert False  # stripped by -O
+        for call in (lambda: ResidueRing(3, 3).of(root_of_unity(Fraction(1, 9))),
+                     lambda: thetamat._exact(3, np.array([4]), 9)):
+            try:
+                call()
+            except ValueError:
+                continue
+            raise SystemExit(1)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

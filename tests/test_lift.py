@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import tests.test_acceptance as acceptance
 from hermlift.cyclotomic import CycloNum
 from hermlift.hecke import TableRangeError
 from hermlift.lift import (AlphaSeries, HermitianCoeffKey, beta_from_alpha,
@@ -149,3 +150,15 @@ def test_beta_identities_from_alpha():
         rep = verify_beta_conditions(beta, (12, 30), N)
         assert rep["ok"], rep
         assert rep["checked"] > 100
+
+
+def test_c07_locates_a_plus_coefficient_off_by_one(monkeypatch):
+    # a_11 at D = 15 comes back off by one, at both of c07's levels
+    orig = acceptance.plus_coeff_from_alpha
+
+    def off(field, N, alpha, ell):
+        out = orig(field, N, alpha, ell)
+        return out + 1 if (field.D, ell) == (15, 11) else out
+
+    monkeypatch.setattr(acceptance, "plus_coeff_from_alpha", off)
+    assert acceptance.round_trip_failures() == [(15, 1, 11), (15, 2, 11)]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import tests.test_acceptance as acceptance
 from hermlift.cyclotomic import CycloNum
 from hermlift.lift import special_jacobi_alpha
 from hermlift.plusform import (QExpansion, TruncationError, apply_Um,
@@ -160,3 +161,15 @@ def test_V3_smoke():
     g = eisenstein_star(f, 8, 600)
     v = apply_Vm(g, f, 3, 1, 2j)
     assert abs(v) < 1e-3
+
+
+def test_c10_locates_a_broken_Pm_congruence(monkeypatch):
+    # P_m (1 m^2; 0 1) is still J mod m^2 but no longer I mod (nN)^2
+    orig = acceptance.build_Pm
+
+    def broken(D, m, N):
+        P = orig(D, m, N)
+        return P * Mat2Z(1, m * m, 0, 1) if (D, m, N) == (15, 3, 7) else P
+
+    monkeypatch.setattr(acceptance, "build_Pm", broken)
+    assert acceptance.Pm_failures() == [(15, 3, 7)]
