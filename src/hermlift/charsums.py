@@ -43,14 +43,6 @@ def i_sqrtD(D: int) -> CycloNum:
     return gauss_sum(chi_component(QuadField(D), D))
 
 
-def gauss_sum_inverse(psi, b: int = 1) -> CycloNum:
-    """1/G(psi; b) for gcd(b, M) = 1, via 1/G(psi; b) = G(psi; -b)/M."""
-    M = psi.modulus
-    if math.gcd(b, M) != 1:
-        raise ValueError("twist must be coprime to the modulus")
-    return gauss_sum(psi, -b) * Fraction(1, M)
-
-
 def check_closed_form(psi: Character) -> bool:
     """True iff G(psi_m)^2 = psi_m(-1)*m exactly and the embedding matches
     eps(psi_m)*sqrt(m) within 1e-9."""

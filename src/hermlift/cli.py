@@ -29,7 +29,7 @@ from .arith import divisors, is_prime, prime_divisors
 from .charsums import check_closed_form, norm_sum_check, salie_check
 from .hecke import TableRangeError, coset_reps, verify_reps_distinct
 from .lift import HermitianCoeffKey, maass_coeff, special_jacobi_alpha
-from .plusform import QExpansion
+from .plusform import QExpansion, eisenstein_star
 from .quadfield import QuadField, chi_component
 from .thetamat import Mat2Z, matrices_equal, mat_mul, theta_matrix, theta_matrix_closed
 
@@ -50,6 +50,18 @@ def _field(D: int) -> QuadField:
 def _check_level(D: int, N: int) -> None:
     if N < 1 or math.gcd(D, N) != 1:
         raise UsageError(f"N = {N} must be positive and coprime to D = {D}")
+
+
+def _check_weight(k: int, least: int) -> None:
+    if k % 2 or k < least:
+        raise UsageError(f"k = {k} must be even and at least {least}")
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:  # a missing file, or not JSON
+        raise UsageError(f"cannot read {path}: {e}") from e
 
 
 def _emit(report: dict, out: str | None, name: str) -> None:
@@ -224,7 +236,9 @@ def _report_ikeda(field: QuadField, seed: int) -> dict:
 
 def cmd_verify(args) -> int:
     if args.config:
-        cfg = json.loads(Path(args.config).read_text())
+        cfg = _read_json(args.config)
+        if not isinstance(cfg, dict):
+            raise UsageError(f"{args.config} must hold a JSON object")
         discs = cfg.get("discriminants", [])
         levels = cfg.get("levels", [1])
         modes = cfg.get("modes", ["criterion"])
@@ -257,13 +271,16 @@ def cmd_verify(args) -> int:
 def cmd_lift(args) -> int:
     field = _field(args.D)
     _check_level(args.D, args.N)
+    _check_weight(args.k, 4)
     if args.input:
-        g = QExpansion.from_dict(json.loads(Path(args.input).read_text()))
+        try:  # exact coefficients only: ints, "p/q" strings or null
+            g = QExpansion.from_dict(_read_json(args.input))
+            alpha = special_jacobi_alpha(field, args.N, g)
+        except (KeyError, TypeError, ValueError) as e:
+            raise UsageError(f"{args.input} is not an exact plus-form expansion: {e!r}") from e
     else:
-        from .plusform import eisenstein_star
-
         g = eisenstein_star(field, args.k, args.upto * args.upto * field.D + 1)
-    alpha = special_jacobi_alpha(field, args.N, g)
+        alpha = special_jacobi_alpha(field, args.N, g)
     table = []
     for ell in range(0, args.upto + 1):
         for m in range(0, args.upto + 1):
@@ -292,7 +309,10 @@ def cmd_theta_matrix(args) -> int:
     sigma = Mat2Z(a, b, c, d)
     if sigma.det() != 1:
         raise UsageError("sigma must lie in SL2(Z)")
-    M = theta_matrix(field, sigma)
+    try:
+        M = theta_matrix(field, sigma)
+    except OverflowError as e:  # the lattice sum would not fit int64
+        raise UsageError(str(e)) from e
     rep = {
         "mode": "theta-matrix", "D": args.D, "sigma": [a, b, c, d],
         "matrix": [[repr(e) for e in row] for row in M],
@@ -328,6 +348,7 @@ def cmd_hecke_reps(args) -> int:
 
 def cmd_ikeda(args) -> int:
     field = _field(args.D)
+    _check_weight(args.k, 2)
     if math.gcd(args.ell, args.D) != 1:
         raise UsageError("ell must be coprime to D")
     rng = random.Random(args.seed)

@@ -55,6 +55,7 @@ from .quadfield import DiffClass, QuadField, chi_component, classes
 from .residues import ResidueRing, certifies_zero
 from .thetamat import IDENTITY, Mat2Z, lattice_coords, theta_order, theta_terms
 
+FLOAT_TOL = 1e-9  # |A - delta| below which the float route passes a verdict
 
 class SigmaContext(NamedTuple):
     """Per-j data entering the transformation formula."""
@@ -86,7 +87,8 @@ def sigma_context(field: QuadField, sigma: Mat2Z, j: int) -> SigmaContext:
         ])
     else:
         kappa = bdj * inverse_mod(acj, n) % n if n > 1 else 0
-    assert (bdj - kappa * acj) % n == 0
+    if (bdj - kappa * acj) % n:
+        raise AssertionError(f"kappa = {kappa} fails b + d j = kappa (a + c j) mod {n}")
     return SigmaContext(j, mu, m, n, kappa)
 
 
@@ -225,7 +227,8 @@ def _inner_closed_even(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClas
         Eprime = CycloNum.from_rational((-1) ** (dnu // 2))
     else:
         ex = dnu + dnw // 2
-        assert ex % 2 == 0
+        if ex % 2:
+            raise AssertionError(f"D|u|^2 + D|w|^2 / 2 = {ex} is odd")
         Eprime = CycloNum.from_rational((-1) ** (ex // 2) * chi2(-1))
     C = CycloNum.zero()
     if (dnu - d * d * dnw) % c == 0:
@@ -352,8 +355,7 @@ def inner_sums_residues(ring: ResidueRing, field: QuadField, sigma: Mat2Z,
 
 
 def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
-                     arithmetic: str = "exact", translates: int = 3,
-                     tol: float = 1e-9) -> dict:
+                     arithmetic: str = "exact", translates: int = 3) -> dict:
     """Check A = delta for the full representative sweep and random
     Gamma_0(D)-translates; returns a JSON-ready report.
 
@@ -394,7 +396,7 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
         au = [[_inner_sum_float(field, sigma, ru, rw, j_data) for rw in reps] for ru in reps]
         for iv, iw in np.ndindex(delta.shape):
             got = sum(M[i][iv] * au[row_of[i]][iw] for i in range(D)) / D
-            if not abs(got - delta[iv, iw]) < tol:
+            if not abs(got - delta[iv, iw]) < FLOAT_TOL:
                 fail(sigma, iv, iw, repr(got))
 
     def check_exact(sigma: Mat2Z, base_parts, M_g) -> None:

@@ -15,8 +15,8 @@ weight): one exponent histogram, and no CycloNum or Fraction per term.  A
 rational factor scales the numerators (and the denominator) directly.
 
 Division is deliberately NOT general: only division by nonzero rationals and
-by roots of unity is provided here (Gauss sums are inverted at call sites via
-the inversion identities 1/G(psi_m; b) = G(psi_m; -b)/m).
+by roots of unity is provided here.  No caller divides by a Gauss sum; one
+that must would use 1/G(psi_m; b) = G(psi_m; -b)/m for gcd(b, m) = 1.
 """
 
 from __future__ import annotations

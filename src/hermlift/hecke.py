@@ -199,7 +199,8 @@ def coset_reps(field: QuadField, p: int, N: int) -> list[UnitaryMat4]:
                     [N * one, zero, one, d],
                     [zero, zero, zero, one],
                 ])
-    assert len(reps) == 1 + p + p**3 + p**4
+    if len(reps) != 1 + p + p**3 + p**4:
+        raise AssertionError(f"{len(reps)} coset representatives, not 1 + p + p^3 + p^4")
     return reps
 
 
@@ -323,7 +324,7 @@ def verify_beta_conditions(beta: BetaTable, window: tuple[int, int], N: int) -> 
             # (iii)
             if u > 1 and all(N % p == 0 for p in prime_divisors(u)):
                 try:
-                    if not _is_zero(beta.value(u, d) - beta.value(1, d * u * u)):
+                    if beta.value(u, d) != beta.value(1, d * u * u):
                         failures.append({"cond": "iii", "u": u, "d": d})
                     checked += 1
                 except TableRangeError:
@@ -337,7 +338,7 @@ def verify_beta_conditions(beta: BetaTable, window: tuple[int, int], N: int) -> 
                 try:
                     lhs = beta.value(u, d) - p ** (beta.k - 1) * beta.value(u // p if v else 0, d)
                     rhs = beta.value(q, d * p ** (2 * v))
-                    if not _is_zero(lhs - rhs):
+                    if lhs != rhs:
                         failures.append({"cond": "ii", "u": u, "d": d, "p": p})
                     checked += 1
                 except TableRangeError:
@@ -345,10 +346,3 @@ def verify_beta_conditions(beta: BetaTable, window: tuple[int, int], N: int) -> 
     return {"checked": checked, "skipped": skipped, "failures": failures,
             "ok": not failures}
 
-
-def _is_zero(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return abs(x) < 1e-12

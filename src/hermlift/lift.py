@@ -53,14 +53,6 @@ class AlphaSeries:
         return v.numerator if type(v) is Fraction and v.denominator == 1 else v
 
 
-def _scale(scal: CycloNum, c):
-    """scal * c, staying exact for int/Fraction c and falling back to complex
-    for float/complex coefficients."""
-    if isinstance(c, (int, Fraction)):
-        return scal * c
-    return scal.embed() * complex(c)
-
-
 def theta_decompose(field: QuadField, N: int, g: QExpansion) -> dict:
     """The D component expansions g_u (denom = D) of the special Jacobi form
     attached to a plus form g:
@@ -91,7 +83,7 @@ def theta_decompose(field: QuadField, N: int, g: QExpansion) -> dict:
                 elif c is None:
                     cs.append(None)
                 else:
-                    cs.append(_scale(scal, c))
+                    cs.append(scal * c)
             by_res[res] = QExpansion.make(g.weight, g.level, D, D, cs)
         out[u] = by_res[res]
     return out
@@ -116,11 +108,8 @@ def special_jacobi_alpha(field: QuadField, N: int, g: QExpansion) -> AlphaSeries
         if c is None:
             unspec.add(ell)
             continue
-        v = _scale(base * Fraction(1, aD), c)
-        if isinstance(v, CycloNum):
-            if v.coeffs:
-                table[ell] = v
-        elif v:
+        v = base * Fraction(1, aD) * c
+        if v.coeffs:
             table[ell] = v
     return AlphaSeries(table, "alpha_star", g.precision - 1, frozenset(unspec))
 

@@ -1,17 +1,17 @@
-"""q-expansions with the quadratic character, the plus-space test, and the
-operators U_m, Q_m, V_m on elliptic modular forms.
+"""q-expansions with the quadratic character, the plus-space test, the
+matrices P_m and the slash action on elliptic modular forms.
 
 A QExpansion stores finitely many Fourier coefficients of a weight-(k-1)
-form g(tau) = sum_l a_l e[l*tau/denom].  Access beyond the stored range is an
-explicit TruncationError, never a silent zero.  Coefficients may also be None
-("unspecified"): such slots are skipped by the plus test and treated as absent
-by the numeric evaluator (documented truncation caveat of the smoke tests).
+form g(tau) = sum_l a_l e[l*tau/denom].  Coefficients are exact: int,
+Fraction or CycloNum, or None ("unspecified"), and anything else is refused
+when the expansion is built.  Access beyond the stored range is an explicit
+TruncationError, never a silent zero.  Unspecified slots are skipped by the
+plus test and by the numeric evaluator.
 
 P_m is an SL2(Z) matrix congruent to J mod m^2 and to I mod (nN)^2, built by
 CRT on the entries followed by a strong-approximation lift; the congruences
-are re-verified exactly on every call.  Q_m = P_m * diag(m, 1), and
-g|V_m = g|U_m|Q_m with the unnormalized slash (c*tau+d)^(-weight) g(gamma*tau)
-(no determinant factor).
+are re-verified exactly on every call.  The slash action is the unnormalized
+(c*tau+d)^(-weight) g(gamma*tau), with no determinant factor.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .arith import bezout, crt, divisors
+from .cyclotomic import CycloNum
 from .quadfield import QuadField, a_D
 from .thetamat import Mat2Z
 
-Coeff = Union[int, Fraction, float, complex, None]
+Coeff = Union[int, Fraction, CycloNum, None]
 TAIL_TOL = 1e-9  # the largest tail bound QExpansion.eval accepts
 
 
@@ -51,6 +52,9 @@ class QExpansion:
             raise ValueError("denom and level must be positive")
         if self.precision != len(self.coeffs):
             raise ValueError("precision must equal the number of stored coefficients")
+        for c in self.coeffs:
+            if c is not None and not isinstance(c, (int, Fraction, CycloNum)):
+                raise ValueError(f"coefficient {c!r} is not an int, Fraction or CycloNum")
 
     @staticmethod
     def make(weight: int, level: int, disc: int, denom: int,
@@ -64,25 +68,6 @@ class QExpansion:
                 f"coefficient {ell} outside stored range [0, {self.precision})"
             )
         return self.coeffs[ell]
-
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        if (self.weight, self.level, self.disc, self.denom) != (
-            other.weight, other.level, other.disc, other.denom
-        ):
-            raise ValueError("incompatible expansions")
-        n = min(self.precision, other.precision)
-        cs = tuple(
-            None if (a is None or b is None) else a + b
-            for a, b in zip(self.coeffs[:n], other.coeffs[:n])
-        )
-        return QExpansion(self.weight, self.level, self.disc, self.denom, cs, n)
-
-    def __mul__(self, scalar) -> "QExpansion":
-        cs = tuple(None if c is None else c * scalar for c in self.coeffs)
-        return QExpansion(self.weight, self.level, self.disc, self.denom, cs,
-                          self.precision)
-
-    __rmul__ = __mul__
 
     # -- numeric evaluation -------------------------------------------------
 
@@ -128,8 +113,6 @@ class QExpansion:
                 return None
             if isinstance(c, Fraction):
                 return str(c) if c.denominator != 1 else c.numerator
-            if isinstance(c, complex):
-                return {"re": c.real, "im": c.imag}
             return c
 
         return {
@@ -148,8 +131,6 @@ class QExpansion:
                 return None
             if isinstance(c, str):
                 return Fraction(c)
-            if isinstance(c, dict):
-                return complex(c["re"], c["im"])
             return c
 
         return QExpansion(
@@ -163,10 +144,9 @@ class QExpansion:
 
 
 def is_plus(field: QuadField, g: QExpansion) -> bool:
-    """True iff every stored coefficient a_l with a_D(l) = 0 vanishes:
-    exactly for int, Fraction and CycloNum coefficients, within 1e-12 for
-    the float and complex ones `QExpansion.from_dict` reads.  Requires
-    denom = 1; unspecified coefficients are skipped.
+    """True iff every stored coefficient a_l with a_D(l) = 0 vanishes, decided
+    exactly (the coefficients are exact).  Requires denom = 1; unspecified
+    coefficients are skipped.
 
     a_D(l) = 0 means chi_p(-l) = -1 for some prime component p of D, i.e. l
     is not congruent to -D|u|^2 mod D for any class u; such coefficients can
@@ -177,7 +157,7 @@ def is_plus(field: QuadField, g: QExpansion) -> bool:
     for ell, c in enumerate(g.coeffs):
         if c is None or a_D(field, ell) != 0:
             continue
-        if abs(c) > 1e-12 if isinstance(c, (float, complex)) else c != 0:
+        if c != 0:
             return False
     return True
 
@@ -207,7 +187,7 @@ def eisenstein_star(field: QuadField, k: int, upto: int) -> QExpansion:
 
 
 # ---------------------------------------------------------------------------
-# P_m, Q_m, U_m, V_m
+# P_m and the slash action
 
 
 def _check_Pm(P: Mat2Z, m: int, n: int, N: int) -> None:
@@ -272,18 +252,3 @@ def slash_eval(g: QExpansion, gamma: Mat2Z, tau: complex) -> complex:
     gtau = (a * tau + b) / j
     return j ** (-g.weight) * g.eval(gtau)
 
-
-def apply_Um(g: QExpansion, m: int, tau: complex) -> complex:
-    """(g|U_m)(tau) = sum_{j=0}^{m-1} (g | [[1,j],[0,m]])(tau)."""
-    return sum(slash_eval(g, Mat2Z(1, j, 0, m), tau) for j in range(m))
-
-
-def apply_Vm(g: QExpansion, field: QuadField, m: int, N: int, tau: complex) -> complex:
-    """(g|V_m)(tau) with V_m = U_m followed by Q_m = P_m * diag(m, 1).
-
-    Since the unnormalized slash is a right action on GL2+(Q), the double
-    slash collapses to a single m-term sum over [[1,j],[0,m]] * Q_m.
-    """
-    pa, pb, pc, pd = build_Pm(field.D, m, N).entries()
-    Qm = Mat2Z(pa * m, pb, pc * m, pd)
-    return sum(slash_eval(g, Mat2Z(1, j, 0, m) * Qm, tau) for j in range(m))

@@ -193,12 +193,6 @@ def class_from_key(field: QuadField, key: tuple[int, ...]) -> DiffClass:
     raise KeyError(key)
 
 
-def class_index(field: QuadField, u: DiffClass) -> int:
-    if field.e == 0:
-        return u.key[0]
-    return u.key[0] * (field.D // 2) + u.key[1]
-
-
 class Character:
     """The quadratic character psi_m = prod_{p | m prime} chi_p for m | D with
     gcd(m, D/m) = 1, as a callable of modulus m.

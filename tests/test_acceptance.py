@@ -46,8 +46,7 @@ def test_c01_arithmetic_criterion_sweep():
         assert rep["failures"] == [], (D, rep["failures"][:3])
     for D in SMALL_D:
         f = QuadField(D)
-        rep = verify_criterion(f, 1, seed=0, arithmetic="float", translates=2,
-                               tol=1e-9)
+        rep = verify_criterion(f, 1, seed=0, arithmetic="float", translates=2)
         assert rep["failures"] == [], (D, rep["failures"][:3])
 
 

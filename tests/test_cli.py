@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from hermlift.cli import MODES, _inert_primes, main, run_mode
+from hermlift.plusform import eisenstein_star
 from hermlift.quadfield import QuadField
 
 
@@ -151,6 +152,46 @@ def test_lift_table(tmp_path):
     assert rep["entries"]
     for e in rep["entries"][:20]:
         assert e["Ddet"] >= 0
+
+
+def _eisenstein_d3(upto):
+    """The D = 3, k = 8 plus form that `lift --D 3 --upto upto` reads."""
+    return eisenstein_star(QuadField(3), 8, upto * upto * 3 + 1).to_dict()
+
+
+def test_lift_input_reads_exact_coefficients(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(_eisenstein_d3(2)))
+    assert run(["lift", "--D", "3", "--upto", "2"]) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert run(["lift", "--D", "3", "--upto", "2", "--input", str(g)]) == 0
+    assert json.loads(capsys.readouterr().out) == default
+
+
+def _coeffs(d, enc):
+    return {**d, "coeffs": [None if c is None else enc(c) for c in d["coeffs"]]}
+
+
+@pytest.mark.parametrize("args,edit", [
+    (["lift", "--D", "3", "--k", "7"], None),
+    (["ikeda", "--D", "3", "--k", "7"], None),
+    (["lift", "--D", "3", "--input", "missing.json"], None),
+    (["verify", "--config", "missing.json"], None),
+    (["theta-matrix", "--D", "3", "--sigma", "1", "0", str(10**22), "1"], None),
+    (["lift", "--D", "3", "--input", "g.json"], lambda d: {k: v for k, v in d.items() if k != "level"}),
+    (["lift", "--D", "3", "--input", "g.json"], lambda d: {**d, "precision": 3}),
+    (["lift", "--D", "3", "--input", "g.json"], lambda d: _coeffs(d, float)),
+    (["lift", "--D", "3", "--input", "g.json"], lambda d: _coeffs(d, lambda c: {"re": c, "im": 0})),
+    (["verify", "--config", "g.json"], lambda d: [d]),
+], ids=["lift-odd-k", "ikeda-odd-k", "lift-missing-input", "verify-missing-config",
+        "theta-overflow", "input-missing-key", "input-precision", "input-float", "input-re-im",
+        "config-not-an-object"])
+def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys, args, edit):
+    monkeypatch.chdir(tmp_path)
+    if edit is not None:
+        (tmp_path / "g.json").write_text(json.dumps(edit(_eisenstein_d3(2))))
+    assert run(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_theta_matrix_output(capsys):

@@ -47,7 +47,8 @@ def test_criterion_single_triples(D):
 
 @pytest.mark.parametrize("D", SMALL_D)
 def test_criterion_float_agrees(D):
-    rep = verify_criterion(QuadField(D), 1, arithmetic="float", translates=0, tol=1e-9)
+    assert criterion.FLOAT_TOL == 1e-9
+    rep = verify_criterion(QuadField(D), 1, arithmetic="float", translates=0)
     assert rep["failures"] == []
     assert rep["triples_checked"] == len(sweep_sigmas(QuadField(D))) * D * D
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hermlift.cyclotomic import CycloNum, root_of_unity
 from hermlift.hecke import (BetaTable, TableRangeError, UnitaryMat4, _check_unitary,
                             _same_coset, beta_Tp, coset_key, coset_reps,
                             verify_beta_conditions, verify_reps_distinct)
@@ -245,6 +246,18 @@ def test_distinctness_refuses_a_non_integral_representative():
         verify_reps_distinct(f, p, 1, reps[:1] + [bad] + reps[2:])
 
 
+def _beta_args(w):
+    """The (u, d) at which the identity of a failure witness w reads beta."""
+    u, d = w["u"], w["d"]
+    if w["cond"] == "iii":
+        return [(u, d), (1, d * u * u)]
+    p = w["p"]
+    v = 0
+    while u % p ** (v + 1) == 0:
+        v += 1
+    return [(u, d), (u // p if v else 0, d), (u // p**v, d * p ** (2 * v))]
+
+
 def test_verify_beta_conditions_locates_a_non_integral_fault():
     # beta(4, 5) + 1/2 on a table from an integral alpha: only the identities
     # that read beta(4, 5) meet a Fraction.  Every identity is linear in
@@ -260,13 +273,25 @@ def test_verify_beta_conditions_locates_a_non_integral_fault():
     assert one["failures"] and half["failures"] == one["failures"]
     assert (half["checked"], half["skipped"]) == (one["checked"], one["skipped"])
     for w in half["failures"]:
-        u, d = w["u"], w["d"]
-        if w["cond"] == "iii":
-            args = [(u, d), (1, d * u * u)]
-        else:
-            p = w["p"]
-            v = 0
-            while u % p ** (v + 1) == 0:
-                v += 1
-            args = [(u, d), (u // p if v else 0, d), (u // p**v, d * p ** (2 * v))]
-        assert (4, 5) in args, w
+        assert (4, 5) in _beta_args(w), w
+
+
+def test_verify_beta_conditions_locates_a_cyclotomic_fault():
+    # beta(4, 5) moved by i on a table from an alpha with CycloNum values:
+    # the identities are compared exactly with !=, so the witnesses are those
+    # of beta(4, 5) + 1, and each of them reads beta(4, 5)
+    alpha = AlphaSeries({ell: root_of_unity(Fraction(ell % 5, 5)) * (ell % 3 - 1)
+                         for ell in range(25000)}, "maass", 24999)
+    good = beta_from_alpha(alpha, 8, 1)
+    assert isinstance(good.value(4, 5), CycloNum)
+    assert verify_beta_conditions(good, (10, 24), 1)["ok"]
+    reps = []
+    for bump in (CycloNum.i(), 1):
+        bad = BetaTable(8, 1, lambda u, v, b=bump: good.value(u, v) + (b if (u, v) == (4, 5) else 0))
+        reps.append(verify_beta_conditions(bad, (10, 24), 1))
+    moved, one = reps
+    assert moved["failures"] and moved["failures"] == one["failures"]
+    assert (4, 5) in {(w["u"], w["d"]) for w in moved["failures"]}
+    assert (moved["checked"], moved["skipped"]) == (one["checked"], one["skipped"])
+    for w in moved["failures"]:
+        assert (4, 5) in _beta_args(w), w
