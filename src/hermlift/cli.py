@@ -275,6 +275,9 @@ def cmd_lift(args) -> int:
     if args.input:
         try:  # exact coefficients only: ints, "p/q" strings or null
             g = QExpansion.from_dict(_read_json(args.input))
+            if (g.weight, g.disc) != (args.k - 1, args.D):
+                raise UsageError(f"{args.input} has weight {g.weight} and disc {g.disc}, but "
+                                 f"--k {args.k} --D {args.D} needs {args.k - 1} and {args.D}")
             alpha = special_jacobi_alpha(field, args.N, g)
         except (KeyError, TypeError, ValueError) as e:
             raise UsageError(f"{args.input} is not an exact plus-form expansion: {e!r}") from e

@@ -20,19 +20,21 @@ and the statement verified here is A = 1 if D|w|^2 = D|v|^2 mod D, else 0.
 A_u also has closed forms when c | D, c > 0 (one for odd D; a two-branch
 B_u + C_u expression for even D); both routes are implemented and compared
 exactly.  The closed forms absorb the a_w/a_u factor.  The direct terms are
-built once per sigma as integers (`_direct_rows`) and read two ways: one
-exponent histogram (`inner_sum_direct`) and residues over all pairs at once
-(`inner_sums_residues`).
+int64 arrays over (sigma, j) built from per-D tables (`_direct_rows`) and
+read two ways: one exponent histogram per sigma (`inner_sum_direct`) and
+residues over a chunk of sigma and all pairs at once (`inner_sums_residues`).
 
 `verify_criterion` decides exactly in residues (`residues`): each value of
 one sigma lies in Q(zeta_L), L = D (odd D) or 2D, stored as its phi(L)
 residues mod a prime p = 1 (mod L) with D (p-1)^2 < 2^63, so no int64 sum of
 D residue products wraps.  With B >= ||den (A - delta)||_1 tracked in Python
 ints, vanishing residues prove A = delta once B is below the product of the
-primes used; a nonzero residue proves A != delta.  M(sigma) enters as the
-integer term table and scalar of `thetamat.theta_terms`, no CycloNum per
-entry.  A failure's `lhs` is the residue vector of A with its prime.  The
-float route (`_inner_sum_float`) is the independent oracle of both readers.
+primes used; a nonzero residue proves A != delta.  It takes a chunk of base
+sigma and their translates at once (the chunk size is internal), with
+M(base) as the term table and scalar of `thetamat.theta_terms`, no CycloNum
+per entry, and a translate's monomial M(g) as a column gather from it.  A
+failure's `lhs` is A's residue vector with its prime.  The float route
+(`_inner_sum_float`) is the independent oracle of both readers.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,26 +58,16 @@ from .thetamat import IDENTITY, Mat2Z, lattice_coords, theta_order, theta_terms
 
 FLOAT_TOL = 1e-9  # |A - delta| below which the float route passes a verdict
 
-class SigmaContext(NamedTuple):
-    """Per-j data entering the transformation formula."""
-
-    j: int
-    mu: int
-    m: int
-    n: int
-    kappa: int
+# per-j data entering the transformation formula
+SigmaContext = namedtuple("SigmaContext", "j mu m n kappa")
 
 
 def sigma_context(field: QuadField, sigma: Mat2Z, j: int) -> SigmaContext:
     if sigma.det() != 1:
         raise ValueError("sigma must have determinant 1")
-    a, b, c, d = sigma.entries()
-    D = field.D
-    acj = a + c * j
-    bdj = b + d * j
-    if acj == 0:
-        return SigmaContext(j, D, D, 1, 0)
-    mu = math.gcd(acj, D)
+    (a, b, c, d), D = sigma.entries(), field.D
+    acj, bdj = a + c * j, b + d * j
+    mu = math.gcd(acj, D)  # D at a + cj = 0: m = D, n = 1, kappa = 0
     m = component(D, mu)
     n = D // m
     if m != mu:
@@ -92,30 +83,48 @@ def sigma_context(field: QuadField, sigma: Mat2Z, j: int) -> SigmaContext:
     return SigmaContext(j, mu, m, n, kappa)
 
 
-# sigma's direct A_u terms per j mod D, exponents over L: mu, m, n, psi_n(a+cj),
-# j L/D, kappa L/D and R = (1 + e[(h - r D|w|^2)/L])/2, h = L/2 exactly when
-# chi_2(5 - 2nc) = -1 if m = 4 mu, and r = h = 0 (R = 1 = (1 + e[0])/2) otherwise
-DirectRow = namedtuple("DirectRow", "mu m n psi jL kL r h")
+# the direct A_u terms as one int64 array [sigma, j mod D, column], exponents over L,
+# the columns mu, m, n, psi_n(a+cj), j L/D, kappa L/D and r, h for R = (1 + e[(h -
+# r D|w|^2)/L])/2: h = L/2 exactly when chi_2(5 - 2nc) = -1 if m = 4 mu, r = (a+cj)
+# L/(2m) mod L there, and r = h = 0 (R = 1 = (1 + e[0])/2) otherwise
+
+
+@cache
+def _tables(D: int) -> tuple[np.ndarray, ...]:
+    """Per D, at q | D and x < D: component(D, q), x^-1 mod q (0 off the
+    units) and psi_q(x) (q prime to D/q); chi_2 mod 8; L."""
+    field, comp, inv, psi = QuadField(D), np.zeros(D + 1, np.int64), *np.zeros((2, D + 1, D), np.int64)
+    for q in divisors(D):
+        comp[q] = component(D, q)
+        inv[q] = [inverse_mod(x, q) if math.gcd(x, q) == 1 else 0 for x in range(D)]
+        psi[q] = [chi_component(field, q)(x) if math.gcd(q, D // q) == 1 else 0 for x in range(D)]
+    return comp, inv, psi, np.array([field.chi2(x) if field.e else 1 for x in range(8)]), theta_order(field)
 
 
 @lru_cache(maxsize=8)
-def _direct_rows(D: int, entries: tuple[int, int, int, int]) -> tuple[tuple[DirectRow, ...], int]:
-    """sigma's rows for j mod D and `halves`, 2 when some row has m = 4 mu
-    (else 1).  Its readers take one sigma at a time, so a few entries keep
-    every hit while the random translates of a long campaign cannot grow it."""
-    field, sigma = QuadField(D), Mat2Z(*entries)
-    a, _, c, _ = entries
-    L = theta_order(field)
-    rows = []
-    for j in range(D):
-        x = sigma_context(field, sigma, j)
-        r = h = 0
-        if x.m == 4 * x.mu:
-            r = (a + c * j) * (L // (2 * x.m))
-            h = 0 if field.chi2(5 - 2 * x.n * c) == 1 else L // 2
-        rows.append(DirectRow(x.mu, x.m, x.n, chi_component(field, x.n)(a + c * j),
-                              j * (L // D), x.kappa * (L // D), r, h))
-    return tuple(rows), 2 if any(x.m == 4 * x.mu for x in rows) else 1
+def _direct_rows(D: int, entries: tuple[tuple[int, int, int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of these sigma and `halves` [sigma], 2 when some row has m = 4 mu
+    (else 1), from the entries mod 8D.  verify_criterion's chunks miss, and
+    inner_sum_direct reads one sigma at a time: a few entries keep its hits."""
+    comp, inv, psi_tab, chi2, L = _tables(D)
+    a, b, c, d = (np.array(entries, dtype=object) % (8 * D)).astype(np.int64).T[:, :, None]
+    j = np.arange(D)
+    acj, bdj = (a + c * j) % (8 * D), (b + d * j) % (8 * D)
+    mu = np.gcd(acj, D)  # D at a + cj = 0 mod D, where m = D, n = 1, kappa = 0
+    m, n = comp[mu], D // comp[mu]
+    kappa = bdj * inv[n, acj % n] % n
+    # m != mu only at the 2-part, K = m/mu in {2, 4} and 2^f = 2-part of a + cj:
+    # kappa = ((b+dj+c)/2^f)/((a+cj)/2^f) mod K as well, joined by CRT
+    K, two_f = m // mu, np.where(acj > 0, acj & -acj, 1)
+    k2 = (bdj + c) // two_f * inv[K, acj // two_f % K] % K
+    kappa = np.where(K > 1, kappa + n * ((k2 - kappa) * inv[K, n % K] % K), kappa)
+    if ((bdj - kappa * acj) % n).any():
+        raise AssertionError("kappa fails b + d j = kappa (a + c j) mod n")
+    quad = m == 4 * mu
+    h = np.where(quad & (chi2[(5 - 2 * n * c) % 8] != 1), L // 2, 0)
+    rows = np.stack([mu, m, n, psi_tab[n, acj % D], np.broadcast_to(j * (L // D), acj.shape),
+                     kappa * (L // D), np.where(quad, acj * (L // (2 * m)) % L, 0), h], axis=2)
+    return rows, np.where(quad.any(axis=1), 2, 1)
 
 
 @cache
@@ -140,16 +149,16 @@ def _gauss_terms(field: QuadField, m: int, b: int) -> tuple[tuple[int, int], ...
 def inner_sum_direct(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass) -> CycloNum:
     """A_u term by term over j mod D (includes the a_w/a_u factor): one
     exponent histogram over L of sigma's `_direct_rows`."""
-    rows, halves = _direct_rows(field.D, sigma.entries())
-    c, dnu, dnw = sigma.c, u.dnorm, w.dnorm
+    rows, halves = _direct_rows(field.D, (sigma.entries(),))
+    c, dnu, dnw, two = sigma.c, u.dnorm, w.dnorm, halves[0] == 2
     terms = []
-    for mu, m, n, psi, jL, kL, r, h in rows:
+    for mu, m, n, psi, jL, kL, r, h in rows[0].tolist():
         if math.gcd(dnw, m) != mu:
             continue
         k = dnu * jL - dnw * kL
-        shifts = (k,) if halves == 1 else (k, k + h - r * dnw)
+        shifts = (k, k + h - r * dnw) if two else (k,)
         terms += [(e + s, psi * v) for s in shifts for e, v in _gauss_terms(field, m, n * c % m)]
-    return esum(theta_order(field), terms) * Fraction(w.mult, halves * u.mult)
+    return esum(theta_order(field), terms) * Fraction(w.mult, int(halves[0]) * u.mult)
 
 
 def _inner_closed_odd(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass) -> CycloNum:
@@ -328,30 +337,38 @@ def random_gamma0(field: QuadField, rng: random.Random) -> Mat2Z:
     return Mat2Z(x, (x * t - 1) // D, D, t)
 
 
-def inner_sums_residues(ring: ResidueRing, field: QuadField, sigma: Mat2Z,
-                        reps: list[DiffClass]) -> tuple[np.ndarray, int, int]:
-    """A_u for every pair (u, w) of `reps` as residues [u, w, t], with a bound
-    and a denominator: den * A_u has ||.||_1 <= bound.  The terms are those of
-    inner_sum_direct, read from the same `_direct_rows` over j and w at once."""
+def inner_sums_residues(ring: ResidueRing, field: QuadField, sigmas: list[Mat2Z],
+                        reps: list[DiffClass]) -> tuple[np.ndarray, list[int], list[int]]:
+    """A_u for every sigma and pair (u, w) of `reps` as residues [sigma, u, w, t],
+    with per-sigma bounds and denominators, den * A_u having ||.||_1 <= bound:
+    inner_sum_direct's terms, read from `_direct_rows` over sigma, j, w at once."""
     L, p, pw = ring.L, ring.p, ring.pw
-    rows, halves = _direct_rows(field.D, sigma.entries())
-    mu, m, _, psi, jL, kL, r, h = np.array(rows).T[:, :, None]
+    rows, halves = _direct_rows(field.D, tuple(s.entries() for s in sigmas))
+    mu, m, n, psi, jL, kL, r, h = np.moveaxis(rows, 2, 0)[..., None]
     dn = np.array([x.dnorm for x in reps])
-    gauss = [ring.gauss(chi_component(field, x.m), x.n * sigma.c) for x in rows]
-    base = np.array([g for g, _ in gauss]) * psi % p
-    # e[-D|w|^2 kappa / D] R [j, w], R = (1 + e[(h - r D|w|^2)/L])/2
+    # G(psi_m; nc) once per distinct (m, nc mod m)
+    c = np.array([s.c % field.D for s in sigmas])[:, None, None]
+    keys, at = np.unique(m * field.D + n * c % m, return_inverse=True)
+    gauss = [ring.gauss(chi_component(field, int(k) // field.D), int(k) % field.D) for k in keys]
+    at = at.reshape(m.shape[:2])
+    base = np.array([g for g, _ in gauss])[at] * psi % p
+    # e[-D|w|^2 kappa / D] R [sigma, j, w], R = (1 + e[(h - r D|w|^2)/L])/2
     ex = -dn * kL % L
     R = (pw[ex] + pw[(ex + h - r * dn) % L]) % p * ((p + 1) // 2) % p
-    coef = base[:, None, :] * R % p * (np.gcd(dn, m) == mu)[:, :, None]
-    # sum_j e[D|u|^2 j / D] coef[j, w]: one product over j per residue index
+    coef = base[:, :, None, :] * R % p * (np.gcd(dn, m) == mu)[..., None]
+    # sum_j e[D|u|^2 j / D] coef[sigma, j, w]: one product over j per residue index
     E = pw[dn * jL % L]
     mults = [x.mult for x in reps]
     ratio = np.array([[w * pow(u, -1, p) % p for w in mults] for u in mults])
-    A = np.einsum("jut,jwt->uwt", E, coef) % p * ratio[:, :, None] % p
+    A = np.einsum("sjut,sjwt->suwt", E, coef) % p * ratio[:, :, None] % p
     # terms: Gauss sum * R (norm 2 over 2) * root of unity; a_w/a_u <= max a/min a
     lcm = math.lcm(*mults)
-    norm = sum(ng for _, ng in gauss)
-    return A, halves * norm * max(mults) * (lcm // min(mults)), halves * lcm
+    norms = np.array([ng for _, ng in gauss])[at].sum(axis=1) * max(mults) * (lcm // min(mults))
+    return A, (halves * norms).tolist(), (halves * lcm).tolist()
+
+
+# a chunk's stacked residue arrays, [sigma, D, D, phi(L)] at most, have about this many int64s
+_CHUNK = 2**15
 
 
 def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
@@ -359,10 +376,13 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
     """Check A = delta for the full representative sweep and random
     Gamma_0(D)-translates; returns a JSON-ready report.
 
-    Exact verdicts are residues mod p = 1 (mod L), D (p-1)^2 < 2^63: one holds
-    when all residues of A - delta vanish and the bound B is below the product
-    of the primes used, more primes being taken while it is not.  A failure's
-    `lhs` is A's residues and prime; `certificate` has L, primes, max B bits.
+    Exact verdicts are residues mod p = 1 (mod L), D (p-1)^2 < 2^63, taken for
+    a chunk of base sigma and their translates at once: one holds when all
+    residues of A - delta vanish and the bound B is below the product of the
+    primes used, more being taken while the chunk's largest B is not.  A zero
+    under a certified bound is exact, so nothing depends on the internal chunk
+    size.  A failure's `lhs` is A's residues and the first prime that sees
+    them; `certificate` has L, primes, max B bits.
 
     The level N is validated (positive, coprime to D) and reported, but it
     does not change the sweep."""
@@ -399,43 +419,47 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
             if not abs(got - delta[iv, iw]) < FLOAT_TOL:
                 fail(sigma, iv, iw, repr(got))
 
-    def check_exact(sigma: Mat2Z, base_parts, M_g) -> None:
-        # A [v, w, t] mod one prime after another, until their product
-        # exceeds the bound on ||den (A - delta)||_1
+    def check_chunk(groups) -> None:
+        # A [sigma, v, w, t] mod one prime after another, until their product
+        # exceeds the chunk's largest bound on ||den (A - delta)||_1.  M(base) is
+        # its scalar (the dense Gauss-sum factor) times its light terms, and
+        # M(base g) = M(base) M(g) (pinned exactly by separate tests) with M(g)
+        # monomial, one row (u_v, v, k_v, w_v) per column: M(base)[:, u_v] w_v e[k_v/L]
+        sigmas = [s for _, group in groups for s in group]
+        parts = [(theta_terms(field, ss[0]), [theta_terms(field, g)[1] for g in gs]) for gs, ss in groups]
+        if any((t[:, 1] != np.arange(D)).any() for _, tables in parts for t in tables):
+            raise ValueError("a translate's theta matrix must be monomial")
         done = []
         while not done or not certifies_zero(bounds[-1], [r.p for r, _ in done]):
             if len(done) == len(rings):  # a kernel sum has at most D terms
                 rings.append(ResidueRing(L, D, below=rings[-1].p if rings else None))
             ring = rings[len(done)]
-            (s, ns, ds), (M, nM) = base_parts(ring)
-            if M_g is not None:
-                Mg, ng = ring.matrix(M_g, D)
-                M, nM = np.einsum("ikt,kvt->ivt", M, Mg) % ring.p, nM * ng
-            A, nA, dA = inner_sums_residues(ring, field, sigma, reps)
-            done.append((ring, np.einsum("ivt,iwt->vwt", M, A[row_of]) % ring.p * s % ring.p))
-            bounds.append(nM * nA * ns + dA * ds)
-        wrong = [((got - delta[:, :, None]) % r.p).any(axis=2) for r, got in done]
-        for iv, iw in np.argwhere(np.logical_or.reduce(wrong)):
-            k = next(k for k, nz in enumerate(wrong) if nz[iv, iw])
-            fail(sigma, iv, iw, {"prime": done[k][0].p, "residues": done[k][1][iv, iw].tolist()})
+            p, Ms, norms = ring.p, [], []
+            for (scalar, terms), tables in parts:
+                (s, ns, ds), (M, nM) = ring.of(scalar * Fraction(1, D)), ring.matrix(terms, D)
+                M = M * s % p
+                Ms += [M] + [M[:, u] * (w[:, None] % p * ring.pw[k] % p) % p for u, _, k, w in (t.T for t in tables)]
+                norms += [(nM * g, ns, ds) for g in [1] + [int(abs(t[:, 3]).max()) for t in tables]]
+            A, nA, dA = inner_sums_residues(ring, field, sigmas, reps)
+            done.append((ring, np.einsum("sivt,siwt->svwt", np.array(Ms), A[:, row_of]) % p))
+            bounds.append(max(nM * na * ns + da * ds for (nM, ns, ds), na, da in zip(norms, nA, dA)))
+        wrong = [((got - delta[:, :, None]) % r.p).any(axis=3) for r, got in done]
+        for i, iv, iw in np.argwhere(np.logical_or.reduce(wrong)):
+            k = next(k for k, nz in enumerate(wrong) if nz[i, iv, iw])
+            fail(sigmas[i], iv, iw, {"prime": done[k][0].p, "residues": done[k][1][i, iv, iw].tolist()})
 
-    sigmas = sweep_sigmas(field)
-    for base in sigmas:
+    groups = []  # (gammas, [base] + [base * g for g in gammas]) per sweep sigma
+    for base in sweep_sigmas(field):
         gammas = [random_gamma0(field, rng) for _ in range(translates)]
-        if arithmetic == "float":
-            for sigma in [base] + [base * g for g in gammas]:
-                check_float(sigma)
-            continue
-        # A = scale * sum_u M_{u,v} A_u: the dense Gauss-sum factor of M(base)
-        # is in the scale, its light entries (monomials, short sums) in M
-        scalar, terms = theta_terms(field, base)
-        base_parts = cache(lambda ring: (ring.of(scalar * Fraction(1, D)), ring.matrix(terms, D)))
-        check_exact(base, base_parts, None)
-        for g in gammas:
-            # M(base*g) = M(base) M(g): the homomorphism is pinned exactly by
-            # separate tests, and M(g) is monomial with scalar 1 (g's c is 0 or D)
-            check_exact(base * g, base_parts, theta_terms(field, g)[1])
+        groups.append((gammas, [base] + [base * g for g in gammas]))
+    if arithmetic == "float":
+        for sigma in (s for _, sigmas in groups for s in sigmas):
+            check_float(sigma)
+    else:  # whole groups per chunk, each sigma's largest array D * D * phi(L)
+        per = max(1, _CHUNK // (len(groups[0][1]) * D * D * sum(math.gcd(t, L) == 1 for t in range(L))))
+        for i in range(0, len(groups), per):
+            check_chunk(groups[i:i + per])
     cert = {"order": L, "primes": [r.p for r in rings], "max_bound_bits": max(bounds).bit_length()}
-    return {"D": D, "N": N, "triples_checked": (1 + translates) * len(sigmas) * D * D,
+    return {"D": D, "N": N, "triples_checked": (1 + translates) * len(groups) * D * D,
             "failures": failures, **({"certificate": cert} if rings else {}),
             "wall_time": time.monotonic() - t0}

@@ -88,8 +88,9 @@ class QExpansion:
         amp = 0.0
         for ell, c in enumerate(self.coeffs):
             if c is not None:
-                total += complex(c) * qp
-                amp = max(amp, abs(complex(c)) / (ell + 1) ** self.weight)
+                c = c.embed() if isinstance(c, CycloNum) else complex(c)
+                total += c * qp
+                amp = max(amp, abs(c) / (ell + 1) ** self.weight)
             qp *= q
         # tail bound: sum_{l >= precision} A (l+1)^weight r^l
         P = self.precision

@@ -183,15 +183,20 @@ def _coeffs(d, enc):
     (["lift", "--D", "3", "--input", "g.json"], lambda d: _coeffs(d, float)),
     (["lift", "--D", "3", "--input", "g.json"], lambda d: _coeffs(d, lambda c: {"re": c, "im": 0})),
     (["verify", "--config", "g.json"], lambda d: [d]),
+    (["lift", "--D", "3", "--k", "12", "--input", "g.json"], None),
+    (["lift", "--D", "7", "--input", "g.json"], None),
 ], ids=["lift-odd-k", "ikeda-odd-k", "lift-missing-input", "verify-missing-config",
         "theta-overflow", "input-missing-key", "input-precision", "input-float", "input-re-im",
-        "config-not-an-object"])
+        "config-not-an-object", "input-wrong-weight", "input-wrong-disc"])
 def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys, args, edit):
     monkeypatch.chdir(tmp_path)
-    if edit is not None:
-        (tmp_path / "g.json").write_text(json.dumps(edit(_eisenstein_d3(2))))
+    if "g.json" in args:  # the D = 3, k = 8 form, edited unless the command mismatches it
+        (tmp_path / "g.json").write_text(json.dumps((edit or (lambda d: d))(_eisenstein_d3(2))))
     assert run(args) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "g.json" in args and edit is None:  # the form is sound, the command is not its own
+        assert "needs" in err
 
 
 def test_theta_matrix_output(capsys):

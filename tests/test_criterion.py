@@ -14,10 +14,10 @@ from sympy import isprime
 import tests.test_acceptance as acceptance
 from hermlift import criterion, cyclotomic, residues, thetamat
 from hermlift.criterion import (expected_delta, inner_sum_closed,
-                                inner_sum_direct, random_gamma0, sweep_sigmas,
-                                verify_criterion)
+                                inner_sum_direct, random_gamma0, sigma_context,
+                                sweep_sigmas, verify_criterion)
 from hermlift.cyclotomic import CycloNum, csum, root_of_unity
-from hermlift.quadfield import QuadField, classes
+from hermlift.quadfield import QuadField, chi_component, classes
 from hermlift.residues import ResidueRing, certifies_zero
 from hermlift.thetamat import (Mat2Z, mat_mul, theta_matrix, theta_matrix_closed,
                                theta_matrix_closed_factored, theta_order, theta_terms)
@@ -94,16 +94,15 @@ def test_random_gamma0_in_group():
 def _doubled(orig, when):
     """orig with its value doubled at every sigma for which when(sigma)
     holds; orig is an inner sum (field, sigma, u, w) in either arithmetic or
-    inner_sums_residues (ring, field, sigma, reps)."""
+    inner_sums_residues (ring, field, sigmas, reps) over a chunk of sigma."""
     def wrapped(*args):
         out = orig(*args)
-        sigma = next(x for x in args if isinstance(x, Mat2Z))
-        if not when(sigma):
-            return out
-        if isinstance(out, tuple):  # (residues, bound, den)
-            A, bound, den = out
-            return 2 * A % args[0].p, 2 * bound, den
-        return 2 * out
+        if not isinstance(out, tuple):
+            return 2 * out if when(args[1]) else out
+        A, bounds, dens = out  # residues [sigma, u, w, t], per-sigma bounds
+        hit = [when(sigma) for sigma in args[2]]
+        return (np.where(np.array(hit)[:, None, None, None], 2 * A % args[0].p, A),
+                [2 * b if h else b for b, h in zip(bounds, hit)], dens)
     return wrapped
 
 
@@ -201,14 +200,16 @@ def test_c02_locates_a_flipped_chi2_in_R(monkeypatch):
 
     def flipped(D, entries):
         rows, halves = orig(D, entries)
-        return tuple(x._replace(h=(x.h + D) % (2 * D)) if x.m == 4 * x.mu else x
-                     for x in rows), halves
+        rows = rows.copy()  # columns mu, m, ..., h
+        rows[..., 7] = np.where(rows[..., 1] == 4 * rows[..., 0], (rows[..., 7] + D) % (2 * D), rows[..., 7])
+        return rows, halves
 
     monkeypatch.setattr(criterion, "_direct_rows", flipped)
     got = acceptance.closed_vs_direct_failures(SMALL_D)
     assert len(got) == 64 and {D for D, *_ in got} == {8}
     for D, sigma, u, w in got:
-        assert any(x.m == 4 * x.mu for x in orig(D, sigma)[0]), sigma
+        rows = orig(D, (sigma,))[0]
+        assert (rows[..., 1] == 4 * rows[..., 0]).any(), sigma
         assert {u, w} <= {x.key for x in classes(QuadField(D))}
 
 
@@ -222,6 +223,56 @@ def test_c02_locates_a_dropped_C_branch(monkeypatch):
     for D, sigma, u, w in got:
         dnorm = {x.key: x.dnorm for x in classes(QuadField(D))}
         assert sigma[2] == 1 and dnorm[w] % 2 == 0 and u in dnorm, (D, sigma, u, w)
+
+
+def _sigma_context_rows(f, sigma):
+    """sigma's direct rows per j from sigma_context, as the per-j loop that the
+    vectorised _direct_rows replaced built them, and its halves."""
+    a, _, c, _ = sigma.entries()
+    D, L = f.D, theta_order(f)
+    rows = []
+    for j in range(D):
+        x = sigma_context(f, sigma, j)
+        r = h = 0
+        if x.m == 4 * x.mu:
+            r = (a + c * j) * (L // (2 * x.m)) % L
+            h = 0 if f.chi2(5 - 2 * x.n * c) == 1 else L // 2
+        rows.append([x.mu, x.m, x.n, chi_component(f, x.n)(a + c * j), j * (L // D),
+                     x.kappa * (L // D), r, h])
+    return rows, 2 if any(m == 4 * mu for mu, m, *_ in rows) else 1
+
+
+@pytest.mark.parametrize("D", ALL_D)
+def test_direct_rows_are_the_sigma_context_rows(D):
+    # every sweep sigma and 3 seeded translates of each, read in one call:
+    # mu, m, n, psi_n(a+cj), jL, kL = kappa L/D (kappa < D <= L), r, h and
+    # halves equal sigma_context's.  Three sigma with entries beyond int64,
+    # some negative, exercise the reduction mod 8D
+    f = QuadField(D)
+    rng = random.Random(D)
+    sigmas = [t for s in sweep_sigmas(f) for t in [s] + [s * random_gamma0(f, rng) for _ in range(3)]]
+    big = 10**20
+    sigmas += [Mat2Z(1, big, 0, 1), Mat2Z(big + 1, big, 1, 1), Mat2Z(1 - big, -big, big, 1 + big)]
+    rows, halves = criterion._direct_rows(D, tuple(s.entries() for s in sigmas))
+    assert rows.dtype == np.int64 and rows.shape == (len(sigmas), D, 8)
+    for i, sigma in enumerate(sigmas):
+        want, want_halves = _sigma_context_rows(f, sigma)
+        assert rows[i].tolist() == want and halves[i] == want_halves, sigma.entries()
+    # at even D the CRT branch (m != mu) and the R branch (m = 4 mu, D = 8, 24) occur
+    mu, m = rows[..., 0], rows[..., 1]
+    assert (m != mu).any() == (f.e > 0)
+    assert (m == 4 * mu).any() == (D % 8 == 0)
+
+
+def test_a_wrong_kappa_trips_its_guard(monkeypatch):
+    # kappa + 1 breaks b + d j = kappa (a + c j) mod n wherever n > 1
+    wrong = _mutated(criterion._direct_rows.__wrapped__, "kappa = np.where(K > 1,",
+                     "kappa = 1 + np.where(K > 1,")
+    monkeypatch.setattr(criterion, "_direct_rows", wrong)
+    with pytest.raises(AssertionError, match="kappa"):
+        verify_criterion(QuadField(15), 1, translates=0)
+    with pytest.raises(AssertionError, match="kappa"):
+        inner_sum_direct(QuadField(7), sweep_sigmas(QuadField(7))[1], *classes(QuadField(7))[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +329,24 @@ def _verdicts(rep):
 
 @pytest.mark.parametrize("D", (4, 7, 8, 15))
 def test_inner_sums_residues_are_the_direct_sums_within_their_bound(D):
-    # entrywise: the residues are those of inner_sum_direct, and its value
-    # times the kernel's denominator has ||.||_1 within the kernel's bound.
-    # Both read one builder, so the float route is the independent oracle
+    # entrywise, every sigma read in one chunk: the residues are those of
+    # inner_sum_direct, and its value times the kernel's denominator has
+    # ||.||_1 within the kernel's bound.  Both read one builder, so the
+    # float route is the independent oracle
     f = QuadField(D)
     ring = ResidueRing(D if f.e == 0 else 2 * D, D)
     reps = list({u.dnorm % D: u for u in classes(f)}.values())
     rng = random.Random(D)
-    for sigma in [t for s in sweep_sigmas(f) for t in (s, s * random_gamma0(f, rng))]:
-        A, bound, den = criterion.inner_sums_residues(ring, f, sigma, reps)
+    sigmas = [t for s in sweep_sigmas(f) for t in (s, s * random_gamma0(f, rng))]
+    A, bounds, dens = criterion.inner_sums_residues(ring, f, sigmas, reps)
+    assert A.shape[:3] == (len(sigmas), len(reps), len(reps))
+    for sigma, A_sigma, bound, den in zip(sigmas, A, bounds, dens):
         j_data = criterion._j_data_float(f, sigma)
         for iu, u in enumerate(reps):
             for iw, w in enumerate(reps):
                 x = inner_sum_direct(f, sigma, u, w)
                 assert abs(x.embed() - criterion._inner_sum_float(f, sigma, u, w, j_data)) < 1e-9
-                assert (ring.of(x)[0] == A[iu, iw]).all(), (sigma, u.key, w.key)
+                assert (ring.of(x)[0] == A_sigma[iu, iw]).all(), (sigma, u.key, w.key)
                 assert den % x.den == 0
                 assert den // x.den * sum(map(abs, x.coeffs.values())) <= bound
 
@@ -317,6 +371,73 @@ def test_injected_fault_gives_the_oracle_witnesses(monkeypatch, D):
     got = _verdicts(verify_criterion(f, 1, seed=0, translates=1))
     assert got == oracle and oracle[1]
     assert {w[0] for w in oracle[1]} == bases
+
+
+def _reports(field, calls):
+    out = []
+    for N, kw in calls:
+        rep = verify_criterion(field, N, **kw)
+        del rep["wall_time"]
+        out.append(rep)
+    return out
+
+
+def _kernel_calls(monkeypatch):
+    """(number of sigma, prime) of each inner_sums_residues call from now on."""
+    calls, orig = [], criterion.inner_sums_residues
+
+    def counted(ring, field, sigmas, reps):
+        calls.append((len(sigmas), ring.p))
+        return orig(ring, field, sigmas, reps)
+    monkeypatch.setattr(criterion, "inner_sums_residues", counted)
+    return calls
+
+
+@pytest.mark.parametrize("D", ALL_D)
+def test_chunk_size_does_not_change_the_report(monkeypatch, D):
+    # c01's calls at the default chunk and at one base group per chunk:
+    # the same reports, certificate included
+    f = QuadField(D)
+    calls = [(1, dict(seed=0, translates=3)),
+             (acceptance.small_coprime_level(D), dict(seed=1, translates=1))]
+    kernel = _kernel_calls(monkeypatch)
+    default = _reports(f, calls)
+    assert all(r["failures"] == [] for r in default)
+    default_chunks = len(kernel)
+    monkeypatch.setattr(criterion, "_CHUNK", 1)
+    kernel.clear()
+    assert _reports(f, calls) == default
+    assert {n for n, _ in kernel} == {4, 2}
+    # below D = 23 the default stacks several base groups in some chunk
+    assert (default_chunks < len(kernel)) == (D < 23)
+
+
+@pytest.mark.parametrize("D", (7, 8, 15))
+def test_chunk_size_does_not_change_the_witnesses(monkeypatch, D):
+    # A_u doubled at the sweep's c | D sigma: the same failures, in the same
+    # order, with the same lhs, at the default chunk and at one base group.
+    # With primes of 11 bits the bounds need one or two of them, so a chunk
+    # takes the second prime for sigma that alone would need only the first
+    f = QuadField(D)
+    bases = {s.entries() for s in sweep_sigmas(f) if _c_divides_D(D)(s)}
+    monkeypatch.setattr(criterion, "inner_sums_residues",
+                        _doubled(criterion.inner_sums_residues, lambda s: s.entries() in bases))
+    kernel = _kernel_calls(monkeypatch)
+
+    def reports():
+        with monkeypatch.context() as small:
+            small.setattr(residues, "_WORD", 2**26)
+            two = _reports(f, [(1, dict(seed=0, translates=1))])
+        return _reports(f, [(1, dict(seed=0, translates=1)), (1, dict(seed=0, translates=3))]) + two
+
+    default = reports()
+    assert all(r["failures"] for r in default)
+    assert len(default[-1]["certificate"]["primes"]) == 2
+    monkeypatch.setattr(criterion, "_CHUNK", 1)
+    kernel.clear()
+    assert reports() == default
+    first, second = default[-1]["certificate"]["primes"]
+    assert 0 < sum(p == second for _, p in kernel) < sum(p == first for _, p in kernel)
 
 
 # ---------------------------------------------------------------------------

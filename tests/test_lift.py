@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -71,6 +72,22 @@ def test_theta_decompose_support(D):
             assert gu is by_res[r]
         else:
             by_res[r] = gu
+
+
+def test_theta_decompose_components_evaluate():
+    # CycloNum coefficients are evaluated through their embedding
+    one = QExpansion.make(7, 1, 3, 1, [0, CycloNum.i()])
+    assert abs(one.eval(2j) - 1j * cmath.exp(-4 * cmath.pi)) < 1e-15
+    f = QuadField(7)
+    tau = 0.1 + 1.5j
+    comps = theta_decompose(f, 1, eisenstein_star(f, 8, 40)).values()
+    comps = list({id(g): g for g in comps}.values())  # one per D|u|^2 mod D
+    assert sum(isinstance(c, CycloNum) for gu in comps for c in gu.coeffs) > len(comps)
+    for gu in comps:
+        want = sum(complex(c.embed() if isinstance(c, CycloNum) else c)
+                   * cmath.exp(2j * cmath.pi * ell * tau / gu.denom)
+                   for ell, c in enumerate(gu.coeffs) if c is not None)
+        assert abs(gu.eval(tau) - want) <= 1e-9 * max(1, abs(want)), gu
 
 
 def test_theta_decompose_rejects_non_plus():
