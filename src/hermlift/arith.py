@@ -1,8 +1,10 @@
 """Elementary integer arithmetic used throughout the package.
 
-Factorization (trial division -- all inputs in this project stay far below
-10**7), p-adic valuations, the Kronecker symbol, CRT, Bezout and divisor
-enumeration.  Everything here is a pure function.
+Factorization by trial division (its inputs are discriminants, levels,
+cyclotomic orders and coefficient indices, all small), primality by
+deterministic Miller-Rabin (the residue primes are near 10**9), p-adic
+valuations, the Kronecker symbol, CRT, Bezout and divisor enumeration.
+Everything here is a pure function.
 """
 
 from __future__ import annotations
@@ -39,10 +41,24 @@ def prime_divisors(n: int) -> list[int]:
     return [p for p, _ in factorize(n)]
 
 
+# Miller-Rabin with the first 12 primes as bases decides every n below
+# _MR_BOUND, the least strong pseudoprime to all of them (Sorenson and Webster 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return factorize(n) == [(n, 1)]
+    if n >= _MR_BOUND:
+        raise ValueError(f"is_prime is exact only below {_MR_BOUND}")
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    for a in _MR_BASES:
+        # a prime n has x = a^d = 1 or x^(2^i) = -1 for some i < s
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
+            return False
+    return True
 
 
 def valuation(n: int, p: int) -> int:

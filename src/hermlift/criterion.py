@@ -337,6 +337,11 @@ def random_gamma0(field: QuadField, rng: random.Random) -> Mat2Z:
     return Mat2Z(x, (x * t - 1) // D, D, t)
 
 
+def _contract(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """sum_i X[s, i, a, t] Y[s, i, b, t] as [s, a, b, t]: one matmul per (s, t)."""
+    return np.matmul(X.transpose(0, 3, 2, 1), Y.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1)
+
+
 def inner_sums_residues(ring: ResidueRing, field: QuadField, sigmas: list[Mat2Z],
                         reps: list[DiffClass]) -> tuple[np.ndarray, list[int], list[int]]:
     """A_u for every sigma and pair (u, w) of `reps` as residues [sigma, u, w, t],
@@ -360,7 +365,7 @@ def inner_sums_residues(ring: ResidueRing, field: QuadField, sigmas: list[Mat2Z]
     E = pw[dn * jL % L]
     mults = [x.mult for x in reps]
     ratio = np.array([[w * pow(u, -1, p) % p for w in mults] for u in mults])
-    A = np.einsum("sjut,sjwt->suwt", E, coef) % p * ratio[:, :, None] % p
+    A = _contract(E, coef) % p * ratio[:, :, None] % p
     # terms: Gauss sum * R (norm 2 over 2) * root of unity; a_w/a_u <= max a/min a
     lcm = math.lcm(*mults)
     norms = np.array([ng for _, ng in gauss])[at].sum(axis=1) * max(mults) * (lcm // min(mults))
@@ -441,7 +446,7 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
                 Ms += [M] + [M[:, u] * (w[:, None] % p * ring.pw[k] % p) % p for u, _, k, w in (t.T for t in tables)]
                 norms += [(nM * g, ns, ds) for g in [1] + [int(abs(t[:, 3]).max()) for t in tables]]
             A, nA, dA = inner_sums_residues(ring, field, sigmas, reps)
-            done.append((ring, np.einsum("sivt,siwt->svwt", np.array(Ms), A[:, row_of]) % p))
+            done.append((ring, _contract(np.array(Ms), A[:, row_of]) % p))
             bounds.append(max(nM * na * ns + da * ds for (nM, ns, ds), na, da in zip(norms, nA, dA)))
         wrong = [((got - delta[:, :, None]) % r.p).any(axis=3) for r, got in done]
         for i, iv, iw in np.argwhere(np.logical_or.reduce(wrong)):

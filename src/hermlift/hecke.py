@@ -291,22 +291,22 @@ def beta_Tp(beta: BetaTable, p: int, field: QuadField) -> BetaTable:
     (p !| q; terms with p^{v-1} at v = 0 drop by zero extension)."""
     _check_inert(field, p, beta.N)
     k = beta.k
+    up_c, r_c, down_c = Fraction(1, p ** (2 * k - 4)), Fraction(1, p ** (k - 1)), Fraction(1, p ** (k - 3))
+    unit_c, down_unit_c = Fraction(p + 1, p ** (k - 1)), Fraction(p * p - p, p ** (k - 1))
 
     def fn(u: int, r: int):
-        v = valuation(u, p) if u else 0
-        q = u // p**v
-        pv_down = q * p ** (v - 1) if v >= 1 else 0  # 0 -> zero extension
-        pv_up = q * p ** (v + 1)
-        out = beta.value(pv_down, r) + Fraction(1, p ** (2 * k - 4)) * beta.value(pv_up, r)
+        # u = p^v q: p^{v-1} q = u/p, or 0 (zero extension) at v = 0; p^{v+1} q = u p
+        pv_down, pv_up = (0 if u % p else u // p), u * p
+        out = beta.value(pv_down, r) + up_c * beta.value(pv_up, r)
         if r % (p * p) == 0:
-            out = out + Fraction(1, p ** (k - 1)) * beta.value(pv_up, r // (p * p))
-            out = out + Fraction(1, p ** (k - 3)) * beta.value(pv_down, r * p * p)
+            out = out + r_c * beta.value(pv_up, r // (p * p))
+            out = out + down_c * beta.value(pv_down, r * p * p)
         elif r % p == 0:
-            out = out + Fraction(1, p ** (k - 1)) * beta.value(u, r)
-            out = out + Fraction(1, p ** (k - 3)) * beta.value(pv_down, r * p * p)
+            out = out + r_c * beta.value(u, r)
+            out = out + down_c * beta.value(pv_down, r * p * p)
         else:
-            out = out + Fraction(p + 1, p ** (k - 1)) * beta.value(u, r)
-            out = out + Fraction(p * p - p, p ** (k - 1)) * beta.value(pv_down, r * p * p)
+            out = out + unit_c * beta.value(u, r)
+            out = out + down_unit_c * beta.value(pv_down, r * p * p)
         return out
 
     return BetaTable(k, beta.N, fn)
@@ -319,26 +319,30 @@ def verify_beta_conditions(beta: BetaTable, window: tuple[int, int], N: int) -> 
     u_max, d_max = window
     checked = skipped = 0
     failures = []
+    pk = {p: p ** (beta.k - 1) for p in (2, 3, 5, 7) if N % p}
     for u in range(1, u_max + 1):
+        iii = u > 1 and all(N % p == 0 for p in prime_divisors(u))
+        # (ii) for each prime p with p !| N q: (p, u/p or 0, q, p^(2v))
+        ii = [(p, u // p if v else 0, u // p**v, p ** (2 * v))
+              for p in pk for v in [valuation(u, p)]]
+        if not (iii or ii):
+            continue
         for d in range(0, d_max + 1):
-            # (iii)
-            if u > 1 and all(N % p == 0 for p in prime_divisors(u)):
+            try:
+                b = beta.value(u, d)
+            except TableRangeError:
+                skipped += iii + len(ii)
+                continue
+            if iii:
                 try:
-                    if beta.value(u, d) != beta.value(1, d * u * u):
+                    if b != beta.value(1, d * u * u):
                         failures.append({"cond": "iii", "u": u, "d": d})
                     checked += 1
                 except TableRangeError:
                     skipped += 1
-            # (ii) for each prime p with p !| N q
-            for p in (2, 3, 5, 7):
-                if N % p == 0:
-                    continue
-                v = valuation(u, p)
-                q = u // p**v
+            for p, down, q, p2v in ii:
                 try:
-                    lhs = beta.value(u, d) - p ** (beta.k - 1) * beta.value(u // p if v else 0, d)
-                    rhs = beta.value(q, d * p ** (2 * v))
-                    if lhs != rhs:
+                    if b - pk[p] * beta.value(down, d) != beta.value(q, d * p2v):
                         failures.append({"cond": "ii", "u": u, "d": d, "p": p})
                     checked += 1
                 except TableRangeError:

@@ -19,6 +19,8 @@ The local factor chi_under_q(M) of the idele character is realized as
 chi_q(M / M_q) * eta_q^{val_q(M)} with eta_q = prod_{p | D, p != q} chi_p(q);
 this operational definition is fixed by requiring the subset-sum and the
 product closed form of a_{f*[l]} to agree (cross-checked on every call).
+The subset sum groups the subsets Q by M_Q: each group shares one product
+a_f(M/M_Q) conj(a_f(M_Q)), weighted by the integer sum of its signs.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache
 
 from .arith import factorize, valuation
-from .cyclotomic import CycloNum
+from .cyclotomic import CycloNum, csum
 from .quadfield import QuadField, a_D
 
 
@@ -131,6 +134,7 @@ def synthetic_eigendata(field: QuadField, weight: int, level_m: int,
 # the twists f_Q and the star map
 
 
+@cache
 def _eta(field: QuadField, q: int) -> int:
     """eta_q = prod_{p | D, p != q} chi_p(q)."""
     out = 1
@@ -146,28 +150,17 @@ def chi_under(field: QuadField, q: int, M: int) -> int:
     return field.chi_p(q, M // q**e) * _eta(field, q) ** e
 
 
-def _fQ(ed: EigenData, Q: frozenset, M: int, fac: list[tuple[int, int]]) -> CycloNum:
-    """fQ_coeff from the factorization `fac` of M."""
-    MQ = math.prod(p**e for p, e in fac if p in Q)
-    out = coeff(ed, M // MQ) * coeff(ed, MQ).conjugate()
-    for q in Q:
-        out = out * chi_under(ed.field, q, M)
-    return out
-
-
 def fQ_coeff(ed: EigenData, Q, M: int) -> CycloNum:
     """a_{f_Q}(M) = a_f(M' M'_Q) conj(a_f(M_Q)) prod_{q in Q} chi_under_q(M)
     (M' = part of M prime to D, M_Q / M'_Q = parts supported on Q / on D\\Q)."""
     Q = frozenset(Q)
     if not Q <= set(ed.field.primes):
         raise ValueError("Q must consist of prime divisors of D")
-    return _fQ(ed, Q, M, factorize(M))
-
-
-def _subsets(primes: list[int]):
-    n = len(primes)
-    for mask in range(1 << n):
-        yield frozenset(p for i, p in enumerate(primes) if mask >> i & 1)
+    MQ = math.prod(p**e for p, e in factorize(M) if p in Q)
+    out = coeff(ed, M // MQ) * coeff(ed, MQ).conjugate()
+    for q in Q:
+        out = out * chi_under(ed.field, q, M)
+    return out
 
 
 def fstar_coeff(ed: EigenData, ell: int, M: int) -> CycloNum:
@@ -176,30 +169,31 @@ def fstar_coeff(ed: EigenData, ell: int, M: int) -> CycloNum:
 
       a_f(M') a_D(ell M) prod_{q | gcd(D,M)}
           (a_f(M_q) + chi_q(-1) chi_q(ell) conj(a_f(M_q)) chi_under_q(M)).
-    """
+
+    The subsets Q with the same M_Q share a_f(M/M_Q) conj(a_f(M_Q)), which
+    takes the integer weight sum chi_Q(-ell) prod_{q in Q} chi_under_q(M)."""
     field = ed.field
     if math.gcd(ell, field.D) != 1:
         raise ValueError("ell must be coprime to D")
-    fac = factorize(M)
-    total = CycloNum.zero()
-    for Q in _subsets(field.primes):
-        chiQ = 1
-        for q in Q:
-            chiQ *= field.chi_p(q, -ell)
-        total = total + chiQ * _fQ(ed, Q, M, fac)
+    fac = dict(factorize(M))
+    under = {q: chi_under(field, q, M) for q in field.primes}
+    weight: dict[int, int] = {}  # M_Q -> its integer weight
+    for mask in range(1 << len(field.primes)):
+        MQ, sign = 1, 1
+        for i, q in enumerate(field.primes):
+            if mask >> i & 1:
+                MQ, sign = MQ * q ** fac.get(q, 0), sign * field.chi_p(q, -ell) * under[q]
+        weight[MQ] = weight.get(MQ, 0) + sign
+    total = csum(w * (coeff(ed, M // MQ) * coeff(ed, MQ).conjugate())
+                 for MQ, w in weight.items() if w)
     # closed form
-    onD = [(q, q**e) for q, e in fac if field.D % q == 0]
+    onD = [(q, q**e) for q, e in fac.items() if field.D % q == 0]
     prod = coeff(ed, M // math.prod(Mq for _, Mq in onD)) * a_D(field, ell * M)
     for q, Mq in onD:
         aq = coeff(ed, Mq)
-        prod = prod * (
-            aq
-            + field.chi_p(q, -1) * field.chi_p(q, ell) * chi_under(field, q, M) * aq.conjugate()
-        )
+        prod = prod * (aq + field.chi_p(q, -1) * field.chi_p(q, ell) * under[q] * aq.conjugate())
     if not (total - prod).is_zero():
-        raise AssertionError(
-            f"subset sum and closed form disagree at M={M}, ell={ell}"
-        )
+        raise AssertionError(f"subset sum and closed form disagree at M={M}, ell={ell}")
     return total
 
 

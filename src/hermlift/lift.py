@@ -163,14 +163,13 @@ def maass_coeff(field: QuadField, N: int, k: int, alpha: AlphaSeries,
 
 
 def beta_from_alpha(alpha: AlphaSeries, k: int, N: int) -> BetaTable:
-    """beta(u, v) = sum_{d | u, gcd(d,N)=1} d^(k-1) alpha(v (u/d)^2)."""
+    """beta(u, v) = sum_{d | u, gcd(d,N)=1} d^(k-1) alpha(v (u/d)^2); the
+    pairs (d^(k-1), (u/d)^2) are built once per u."""
+    terms: dict[int, list[tuple[int, int]]] = {}
 
     def fn(u: int, v: int):
-        out = 0
-        for d in divisors(u):
-            if math.gcd(d, N) != 1:
-                continue
-            out = out + d ** (k - 1) * alpha.value(v * (u // d) ** 2)
-        return out
+        if u not in terms:
+            terms[u] = [(d ** (k - 1), (u // d) ** 2) for d in divisors(u) if math.gcd(d, N) == 1]
+        return sum(w * alpha.value(v * s) for w, s in terms[u])
 
     return BetaTable(k, N, fn)

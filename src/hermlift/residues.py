@@ -41,7 +41,7 @@ class ResidueRing:
 
     def __init__(self, L: int, terms: int, below: int | None = None):
         k = min(math.isqrt((_WORD - 1) // terms), (below or _WORD) - 2) // L
-        while k > 0 and not (pow(2, k * L, k * L + 1) == 1 and is_prime(k * L + 1)):
+        while k > 0 and not is_prime(k * L + 1):
             k -= 1
         p = k * L + 1
         if k <= 0 or terms * (p - 1) ** 2 >= 2**63:

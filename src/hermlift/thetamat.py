@@ -243,8 +243,9 @@ def theta_matrix_closed(field: QuadField, sigma: Mat2Z) -> list[list[CycloNum]]:
 
 
 def matrices_equal(A: list[list[CycloNum]], B: list[list[CycloNum]]) -> bool:
-    return all((x - y).is_zero() for ra, rb in zip(A, B) for x, y in zip(ra, rb)
-               if x.coeffs or y.coeffs)
+    """Entrywise equality; a pair with equal order, den and coeffs skips the subtraction."""
+    return all((x.order, x.den, x.coeffs) == (y.order, y.den, y.coeffs) or (x - y).is_zero()
+               for ra, rb in zip(A, B) for x, y in zip(ra, rb) if x.coeffs or y.coeffs)
 
 
 def mat_mul(A: list[list[CycloNum]], B: list[list[CycloNum]]) -> list[list[CycloNum]]:

@@ -257,19 +257,23 @@ def test_c08_hecke_layer():
         reps = coset_reps(f, p, N)
         assert len(reps) == 1 + p + p**3 + p**4, (D, p, N)
         assert verify_reps_distinct(f, p, N, reps), (D, p, N)
+    for k, trial, f, p, betaF in c08_beta_tables():
+        rep = verify_beta_conditions(beta_Tp(betaF, p, f), (10, 24), 1)
+        assert rep["ok"], (k, trial, rep["failures"][:2])
+        assert (rep["checked"], rep["skipped"]) == (1000, 0), (k, trial)
+
+
+def c08_beta_tables():
+    """c08's 50 tables beta_F at level 1 from random rational alpha, as
+    (k, trial, field, p, beta_F), k in {8, 12}, (D, p) = (3, 2) or (4, 3)."""
     rng = random.Random(8)
     for k in (8, 12):
         for trial in range(25):
             D, p = ((3, 2), (4, 3))[trial % 2]
-            f = QuadField(D)
             alpha = AlphaSeries(
                 {ell: Fraction(rng.randint(-40, 40)) for ell in range(25000)},
                 "maass", 24999)
-            betaF = beta_from_alpha(alpha, k, 1)
-            betaG = beta_Tp(betaF, p, f)
-            rep = verify_beta_conditions(betaG, (10, 24), 1)
-            assert rep["ok"], (k, trial, rep["failures"][:2])
-            assert (rep["checked"], rep["skipped"]) == (1000, 0), (k, trial)
+            yield k, trial, QuadField(D), p, beta_from_alpha(alpha, k, 1)
 
 
 def check_twist_paths(D):

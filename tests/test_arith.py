@@ -8,6 +8,9 @@ from sympy.functions.combinatorial.numbers import jacobi_symbol
 from hermlift.arith import (bezout, component, crt, divisors, factorize,
                             inverse_mod, is_prime, is_squarefree, kronecker,
                             prime_divisors, valuation)
+from hermlift.quadfield import QuadField
+from hermlift.residues import ResidueRing
+from hermlift.thetamat import theta_order
 
 
 @given(st.integers(min_value=2, max_value=10**6))
@@ -20,9 +23,50 @@ def test_divisors_against_sympy(n):
     assert divisors(n) == sympy.divisors(n)
 
 
-@given(st.integers(min_value=2, max_value=10**6))
+# the first three primes ResidueRing(L, D) takes, by discriminant D, for
+# L = theta_order(D); verify_criterion's certificates list them
+RING_PRIMES = {
+    3: [1753413037, 1753412989, 1753412953], 4: [1518500033, 1518499849, 1518499841],
+    7: [1147877683, 1147877543, 1147877501], 8: [1073741441, 1073741329, 1073740609],
+    11: [915689699, 915689611, 915689347], 15: [784149781, 784149031, 784148941],
+    19: [696735587, 696735359, 696734789], 20: [679093721, 679093241, 679093201],
+    23: [633257299, 633256471, 633256241], 24: [619925041, 619924321, 619924177],
+}
+
+
+def _ring_candidates(D):
+    """Every k L + 1 that ResidueRing(L, D) tests down to its third prime."""
+    L = theta_order(QuadField(D))
+    top = math.isqrt((2**63 - 1) // D) // L * L + 1
+    return range(top, RING_PRIMES[D][-1] - 1, -L)
+
+
+@given(st.integers(min_value=2, max_value=10**6)
+       | st.sampled_from([n for D in RING_PRIMES for n in _ring_candidates(D)]))
 def test_is_prime_against_sympy(n):
     assert is_prime(n) == sympy.isprime(n)
+
+
+@pytest.mark.parametrize("D", sorted(RING_PRIMES))
+def test_ring_primes_are_the_largest_below_the_guard(D):
+    L = theta_order(QuadField(D))
+    rings = [ResidueRing(L, D)]
+    for _ in range(2):
+        rings.append(ResidueRing(L, D, below=rings[-1].p))
+    assert [r.p for r in rings] == RING_PRIMES[D]
+    assert [n for n in _ring_candidates(D) if sympy.isprime(n)] == RING_PRIMES[D]
+    assert all(is_prime(n) == sympy.isprime(n) for n in _ring_candidates(D))
+
+
+def test_is_prime_refuses_inputs_beyond_its_bases():
+    # 3825123056546413051 is a strong pseudoprime to every base up to 31,
+    # not to 37; the bound is the least one to all twelve bases, and the
+    # numbers just below it are still decided
+    assert not is_prime(3825123056546413051)
+    assert [is_prime(318665857834031151167461 - i) for i in (1, 2)] == [False, False]
+    assert is_prime(2**61 - 1) and not is_prime(2**67 - 1)
+    with pytest.raises(ValueError):
+        is_prime(318665857834031151167461)
 
 
 @given(st.integers(min_value=1, max_value=10**5))

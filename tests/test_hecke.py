@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import tests.test_acceptance as acceptance
+from hermlift.arith import prime_divisors, valuation
 from hermlift.cyclotomic import CycloNum, root_of_unity
 from hermlift.hecke import (BetaTable, TableRangeError, UnitaryMat4, _check_unitary,
                             _same_coset, beta_Tp, coset_key, coset_reps,
@@ -295,3 +297,115 @@ def test_verify_beta_conditions_locates_a_cyclotomic_fault():
     assert (moved["checked"], moved["skipped"]) == (one["checked"], one["skipped"])
     for w in moved["failures"]:
         assert (4, 5) in _beta_args(w), w
+
+
+def _identity_holds(beta, w):
+    """The identity of the failure witness w, evaluated again on beta."""
+    b = [beta.value(u, d) for u, d in _beta_args(w)]
+    if w["cond"] == "iii":
+        return b[0] == b[1]
+    return b[0] - w["p"] ** (beta.k - 1) * b[1] == b[2]
+
+
+def _beta_Tp_variant(beta, p, fault=None):
+    """beta_Tp's recursion written out term by term, optionally with one of
+    two faults: "drop" leaves out the p^(4-2k) term, "p" writes p for p + 1
+    in the p !| r branch."""
+    k = beta.k
+
+    def fn(u, r):
+        v = next(v for v in itertools.count() if u % p ** (v + 1))
+        q = u // p**v
+        down, up = (q * p ** (v - 1) if v else 0), q * p ** (v + 1)
+        out = beta.value(down, r)
+        if fault != "drop":
+            out = out + Fraction(1, p ** (2 * k - 4)) * beta.value(up, r)
+        if r % (p * p) == 0:
+            out = out + Fraction(1, p ** (k - 1)) * beta.value(up, r // (p * p))
+            out = out + Fraction(1, p ** (k - 3)) * beta.value(down, r * p * p)
+        elif r % p == 0:
+            out = out + Fraction(1, p ** (k - 1)) * beta.value(u, r)
+            out = out + Fraction(1, p ** (k - 3)) * beta.value(down, r * p * p)
+        else:
+            out = out + Fraction(p if fault == "p" else p + 1, p ** (k - 1)) * beta.value(u, r)
+            out = out + Fraction(p * p - p, p ** (k - 1)) * beta.value(down, r * p * p)
+        return out
+
+    return BetaTable(k, beta.N, fn)
+
+
+def test_c08_locates_a_faulty_beta_Tp():
+    # on every c08 table, the variant without a fault is beta_Tp on the
+    # window; with either fault verify_beta_conditions FAILs, and the
+    # identity of each witness does not hold on the faulty table
+    for k, trial, f, p, betaF in acceptance.c08_beta_tables():
+        plain, real = _beta_Tp_variant(betaF, p), beta_Tp(betaF, p, f)
+        assert all(plain.value(u, d) == real.value(u, d) for u in range(1, 11) for d in range(25))
+        for fault in ("drop", "p"):
+            betaG = _beta_Tp_variant(betaF, p, fault)
+            rep = verify_beta_conditions(betaG, (10, 24), 1)
+            assert (rep["checked"], rep["skipped"]) == (1000, 0), (fault, k, trial)
+            assert rep["failures"], (fault, k, trial)
+            for w in rep["failures"][:5]:
+                assert 1 <= w["u"] <= 10 and 0 <= w["d"] <= 24, w
+                assert not _identity_holds(betaG, w), (fault, k, trial, w)
+
+
+def _verify_beta_conditions_reference(beta, window, N):
+    """verify_beta_conditions as it read before its per-u quantities were
+    hoisted out of the d loop: every identity reads all of its values."""
+    u_max, d_max = window
+    checked = skipped = 0
+    failures = []
+    for u in range(1, u_max + 1):
+        for d in range(0, d_max + 1):
+            if u > 1 and all(N % p == 0 for p in prime_divisors(u)):
+                try:
+                    if beta.value(u, d) != beta.value(1, d * u * u):
+                        failures.append({"cond": "iii", "u": u, "d": d})
+                    checked += 1
+                except TableRangeError:
+                    skipped += 1
+            for p in (2, 3, 5, 7):
+                if N % p == 0:
+                    continue
+                v = valuation(u, p)
+                q = u // p**v
+                try:
+                    lhs = beta.value(u, d) - p ** (beta.k - 1) * beta.value(u // p if v else 0, d)
+                    if lhs != beta.value(q, d * p ** (2 * v)):
+                        failures.append({"cond": "ii", "u": u, "d": d, "p": p})
+                    checked += 1
+                except TableRangeError:
+                    skipped += 1
+    return {"checked": checked, "skipped": skipped, "failures": failures,
+            "ok": not failures}
+
+
+def _fault_tables():
+    """The tables of the fault tests above, each with its level: beta(4, 5)
+    moved by 1, 1/2 and i, and random tables that run out of range."""
+    ramp = beta_from_alpha(AlphaSeries({ell: ell + 1 for ell in range(25000)}, "maass", 24999), 8, 1)
+    frac = beta_from_alpha(AlphaSeries({ell: Fraction(ell % 7 - 3) for ell in range(25000)},
+                                       "maass", 24999), 8, 1)
+    cyc = beta_from_alpha(AlphaSeries({ell: root_of_unity(Fraction(ell % 5, 5)) * (ell % 3 - 1)
+                                       for ell in range(25000)}, "maass", 24999), 8, 1)
+    out = []
+    for good, bumps in ((ramp, (1,)), (frac, (Fraction(1, 2), 1)), (cyc, (CycloNum.i(), 1))):
+        out.append((good, 1))
+        for b in bumps:
+            out.append((BetaTable(8, 1, lambda u, v, g=good, b=b: g.value(u, v) + (b if (u, v) == (4, 5) else 0)), 1))
+    for N, bound in ((1, 60), (1, 8), (6, 8), (6, 3)):
+        out.append((_random_beta(random.Random(N * bound), 8, N, bound), N))
+    return out
+
+
+def test_verify_beta_conditions_report_matches_the_reference():
+    # checked, skipped and the failures in their order are those of the
+    # loop that reads every value afresh
+    for beta, N in _fault_tables():
+        want = _verify_beta_conditions_reference(beta, (10, 24), N)
+        assert verify_beta_conditions(beta, (10, 24), N) == want
+        assert want["checked"] + want["skipped"] > 0
+    skips = [_verify_beta_conditions_reference(b, (10, 24), N)["skipped"] for b, N in _fault_tables()]
+    assert any(skips)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -83,6 +85,21 @@ def test_subset_sum_equals_product_form(D):
             continue
         for M in range(1, 160):
             fstar_coeff(ed, ell, M)
+
+
+@pytest.mark.parametrize("D", ALL_D)
+def test_fstar_is_the_signed_sum_of_its_twists(D):
+    # fstar_coeff groups the subsets Q by M_Q; the plain sum over every Q of
+    # chi_Q(-ell) a_{f_Q}(M) must give the same value
+    ed = _ed(D, seed=D)
+    primes = ed.field.primes
+    subsets = [Q for r in range(len(primes) + 1) for Q in itertools.combinations(primes, r)]
+    for ell in (1, next(x for x in (2, 3, 5, 7) if math.gcd(x, D) == 1)):
+        for M in range(1, 201):
+            want = CycloNum.zero()
+            for Q in subsets:
+                want = want + math.prod(ed.field.chi_p(q, -ell) for q in Q) * fQ_coeff(ed, Q, M)
+            assert (fstar_coeff(ed, ell, M) - want).is_zero(), (D, ell, M)
 
 
 @pytest.mark.parametrize("D", ALL_D)

@@ -243,3 +243,14 @@ def test_injected_prefactor_fault_is_reported(monkeypatch, fault, D):
     for sigma in sweep_sigmas(f):
         if sigma.c > 0 and D % sigma.c == 0:
             assert not matrices_equal(theta_matrix(f, sigma), theta_matrix_closed(f, sigma))
+
+
+def test_matrices_equal_compares_values():
+    # entries stored alike are equal at once; the others are compared by
+    # value, so representations of one number agree and distinct numbers do not
+    i, half = CycloNum.i(), Fraction(1, 2)
+    zero_at_4 = CycloNum(4, {1: 1, 3: 1})  # i + (-i)
+    assert matrices_equal([[i, zero_at_4]], [[CycloNum(4, {1: 1}), CycloNum.zero()]])
+    assert matrices_equal([[CycloNum(4, {0: half})]], [[CycloNum.from_rational(half)]])
+    assert not matrices_equal([[i, i]], [[i, -i]])
+    assert not matrices_equal([[CycloNum(4, {0: half})]], [[CycloNum(4, {0: half, 1: 1})]])
