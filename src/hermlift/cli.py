@@ -314,7 +314,7 @@ def cmd_theta_matrix(args) -> int:
         raise UsageError("sigma must lie in SL2(Z)")
     try:
         M = theta_matrix(field, sigma)
-    except OverflowError as e:  # the lattice sum would not fit int64
+    except OverflowError as e:  # the lattice sum is too large to build
         raise UsageError(str(e)) from e
     rep = {
         "mode": "theta-matrix", "D": args.D, "sigma": [a, b, c, d],

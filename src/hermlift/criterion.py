@@ -32,7 +32,8 @@ ints, vanishing residues prove A = delta once B is below the product of the
 primes used; a nonzero residue proves A != delta.  It takes a chunk of base
 sigma and their translates at once (the chunk size is internal), with
 M(base) as the term table and scalar of `thetamat.theta_terms`, no CycloNum
-per entry, and a translate's monomial M(g) as a column gather from it.  A
+per entry, and a translate's monomial M(g) (`thetamat.monomial_terms`, one
+call per chunk) as a column gather from it.  A
 failure's `lhs` is A's residue vector with its prime.  The float route
 (`_inner_sum_float`) is the independent oracle of both readers.
 """
@@ -54,7 +55,7 @@ from .charsums import gauss_sum
 from .cyclotomic import CycloNum, esum, ext_root, root_of_unity
 from .quadfield import DiffClass, QuadField, chi_component, classes
 from .residues import ResidueRing, certifies_zero
-from .thetamat import IDENTITY, Mat2Z, lattice_coords, theta_order, theta_terms
+from .thetamat import IDENTITY, Mat2Z, lattice_coords, monomial_terms, theta_order, theta_terms
 
 FLOAT_TOL = 1e-9  # |A - delta| below which the float route passes a verdict
 
@@ -431,20 +432,20 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
         # M(base g) = M(base) M(g) (pinned exactly by separate tests) with M(g)
         # monomial, one row (u_v, v, k_v, w_v) per column: M(base)[:, u_v] w_v e[k_v/L]
         sigmas = [s for _, group in groups for s in group]
-        parts = [(theta_terms(field, ss[0]), [theta_terms(field, g)[1] for g in gs]) for gs, ss in groups]
-        if any((t[:, 1] != np.arange(D)).any() for _, tables in parts for t in tables):
-            raise ValueError("a translate's theta matrix must be monomial")
+        tables = monomial_terms(field, [g for gs, _ in groups for g in gs])
+        tables = tables.reshape(len(groups), len(groups[0][0]), D, 4)
+        parts = [(theta_terms(field, ss[0]), np.moveaxis(t, 2, 0)) for (_, ss), t in zip(groups, tables)]
         done = []
         while not done or not certifies_zero(bounds[-1], [r.p for r, _ in done]):
             if len(done) == len(rings):  # a kernel sum has at most D terms
                 rings.append(ResidueRing(L, D, below=rings[-1].p if rings else None))
             ring = rings[len(done)]
             p, Ms, norms = ring.p, [], []
-            for (scalar, terms), tables in parts:
+            for (scalar, terms), (u, _, k, w) in parts:  # u, k, w: [translate, v]
                 (s, ns, ds), (M, nM) = ring.of(scalar * Fraction(1, D)), ring.matrix(terms, D)
                 M = M * s % p
-                Ms += [M] + [M[:, u] * (w[:, None] % p * ring.pw[k] % p) % p for u, _, k, w in (t.T for t in tables)]
-                norms += [(nM * g, ns, ds) for g in [1] + [int(abs(t[:, 3]).max()) for t in tables]]
+                Ms += [M, *np.moveaxis(M[:, u] * (w[..., None] % p * ring.pw[k] % p) % p, 1, 0)]
+                norms += [(nM * g, ns, ds) for g in [1] + np.abs(w).max(axis=1).tolist()]
             A, nA, dA = inner_sums_residues(ring, field, sigmas, reps)
             done.append((ring, _contract(np.array(Ms), A[:, row_of]) % p))
             bounds.append(max(nM * na * ns + da * ds for (nM, ns, ds), na, da in zip(norms, nA, dA)))

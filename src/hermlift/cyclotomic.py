@@ -125,11 +125,6 @@ class CycloNum:
         return _raw(1, {0: q.numerator} if q else {}, q.denominator)
 
     @staticmethod
-    def from_numerators(order: int, coeffs: dict[int, int], den: int) -> "CycloNum":
-        """sum_k coeffs[k] e[k/order] / den: nonzero ints, 0 <= k < order, den > 0."""
-        return _normal(order, coeffs, den)
-
-    @staticmethod
     def i() -> "CycloNum":
         return root_of_unity(Fraction(1, 4))
 
@@ -225,23 +220,6 @@ class CycloNum:
             for i, r in rows[k]:
                 vec[i] = vec.get(i, 0) + c * r
         return not any(vec.values())
-
-    def is_rational(self) -> bool:
-        return (self - self.rational_part()).is_zero()
-
-    def rational_part(self) -> Fraction:
-        """The coefficient of e[0] after canonical reduction; equals the value
-        itself when the number is rational."""
-        rows = _reduction_rows(self.order)
-        # constant term of the power-basis representation is only the full
-        # rational value when all other basis coefficients vanish; callers
-        # pair this with is_rational().
-        v0 = 0
-        for k, c in self.coeffs.items():
-            row = rows[k]
-            if row and row[0][0] == 0:
-                v0 += c * row[0][1]
-        return Fraction(v0, self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, CycloNum)):
@@ -341,17 +319,17 @@ def csum(terms: Iterable) -> CycloNum:
     return _normal(M, {k: c for k, c in cs.items() if c}, den)
 
 
-def esum(M: int, terms: Iterable[tuple[int, int]]) -> CycloNum:
-    """sum w e[k/M] over the integer pairs (k, w) of terms, M >= 1, with one
-    exponent histogram mod M.  The order is M/g, g = gcd(M, every k seen):
-    for nonzero weights, the representation csum gives for the same
+def esum(M: int, terms: Iterable[tuple[int, int]], den: int = 1) -> CycloNum:
+    """sum w e[k/M] / den over the integer pairs (k, w) of terms, M, den >= 1,
+    with one exponent histogram mod M.  The order is M/g, g = gcd(M, every k
+    seen): for nonzero weights, the representation csum gives for the same
     monomials."""
     cs: dict[int, int] = {}
     for k, w in terms:
         k %= M
         cs[k] = cs.get(k, 0) + w
     g = math.gcd(M, *cs)
-    return _raw(M // g, {k // g: c for k, c in cs.items() if c}, 1)
+    return _normal(M // g, {k // g: c for k, c in cs.items() if c}, den)
 
 
 def root_of_unity(r: Rat) -> CycloNum:

@@ -123,9 +123,6 @@ class AlgInt:
         t, n = self.field.omega_trace, self.field.omega_norm
         return self.a * self.a + t * self.a * self.b + n * self.b * self.b
 
-    def trace(self) -> int:
-        return 2 * self.a + self.field.omega_trace * self.b
-
 
 @dataclass(frozen=True)
 class DiffClass:
@@ -153,10 +150,6 @@ class DiffClass:
             return class_from_key(self.field, ((t * x) % D,))
         x1, x2 = self.key
         return class_from_key(self.field, ((t * x1) % 2, (t * x2) % (D // 2)))
-
-    def norm_frac(self) -> Fraction:
-        """|u|^2 of the canonical representative, as an exact rational."""
-        return Fraction(self.dnorm, self.field.D)
 
     def __repr__(self):
         return f"DiffClass({self.key})"

@@ -6,25 +6,19 @@ The defining exponential sum (valid for every sigma in SL2(Z)) is
                   e[(a|gamma|^2 - gamma*conj(v) - conj(gamma)*v + d|v|^2)/c]
 
 for c != 0, and sign(a)*delta_{u,av}*e[ab|u|^2] for c = 0.  For c | D, c > 0
-there are closed forms (one for odd D, a two-factor one for even D) which are
-much cheaper; both are implemented and cross-checked exactly in the tests.
+there are cheaper closed forms (one for odd D, a two-factor one for even D).
 
-`theta_terms` is the one builder of every matrix with c = 0 or c | D, c > 0:
-M = scalar * light, the light matrix as a term table of int64 rows
-(u, v, k, w), the entry (u, v) being the sum of w e[k/L] over its rows,
-L = D (odd D) or 2D, built with numpy over the D x D class grid.  Its
-exponents are formed over a common denominator and divided down to L
-exactly, or it raises ValueError.  Two readers: `ResidueRing.matrix` maps the
-table straight to residues on the exact criterion route, and the CycloNum
-matrices of `theta_matrix_closed(_factored)` and of `theta_matrix` at c = 0
-are one exponent histogram per nonzero entry of it.
-
-The scalar -i/sqrt(D) is represented exactly as -G(chi_K)/D in the cyclotomic
-ring (G(chi_K) = i*sqrt(D) since chi_K is odd; see charsums.i_sqrtD).
-`theta_matrix` stays the defining sum, the oracle for the closed forms.  Its
-exponents are integers over L0 = 4D^2|c|; G(chi_K)'s term chi(k) e[k/D] adds
-k L0/D to each, so the prefactor is folded into their int64 counts before any
-CycloNum exists, and only entries that stay nonzero are built.
+Every matrix is M = scalar * light, `light` an int64 term table: rows
+(u, v, k, w), the entry (u, v) being the sum of w e[k/order] over its rows.
+`_read` gives the CycloNum matrix of a table of any order, one exponent
+histogram per entry; `ResidueRing.matrix` reads an order-L table to residues.
+`theta_terms` covers c = 0 and c | D, c > 0 at order L = D (odd D) or 2D
+(`monomial_terms` the c in {0, D} tables of many sigma at once).
+`theta_sum_terms` is the defining sum at c != 0, order 2D|c|, assuming no
+closed form, so it is their oracle.  It is factored over the prime powers q
+of |c| (Berndt, Evans and Williams, *Gauss and Jacobi Sums*, 1998, ch. 1),
+sum q^2 terms per entry instead of c^2, with the prefactor -i/sqrt(D) =
+-G(chi_K)/D (charsums.i_sqrtD) folded into the integer weights.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import valuation
+from .arith import factorize, valuation
 from .charsums import gauss_sum, i_sqrtD
 from .cyclotomic import CycloNum, csum, esum
 from .quadfield import DiffClass, QuadField, chi_component, classes
@@ -70,12 +64,23 @@ class Mat2Z:
 
 
 IDENTITY = Mat2Z(1, 0, 0, 1)
-J = Mat2Z(0, -1, 1, 0)
-T = Mat2Z(1, 1, 0, 1)
+
+# O_K/q residues per block of one factor's sums: int64 temporaries of 0.5 MB
+_BLOCK = 2**16
+# the largest O_K/q grid of one factor (8 MB temporaries); a larger q is refused
+_GRID = 2**20
 
 
-# lattice terms per block of the defining sum: int64 temporaries of ~0.25 MB
-_BLOCK = 2**12
+def theta_order(field: QuadField) -> int:
+    """L = D (odd D) or 2D: the values of the criterion at one sigma lie in Q(zeta_L)."""
+    return field.D if field.e == 0 else 2 * field.D
+
+
+def _keys(field: QuadField) -> tuple[np.ndarray, np.ndarray, int]:
+    """The class keys (x1, x2) as columns ((0, x) at odd D); class index x1 * half + x2."""
+    half = field.D // 2 if field.e else field.D
+    X1, X2 = np.divmod(np.arange(field.D, dtype=np.int64), half)
+    return X1, X2, half
 
 
 def _gauss_fold(field: QuadField) -> np.ndarray:
@@ -84,71 +89,80 @@ def _gauss_fold(field: QuadField) -> np.ndarray:
     return np.array(chi_component(field, field.D).table)[(k - k[:, None]) % field.D]
 
 
-def theta_matrix(field: QuadField, sigma: Mat2Z) -> list[list[CycloNum]]:
-    """The D x D matrix (M_{u,v}(sigma)) from the defining sum, rows/columns
-    in canonical class order.  For c != 0 the exponents of a block of entries
-    form one integer histogram, with the prefactor -G(chi_K)/(Dc) folded in."""
+def _factor_sums(field: QuadField, A: int, q: int, p: int, s1: np.ndarray,
+                 s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{x in O_K/q} e[(A N(x) + al s1 + be s2)/q], x = al + be omega, q = p^e,
+    as counts [row, k] of e[k/q], one row per distinct (s1, s2) mod q, and the
+    row of each input pair.  Each coset k + (q/p)Z sums to 0, so its lower
+    median count is dropped: a canonical form, one term for +-p^e e[k/q]."""
+    keys, row = np.unique(s1 % q * q + s2 % q, return_inverse=True)
+    al, be = np.arange(q)[:, None], np.arange(q)
+    AN = A * ((al * al + field.omega_trace * al * be + field.omega_norm % q * be * be) % q) % q
+    counts = np.zeros((len(keys), q), dtype=np.int64)
+    per = max(1, _BLOCK // (q * q))
+    for i in range(0, len(keys), per):
+        t1, t2 = (x[:, None, None] for x in np.divmod(keys[i:i + per], q))
+        k = (AN + al * t1 + be * t2) % q + q * np.arange(len(t1))[:, None, None]
+        counts[i:i + per] = np.bincount(k.ravel(), minlength=len(t1) * q).reshape(-1, q)
+    cosets = counts.reshape(len(keys), p, q // p)
+    mid = np.partition(cosets, (p - 1) // 2, axis=1)[:, (p - 1) // 2, None]
+    return row, (cosets - mid).reshape(len(keys), q)
+
+
+def theta_sum_terms(field: QuadField, sigma: Mat2Z) -> tuple[Fraction, np.ndarray]:
+    """The defining sum of M(sigma), c != 0, as the scalar 1/(D|c|) times a
+    term table of order 2D|c|.  With |c| = prod q over coprime prime powers,
+    c_q = c/q, y = a u - v and gamma = u + sum_q c_q x_q (x_q in O_K/q), the
+    cross terms of N(gamma) are multiples of c, so the sum over gamma is
+      e[(a|u|^2 - Tr(u conj(v)) + d|v|^2)/c] prod_q sum_x e[(a c_q N(x) + Tr(conj(x) y))/q],
+    |u|^2 at the unreduced class representative, Tr(conj(x) y) =
+    al Tr(y) + be Tr(conj(omega) y) for x = al + be omega.  OverflowError,
+    before any grid is built, for a factor grid over _GRID or int64 weights."""
     if sigma.det() != 1:
         raise ValueError("sigma must have determinant 1")
     a, b, c, d = sigma.entries()
-    D = field.D
-    cls = classes(field)
     if c == 0:
-        return _read(field, theta_terms(field, sigma)[1])
-
-    # The lattice sum per entry has |c|^2 terms gamma = u + al + be*omega; scaled
-    # by t = 2D, every exponent is an integer over L0 = t^2 |c|.
-    t, cabs = 2 * D, abs(c)
-    L0 = t * t * cabs
-    # only a*nrm and d*nrm enter the exponent, which is taken mod L0
-    a, d = a % L0, d % L0
-    # gamma = u + al + be*omega in coordinates (g1, g2) along (1, i sqrt(D));
-    # odd D: omega = 1/2 + i sqrt(D)/2, even D: omega = i sqrt(D)/2
-    U1, U2 = (np.array([int(t * u.coords()[k]) for u in cls], dtype=np.int64) for k in (0, 1))
-    # |num| below and the keys, bounded in Python integers, must fit int64
-    v1, v2 = int(abs(U1).max()), int(abs(U2).max())
-    g1, g2 = v1 + 2 * t * cabs, v2 + t * cabs
-    if max(a * (g1 * g1 + D * g2 * g2) + 2 * (g1 * v1 + D * g2 * v2)
-           + d * (v1 * v1 + D * v2 * v2), D * D * L0) >= 2**63:
-        raise OverflowError(f"theta_matrix: lattice sum for c = {c} exceeds int64")
-    al, be = np.divmod(np.arange(cabs * cabs, dtype=np.int64), cabs)
-    L1, L2 = t * al + (t // 2) * be * (field.e == 0), (t // 2) * be
-    # the prefactor -i/(c sqrt(D)) = -G(chi_K)/(D c) over the denominator D|c|
-    M, fold = L0 // D, _gauss_fold(field) * (-1 if c > 0 else 1)
-    out = [[CycloNum.zero()] * D for _ in cls]
-    per = max(1, _BLOCK // (cabs * cabs))
-    for i0 in range(0, D * D, per):
-        uv = np.arange(i0, min(i0 + per, D * D))
-        u, v = np.divmod(uv, D)
-        G1, G2, V1, V2 = U1[u, None] + L1, U2[u, None] + L2, U1[v, None], U2[v, None]
-        # t^2 * (a*nrm(gamma) - (gamma*conj(v) + conj(gamma)*v) + d*nrm(v)),
-        # to be divided by t^2 * c; the exponent mod L0 is q M + r
-        num = a * (G1 * G1 + D * G2 * G2) - 2 * (G1 * V1 + D * G2 * V2) + d * (V1 * V1 + D * V2 * V2)
-        q, r = np.divmod((num if c > 0 else -num) % L0, M)
-        keys, counts = np.unique((uv[:, None] * M + r) * D + q, return_counts=True)
-        # G's term k shifts q by k: per (entry, r), counts over q convolve with W
-        ur, j = np.unique(keys // D, return_inverse=True)
-        hist = np.zeros((len(ur), D), dtype=np.int64)
-        hist[j, keys % D] = counts
-        hist = hist @ fold
-        j, q = np.nonzero(hist)
-        terms: dict[int, dict[int, int]] = {}
-        for x, y, n in zip(ur[j].tolist(), q.tolist(), hist[j, q].tolist()):
-            terms.setdefault(x // M, {})[y * M + x % M] = n
-        # one CycloNum per nonzero entry, of order L0/g, g = gcd(L0, exponents)
-        for i, cs in terms.items():
-            g = math.gcd(L0, *cs)
-            out[i // D][i % D] = CycloNum.from_numerators(
-                L0 // g, {e // g: n for e, n in cs.items()}, D * cabs)
-    return out
+        raise ValueError("the defining sum needs c != 0")
+    D, cabs = field.D, abs(c)
+    # int64 holds the weights (below D c^2) and the constant's 2 n0 (below 8 D^3 |c|)
+    if (D * cabs * (cabs + 8 * D * D) >= 2**62
+            or max(p**e for p, e in [(1, 1)] + factorize(cabs)) ** 2 > _GRID):
+        raise OverflowError(f"theta_sum_terms: the lattice sum for c = {c} is too large")
+    factors = factorize(cabs)
+    R, O = 2 * cabs, 2 * D * cabs
+    a, d = a % (D * cabs), d % (D * cabs)
+    X1, X2, _ = _keys(field)
+    # D|u|^2 = D x1^2/4 + x2^2 and D Tr(u conj(v)) = D x1 y1/2 + 2 x2 y2 (x1 = 0 at odd D)
+    DN = D // 4 * X1 * X1 + X2 * X2
+    x1, x2, y1, y2 = X1[:, None], X2[:, None], X1[None, :], X2[None, :]
+    n0 = (a * DN[:, None] - (D // 2 * x1 * y1 + 2 * x2 * y2) + d * DN[None, :]).ravel()
+    # rows (entry u D + v, exponent over O, weight); the constant is e[n0/(D c)]
+    ent, K, W = np.arange(D * D), 2 * (n0 if c > 0 else -n0) % O, np.ones(D * D, dtype=np.int64)
+    s1, s2 = (a * x1 - y1).ravel(), (a * x2 - y2).ravel()
+    for p, e in factors:
+        q = p**e
+        row, counts = _factor_sums(field, a * (c // q) % q, q, p, s1, s2)
+        # each row of an entry times each nonzero count of its factor
+        j, k = np.nonzero(counts[row[ent]])
+        ent, K, W = ent[j], (K[j] + k * (O // q)) % O, W[j] * counts[row[ent[j]], k]
+    # exponent K = Q R + r: G(chi_K)'s term k moves Q by k, so counts over Q fold with W
+    Q, r = np.divmod(K, R)
+    keys, at = np.unique(ent * R + r, return_inverse=True)
+    hist = np.zeros((len(keys), D), dtype=np.int64)
+    np.add.at(hist, (at, Q), W)
+    hist = hist @ (_gauss_fold(field) * (-1 if c > 0 else 1))
+    i, Q = np.nonzero(hist)
+    u, v = np.divmod(keys[i] // R, D)
+    return Fraction(1, D * cabs), np.stack([u, v, Q * R + keys[i] % R, hist[i, Q]], axis=1)
 
 
-def theta_order(field: QuadField) -> int:
-    """L = D (odd D) or 2D: the values of the criterion at one sigma lie in Q(zeta_L)."""
-    return field.D if field.e == 0 else 2 * field.D
-
-
-_ONE = CycloNum.from_rational(1)
+def theta_matrix(field: QuadField, sigma: Mat2Z) -> list[list[CycloNum]]:
+    """The D x D matrix (M_{u,v}(sigma)) from the defining sum, rows/columns
+    in canonical class order: `_read` of `theta_sum_terms`, or of `theta_terms` at c = 0."""
+    if sigma.c == 0:
+        return _read(theta_order(field), theta_terms(field, sigma)[1], field.D)
+    scalar, terms = theta_sum_terms(field, sigma)
+    return _read(2 * field.D * abs(sigma.c), terms, field.D, scalar.denominator)
 
 
 def _exact(L: int, num: np.ndarray, Q: int) -> np.ndarray:
@@ -156,6 +170,26 @@ def _exact(L: int, num: np.ndarray, Q: int) -> np.ndarray:
     if (num % (Q // L)).any():
         raise ValueError("theta entry outside Q(zeta_L)")
     return num // (Q // L) % L
+
+
+def monomial_terms(field: QuadField, sigmas: list[Mat2Z]) -> np.ndarray:
+    """The term tables [sigma, v, (u, v, k, w)] of M(sigma) for each sigma of
+    det 1 with c in {0, D}: M_{u,v} = w delta_{u, t v} e[ab|u|^2], with
+    (t, w) = (a, sign a) at c = 0 and (d, chi(d)) at c = D; order L."""
+    D, L = field.D, theta_order(field)
+    rows = []
+    for s in sigmas:
+        a, b, c, d = s.entries()
+        if s.det() != 1 or c not in (0, D):
+            raise ValueError("monomial tables need det 1 and c in {0, D}")
+        t, w = (a, 1 if a > 0 else -1) if c == 0 else (d, field.chi(d))
+        rows.append((t % D, w, a * b % D))
+    t, w, ab = np.array(rows, dtype=np.int64).reshape(-1, 3).T[..., None]
+    X1, X2, half = _keys(field)
+    u = t % 2 * X1 * half + t % half * X2 % half
+    dn = np.array([x.dnorm for x in classes(field)], dtype=np.int64)
+    v = np.broadcast_to(np.arange(D), u.shape)
+    return np.stack([u, v, ab * dn[u] % D * (L // D), np.broadcast_to(w, u.shape)], axis=2)
 
 
 def theta_terms(field: QuadField, sigma: Mat2Z) -> tuple[CycloNum, np.ndarray]:
@@ -170,16 +204,9 @@ def theta_terms(field: QuadField, sigma: Mat2Z) -> tuple[CycloNum, np.ndarray]:
     D, L = field.D, theta_order(field)
     if c < 0 or (c and D % c):
         raise ValueError("term tables need c = 0 or c | D with c > 0")
-    # the class keys (x1, x2) as columns, (0, x) at odd D; class index x1 * half + x2
-    half = D // 2 if field.e else D
-    X1, X2 = np.divmod(np.arange(D, dtype=np.int64), half)
     if c in (0, D):
-        # M_{u,v} = w delta_{u, t v} e[ab|u|^2], (t, w) = (a, sign a) or (d, chi(d))
-        t, w = (a, 1 if a > 0 else -1) if c == 0 else (d, field.chi(d))
-        u = t % 2 * X1 * half + t % half * X2 % half
-        dn = np.array([x.dnorm for x in classes(field)], dtype=np.int64)
-        k = a * b % D * dn[u] % D * (L // D)
-        return _ONE, np.stack([u, np.arange(D), k, np.full(D, w)], axis=1)
+        return CycloNum.from_rational(1), monomial_terms(field, [sigma])[0]
+    X1, X2, _ = _keys(field)
     # exponents over Q, each fraction n/m (m | Q) entering as (Q/m)(n mod m)
     Q = D * c if field.e == 0 else 8 * D * c
     if Q * Q * D >= 2**60:
@@ -215,15 +242,14 @@ def theta_terms(field: QuadField, sigma: Mat2Z) -> tuple[CycloNum, np.ndarray]:
                              np.ones(len(k), dtype=np.int64)], axis=1)
 
 
-def _read(field: QuadField, terms: np.ndarray) -> list[list[CycloNum]]:
-    """The CycloNum matrix of a term table: one exponent histogram per entry."""
-    L, D = theta_order(field), field.D
+def _read(order: int, terms: np.ndarray, D: int, den: int = 1) -> list[list[CycloNum]]:
+    """The CycloNum matrix of a term table of `order`, over `den`: one exponent histogram per entry."""
     out = [[CycloNum.zero()] * D for _ in range(D)]
     entries: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for u, v, k, w in terms.tolist():
         entries.setdefault((u, v), []).append((k, w))
     for (u, v), ks in entries.items():
-        out[u][v] = esum(L, ks)
+        out[u][v] = esum(order, ks, den)
     return out
 
 
@@ -233,7 +259,7 @@ def theta_matrix_closed_factored(field: QuadField, sigma: Mat2Z) -> tuple[CycloN
     if sigma.c <= 0 or field.D % sigma.c != 0:
         raise ValueError("closed form requires c | D with c > 0")
     scalar, terms = theta_terms(field, sigma)
-    return scalar, _read(field, terms)
+    return scalar, _read(theta_order(field), terms, field.D)
 
 
 def theta_matrix_closed(field: QuadField, sigma: Mat2Z) -> list[list[CycloNum]]:

@@ -74,13 +74,6 @@ def test_division():
         a / (1 + root_of_unity(Fraction(1, 5)))
 
 
-def test_rational_part():
-    z = root_of_unity(Fraction(1, 4))
-    x = Fraction(3, 2) + z - z  # stays rational
-    assert x.is_rational() and x.rational_part() == Fraction(3, 2)
-    assert not (1 + root_of_unity(Fraction(1, 3))).is_rational()
-
-
 def test_ext_root_inverts_denominator():
     # ext_root(r, M) = e[s/M] with den(r)*s = num(r) mod M
     assert (ext_root(3, 8) - root_of_unity(Fraction(3, 8))).is_zero()
@@ -173,22 +166,6 @@ def test_csum_edge_cases():
     assert x.order == 12 and x.coeffs == {} and x.den == 1
 
 
-@given(fracs, st.sampled_from([2, 3, 4, 5, 6, 8, 12, 15]))
-def test_rational_part_of_a_non_monomial_rational(q, M):
-    # -q * sum_{k=1}^{M-1} e[k/M] = q, stored with no e[0] term at all
-    x = csum(root_of_unity(Fraction(k, M)) * -q for k in range(1, M))
-    assert 0 not in x.coeffs or q == 0
-    assert x.is_rational() and x.rational_part() == q
-
-
-def test_rational_part_non_integral():
-    x = ((Fraction(-7, 6) + root_of_unity(Fraction(1, 3)) + root_of_unity(Fraction(2, 3)))
-         * Fraction(5, 4))
-    assert x.den > 1
-    assert x.is_rational() and x.rational_part() == Fraction(-65, 24)
-    assert type(x.rational_part()) is Fraction
-
-
 def rep(x):
     return x.order, x.coeffs, x.den
 
@@ -211,6 +188,10 @@ def test_esum_equals_the_csum_of_its_monomials(M, terms):
     s = esum(M, terms)
     assert_canonical(s)
     assert rep(s) == rep(csum(w * root_of_unity(Fraction(k, M)) for k, w in terms))
+    # a denominator divides the sum, in lowest terms
+    scaled = esum(M, terms, 6)
+    assert_canonical(scaled)
+    assert rep(scaled) == rep(s * Fraction(1, 6))
 
 
 def test_esum_edge_cases():

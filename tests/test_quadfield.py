@@ -58,8 +58,6 @@ def test_classes_group_structure(D):
         assert class_from_key(f, u.key) is u or class_from_key(f, u.key).key == u.key
         # dnorm = D*|u|^2 mod D as an integer, mult = a_D(-dnorm)
         assert u.dnorm % 1 == 0
-        nf = u.norm_frac()
-        assert (D * nf - u.dnorm) % D == 0
         assert u.mult == a_D(f, -u.dnorm) >= 1
 
 
@@ -87,14 +85,13 @@ def test_algint_arithmetic():
     x = AlgInt(f, 2, 3)   # 2 + 3*omega
     y = AlgInt(f, -1, 1)
     assert (x + y).a == 1 and (x + y).b == 4
-    # norm and trace agree with the complex embedding
+    # the norm agrees with the complex embedding
     import cmath
 
     om = complex(Fraction(f.omega_trace, 2), math.sqrt(7) / 2)
     for z in (x, y, x * y, x.conj()):
         zc = z.a + z.b * om
         assert abs(z.norm() - abs(zc) ** 2) < 1e-9
-        assert abs(z.trace() - 2 * zc.real) < 1e-9
     assert ((x * y) - (y * x)).a == 0
     assert (x * x.conj()).a == x.norm()
     assert (x * x.conj()).b == 0

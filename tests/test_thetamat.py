@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from hermlift import thetamat
-from hermlift.arith import bezout
+from hermlift.arith import bezout, valuation
 from hermlift.charsums import i_sqrtD
+from hermlift.cli import run_mode
 from hermlift.criterion import random_gamma0, sweep_sigmas
 from hermlift.cyclotomic import CycloNum
 from hermlift.quadfield import QuadField, classes
@@ -137,21 +138,26 @@ def test_defining_sum_exact_for_large_entries(a):
     assert matrices_equal(theta_matrix(f, sigma), theta_matrix_closed(f, sigma))
 
 
-def test_defining_sum_refuses_int64_overflow():
-    # a lattice too large for int64 is refused before any grid is built;
-    # a = 35c + 1 stays large after reduction mod (2D)^2 c
+def test_defining_sum_refuses_an_oversized_grid(monkeypatch):
+    # the factor 5^6 of c = 10^6 needs a 5^12-residue grid: refused before
+    # any factor sum is taken
+    def unreached(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(thetamat, "_factor_sums", unreached)
     c = 10**6
     with pytest.raises(OverflowError):
         theta_matrix(QuadField(3), Mat2Z(35 * c + 1, 35, c, 1))
 
 
 # ---------------------------------------------------------------------------
-# the block histogram against the per-entry defining sum it replaced
+# the factored defining sum against the unfactored sum, entry by entry
 
 
-def _theta_matrix_per_entry(field, sigma):
-    """M(sigma) for c != 0 entry by entry: one histogram of the |c|^2
-    exponents per (u, v), times the prefactor -G(chi_K)/(D c) as a CycloNum."""
+def _theta_matrix_per_entry(field, sigma, rows):
+    """The rows `rows` of M(sigma), c != 0, entry by entry: one histogram of
+    the |c|^2 lattice exponents per (u, v), times the prefactor
+    -G(chi_K)/(D c) as a CycloNum; the other rows are left None."""
     a, b, c, d = sigma.entries()
     D = field.D
     cls = classes(field)
@@ -164,8 +170,8 @@ def _theta_matrix_per_entry(field, sigma):
     U2 = [int(t * u.coords()[1]) for u in cls]
     al = np.repeat(np.arange(cabs, dtype=np.int64), cabs)
     be = np.tile(np.arange(cabs, dtype=np.int64), cabs)
-    out = []
-    for ui in range(D):
+    out = [None] * D
+    for ui in rows:
         G1 = U1[ui] + t * al + ((t // 2) * be if field.e == 0 else 0)
         G2 = U2[ui] + (t // 2) * be
         NG = a * (G1 * G1 + D * G2 * G2)
@@ -178,7 +184,7 @@ def _theta_matrix_per_entry(field, sigma):
             g = math.gcd(L0, *keys.tolist())
             acc = CycloNum(L0 // g, {int(k) // g: int(m) for k, m in zip(keys, counts)})
             row.append(pref * acc)
-        out.append(row)
+        out[ui] = row
     return out
 
 
@@ -188,24 +194,100 @@ def _with_c(c, d):
     return Mat2Z(g * x, g * y, c, d)
 
 
+def _least_d(c):
+    return next(x for x in range(5, 5 + abs(c) + 2) if math.gcd(x, c) == 1)
+
+
+# c with several prime powers, and large 2-powers, also at odd D where the
+# norm form is not diagonal mod 2^e
+SEVERAL_PRIME_POWERS = {15: (30, -30, 960), 7: (96, 448), 24: (-80,), 20: (2**7,)}
+
+
 @pytest.mark.parametrize("D", (3, 4, 7, 8, 15, 20, 24))
 def test_block_histogram_equals_per_entry_sum(D):
     f = QuadField(D)
-    for c in (1, -1, 2, -2, 3, D, -D, -2 * D, 4 * D):
-        d = next(x for x in range(5, 5 + abs(c) + 2) if math.gcd(x, c) == 1)
-        sigma = _with_c(c, d)
-        assert matrices_equal(theta_matrix(f, sigma),
-                              _theta_matrix_per_entry(f, sigma)), (D, sigma.entries())
+    for c in (1, -1, 2, -2, 3, D, -D, -2 * D, 4 * D) + SEVERAL_PRIME_POWERS.get(D, ()):
+        sigma = _with_c(c, _least_d(c))
+        # a full unfactored matrix at c = 960 takes seconds: two rows stand for it
+        rows = (1, D - 1) if abs(c) > 500 else range(D)
+        got, want = theta_matrix(f, sigma), _theta_matrix_per_entry(f, sigma, rows)
+        assert matrices_equal([got[u] for u in rows], [want[u] for u in rows]), (D, sigma.entries())
+
+
+# the pairs of verify --D 24 --mode theta at seed 0 whose product has the
+# largest |c|: 624 = 2^4 3 13, 768 = 2^8 3 and 864 = 2^5 3^3
+VERIFY_24_PAIRS = [(Mat2Z(7, 9, 24, 31), Mat2Z(-5, -9, 24, 43)),
+                   (Mat2Z(19, 34, 24, 43), Mat2Z(-11, -17, 24, 37)),
+                   (Mat2Z(-7, -5, 24, 17), Mat2Z(19, 34, 24, 43))]
+
+
+def test_homomorphism_at_large_c():
+    f = QuadField(24)
+    assert sorted((g1 * g2).c for g1, g2 in VERIFY_24_PAIRS) == [624, 768, 864]
+    for g1, g2 in VERIFY_24_PAIRS:
+        assert matrices_equal(theta_matrix(f, g1 * g2),
+                              mat_mul(theta_matrix(f, g1), theta_matrix(f, g2))), (g1, g2)
 
 
 @pytest.mark.parametrize("block", (1, 2**30))
 def test_blocks_do_not_change_the_sum(monkeypatch, block):
-    # one entry per block, and the whole matrix in one block
+    # one distinct (Tr y, Tr(conj(omega) y)) per block, and all in one block
     f = QuadField(15)
     sigma = _with_c(30, 7)
     whole = theta_matrix(f, sigma)
     monkeypatch.setattr(thetamat, "_BLOCK", block)
     assert matrices_equal(theta_matrix(f, sigma), whole)
+
+
+# ---------------------------------------------------------------------------
+# injected faults are located
+
+
+def _shift_factor(monkeypatch, P):
+    """The factor sum over O_K/P^e times e[1/P^e]: its counts move up one exponent."""
+    factor_sums = thetamat._factor_sums
+
+    def shifted(field, A, q, p, s1, s2):
+        row, counts = factor_sums(field, A, q, p, s1, s2)
+        return row, np.roll(counts, 1, axis=1) if p == P else counts
+
+    monkeypatch.setattr(thetamat, "_factor_sums", shifted)
+
+
+def _shift_of(c, P):
+    """The fault's factor e[shift] on M(sigma) for the lower-left entry c."""
+    e = valuation(c, P) if c else 0
+    return Fraction(1, P**e) if e else Fraction(0)
+
+
+@pytest.mark.parametrize("D,P", [(15, 5), (7, 3), (20, 2)])
+def test_a_shifted_factor_is_located(monkeypatch, D, P):
+    # M(sigma) turns into e[1/P^e] M(sigma) where P^e || c: the closed form
+    # fails exactly at the sweep sigma with P | c, and c03's homomorphism
+    # exactly at the pairs where the shifts of the two sides differ
+    f = QuadField(D)
+    rng = random.Random(D)
+    pairs = [random_pair(f, rng) for _ in range(20)]
+    _shift_factor(monkeypatch, P)
+    got = [not matrices_equal(theta_matrix(f, g1 * g2),
+                              mat_mul(theta_matrix(f, g1), theta_matrix(f, g2))) for g1, g2 in pairs]
+    want = [(_shift_of(g1.c, P) + _shift_of(g2.c, P) - _shift_of((g1 * g2).c, P)) % 1 != 0
+            for g1, g2 in pairs]
+    assert got == want and any(got)
+    sweep = [s for s in sweep_sigmas(f) if s.c > 0 and D % s.c == 0]
+    got = [not matrices_equal(theta_matrix(f, s), theta_matrix_closed(f, s)) for s in sweep]
+    assert got == [s.c % P == 0 for s in sweep] and not all(got)
+
+
+def test_verify_locates_a_shifted_factor_at_13(monkeypatch):
+    # 13 divides only the 624 pair of verify --D 24 --mode theta at seed 0
+    # and no c of the closed-form sweep: that pair is the one failure
+    _shift_factor(monkeypatch, 13)
+    rep = run_mode("theta", 24, 1, seed=0)
+    g1, g2 = VERIFY_24_PAIRS[0]
+    assert rep["checked"] == 110
+    assert rep["failures"] == [{"check": "homomorphism", "g1": list(g1.entries()),
+                                "g2": list(g2.entries())}]
 
 
 def _dropped_shift(W):
