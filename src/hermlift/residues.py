@@ -76,7 +76,9 @@ class ResidueRing:
         u, v, k, w = terms.T
         out = np.zeros((n, n, len(self.units)), dtype=np.int64)
         np.add.at(out, (u, v), w[:, None] % p * self.pw[k] % p)
-        return out % p, int(np.bincount(v, np.abs(w), n).max())
+        cols = np.zeros(n, dtype=np.int64)
+        np.add.at(cols, v, np.abs(w))
+        return out % p, int(cols.max())
 
     def gauss(self, psi, b: int) -> tuple[np.ndarray, int]:
         """(residues, ||numerators||_1) of sum_{a mod m} psi(a) e[ab/m] = G(psi; b)."""

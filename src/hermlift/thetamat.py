@@ -10,15 +10,19 @@ there are cheaper closed forms (one for odd D, a two-factor one for even D).
 
 Every matrix is M = scalar * light, `light` an int64 term table: rows
 (u, v, k, w), the entry (u, v) being the sum of w e[k/order] over its rows.
-`_read` gives the CycloNum matrix of a table of any order, one exponent
-histogram per entry; `ResidueRing.matrix` reads an order-L table to residues.
-`theta_terms` covers c = 0 and c | D, c > 0 at order L = D (odd D) or 2D
-(`monomial_terms` the c in {0, D} tables of many sigma at once).
+`_read` gives the CycloNum matrix of a table of any order in one pass: the
+rows sorted by (entry, exponent) and merged in numpy, and each entry's
+CycloNum built from its slice.  `ResidueRing.matrix` reads an order-L table
+to residues.  `theta_terms` covers c = 0 and c | D, c > 0 at order L = D (odd
+D) or 2D (`monomial_terms` the c in {0, D} tables of many sigma at once);
+`theta_matrix_closed` folds its scalar into the table, one row per light row
+and scalar term, so no entry is multiplied by the scalar.
 `theta_sum_terms` is the defining sum at c != 0, order 2D|c|, assuming no
 closed form, so it is their oracle.  It is factored over the prime powers q
 of |c| (Berndt, Evans and Williams, *Gauss and Jacobi Sums*, 1998, ch. 1),
 sum q^2 terms per entry instead of c^2, with the prefactor -i/sqrt(D) =
--G(chi_K)/D (charsums.i_sqrtD) folded into the integer weights.
+-G(chi_K)/D (charsums.i_sqrtD) folded into the integer weights.  A factor's
+sums depend on (D, A, a mod q, q) only and are kept, up to _SUMS bytes.
 """
 
 from __future__ import annotations
@@ -27,12 +31,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from .arith import factorize, valuation
 from .charsums import gauss_sum, i_sqrtD
-from .cyclotomic import CycloNum, csum, esum
+from .cyclotomic import CycloNum, _raw, csum
 from .quadfield import DiffClass, QuadField, chi_component, classes
 
 
@@ -69,6 +74,9 @@ IDENTITY = Mat2Z(1, 0, 0, 1)
 _BLOCK = 2**16
 # the largest O_K/q grid of one factor (8 MB temporaries); a larger q is refused
 _GRID = 2**20
+# bytes of factor sums kept by _factor_sums (the oldest go first)
+_SUMS = 2**23
+_sums: dict[tuple[int, int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def theta_order(field: QuadField) -> int:
@@ -89,12 +97,18 @@ def _gauss_fold(field: QuadField) -> np.ndarray:
     return np.array(chi_component(field, field.D).table)[(k - k[:, None]) % field.D]
 
 
-def _factor_sums(field: QuadField, A: int, q: int, p: int, s1: np.ndarray,
-                 s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _factor_sums(field: QuadField, A: int, a: int, q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """sum_{x in O_K/q} e[(A N(x) + al s1 + be s2)/q], x = al + be omega, q = p^e,
-    as counts [row, k] of e[k/q], one row per distinct (s1, s2) mod q, and the
-    row of each input pair.  Each coset k + (q/p)Z sums to 0, so its lower
-    median count is dropped: a canonical form, one term for +-p^e e[k/q]."""
+    for the D^2 pairs (s1, s2) = (a x1 - y1, a x2 - y2) of class keys (entry
+    u D + v), as counts [row, k] of e[k/q], one row per distinct (s1, s2) mod
+    q, and the row of each pair.  Each coset k + (q/p)Z sums to 0, so its lower
+    median count is dropped: a canonical form, one term for +-p^e e[k/q].
+    Kept by (D, A, a mod q, q), read-only, up to _SUMS bytes in all."""
+    key = (field.D, A, a % q, q)
+    if key in _sums:
+        return _sums[key]
+    X1, X2, _ = _keys(field)
+    s1, s2 = ((a % q * x[:, None] - x[None, :]).ravel() for x in (X1, X2))
     keys, row = np.unique(s1 % q * q + s2 % q, return_inverse=True)
     al, be = np.arange(q)[:, None], np.arange(q)
     AN = A * ((al * al + field.omega_trace * al * be + field.omega_norm % q * be * be) % q) % q
@@ -106,7 +120,14 @@ def _factor_sums(field: QuadField, A: int, q: int, p: int, s1: np.ndarray,
         counts[i:i + per] = np.bincount(k.ravel(), minlength=len(t1) * q).reshape(-1, q)
     cosets = counts.reshape(len(keys), p, q // p)
     mid = np.partition(cosets, (p - 1) // 2, axis=1)[:, (p - 1) // 2, None]
-    return row, (cosets - mid).reshape(len(keys), q)
+    out = _sums[key] = row, (cosets - mid).reshape(len(keys), q)
+    for x in out:
+        x.flags.writeable = False
+    size = sum(r.nbytes + c.nbytes for r, c in _sums.values())
+    while size > _SUMS:
+        r, c = _sums.pop(next(iter(_sums)))
+        size -= r.nbytes + c.nbytes
+    return out
 
 
 def theta_sum_terms(field: QuadField, sigma: Mat2Z) -> tuple[Fraction, np.ndarray]:
@@ -138,10 +159,9 @@ def theta_sum_terms(field: QuadField, sigma: Mat2Z) -> tuple[Fraction, np.ndarra
     n0 = (a * DN[:, None] - (D // 2 * x1 * y1 + 2 * x2 * y2) + d * DN[None, :]).ravel()
     # rows (entry u D + v, exponent over O, weight); the constant is e[n0/(D c)]
     ent, K, W = np.arange(D * D), 2 * (n0 if c > 0 else -n0) % O, np.ones(D * D, dtype=np.int64)
-    s1, s2 = (a * x1 - y1).ravel(), (a * x2 - y2).ravel()
     for p, e in factors:
         q = p**e
-        row, counts = _factor_sums(field, a * (c // q) % q, q, p, s1, s2)
+        row, counts = _factor_sums(field, a * (c // q) % q, a, q, p)
         # each row of an entry times each nonzero count of its factor
         j, k = np.nonzero(counts[row[ent]])
         ent, K, W = ent[j], (K[j] + k * (O // q)) % O, W[j] * counts[row[ent[j]], k]
@@ -243,14 +263,31 @@ def theta_terms(field: QuadField, sigma: Mat2Z) -> tuple[CycloNum, np.ndarray]:
 
 
 def _read(order: int, terms: np.ndarray, D: int, den: int = 1) -> list[list[CycloNum]]:
-    """The CycloNum matrix of a term table of `order`, over `den`: one exponent histogram per entry."""
-    out = [[CycloNum.zero()] * D for _ in range(D)]
-    entries: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u, v, k, w in terms.tolist():
-        entries.setdefault((u, v), []).append((k, w))
-    for (u, v), ks in entries.items():
-        out[u][v] = esum(order, ks, den)
-    return out
+    """The CycloNum matrix of a term table of `order`, over `den`, in one pass:
+    the rows sorted by (entry, exponent mod order) and merged, then each
+    entry's exponents divided by their gcd with order (zero sums included)
+    and its weights by their gcd with den, which is what `esum` gives for the
+    entry's rows.  Entries without rows are 0."""
+    if D * D * order >= 2**63:
+        raise OverflowError(f"_read: the sort key of order {order} exceeds int64")
+    u, v, k, w = terms.T
+    key = (u * D + v) * order + k % order
+    at = np.argsort(key)
+    key = key[at]
+    first = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
+    ent, k = np.divmod(key[first], order)
+    w = np.add.reduceat(w[at], first)
+    start = np.flatnonzero(np.diff(ent, prepend=ent[:1] - 1))
+    n = np.diff(start, append=len(ent))
+    g = np.gcd(np.gcd.reduceat(k, start), order)
+    dg = np.gcd(np.gcd.reduceat(w, start), den)
+    keep = w != 0
+    pairs = zip((k // np.repeat(g, n))[keep].tolist(), (w // np.repeat(dg, n))[keep].tolist())
+    kept = np.add.reduceat(keep.astype(np.int64), start).tolist()
+    flat = [CycloNum.zero()] * (D * D)
+    for e, o, m, d in zip(ent[start].tolist(), (order // g).tolist(), kept, (den // dg).tolist()):
+        flat[e] = _raw(o, dict(islice(pairs, m)), d)
+    return [flat[i:i + D] for i in range(0, D * D, D)]
 
 
 def theta_matrix_closed_factored(field: QuadField, sigma: Mat2Z) -> tuple[CycloNum, list[list[CycloNum]]]:
@@ -263,9 +300,23 @@ def theta_matrix_closed_factored(field: QuadField, sigma: Mat2Z) -> tuple[CycloN
 
 
 def theta_matrix_closed(field: QuadField, sigma: Mat2Z) -> list[list[CycloNum]]:
-    """Closed-form M(sigma) for c | D, c > 0 (det sigma = 1)."""
-    scalar, light = theta_matrix_closed_factored(field, sigma)
-    return [[scalar * x if x.coeffs else x for x in row] for row in light]
+    """Closed-form M(sigma) for c | D, c > 0 (det sigma = 1): one table of
+    order lcm(L, scalar order), a row per light row and scalar term, read
+    once over the scalar's den.  OverflowError if the weights could leave int64."""
+    if sigma.c <= 0 or field.D % sigma.c != 0:
+        raise ValueError("closed form requires c | D with c > 0")
+    scalar, light = theta_terms(field, sigma)
+    L = theta_order(field)
+    M = math.lcm(L, scalar.order)
+    cs = list(scalar.coeffs.values())
+    if (max(map(abs, cs), default=0) * int(np.abs(light[:, 3]).max(initial=0))
+            * len(cs) * len(light) >= 2**63):
+        raise OverflowError("theta_matrix_closed: the folded weights exceed int64")
+    ks = np.array(list(scalar.coeffs), dtype=np.int64) * (M // scalar.order)
+    u, v, k, w = (x[:, None] for x in light.T)
+    terms = np.stack(np.broadcast_arrays(u, v, k * (M // L) + ks, w * np.array(cs, dtype=np.int64)),
+                     axis=2)
+    return _read(M, terms.reshape(-1, 4), field.D, scalar.den)
 
 
 def matrices_equal(A: list[list[CycloNum]], B: list[list[CycloNum]]) -> bool:
@@ -275,9 +326,19 @@ def matrices_equal(A: list[list[CycloNum]], B: list[list[CycloNum]]) -> bool:
 
 
 def mat_mul(A: list[list[CycloNum]], B: list[list[CycloNum]]) -> list[list[CycloNum]]:
+    """A B over the nonzero pattern: a lone product is returned as is, an empty sum is 0."""
     n = len(A)
-    return [[csum(A[i][k] * B[k][j] for k in range(n) if A[i][k].coeffs and B[k][j].coeffs)
-             for j in range(n)] for i in range(n)]
+    rows = [[k for k in range(n) if A[i][k].coeffs] for i in range(n)]
+    cols = [{k for k in range(n) if B[k][j].coeffs} for j in range(n)]
+    zero = CycloNum.zero()
+
+    def dot(i: int, j: int) -> CycloNum:
+        ks = [k for k in rows[i] if k in cols[j]]
+        if len(ks) == 1:
+            return A[i][ks[0]] * B[ks[0]][j]
+        return csum(A[i][k] * B[k][j] for k in ks) if ks else zero
+
+    return [[dot(i, j) for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,15 @@ def test_alpha_series_reads_integral_fractions_as_int():
 @pytest.mark.parametrize("D", ALL_D)
 @pytest.mark.parametrize("N", (1, 7))
 def test_roundtrip_alpha_and_plus_coeffs(D, N):
-    # a_l(g) -> alpha*(l) -> a_l(g), exactly, for the Eisenstein plus form
-    if math.gcd(D, N) != 1:
-        pytest.skip("level must be coprime to D")
+    # a_l(g) -> alpha*(l) -> a_l(g), exactly, for the Eisenstein plus form;
+    # a level sharing a factor with D is refused
     f = QuadField(D)
     g = eisenstein_star(f, 8, 60)
+    if math.gcd(D, N) != 1:
+        for build in (special_jacobi_alpha, theta_decompose):
+            with pytest.raises(ValueError, match="coprime"):
+                build(f, N, g)
+        return
     alpha = special_jacobi_alpha(f, N, g)
     for ell in range(60):
         c = g.coeffs[ell]

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermlift import thetamat
 from hermlift.arith import bezout, valuation
 from hermlift.charsums import i_sqrtD
 from hermlift.cli import run_mode
 from hermlift.criterion import random_gamma0, sweep_sigmas
-from hermlift.cyclotomic import CycloNum
+from hermlift.cyclotomic import CycloNum, csum, esum
 from hermlift.quadfield import QuadField, classes
 from hermlift.thetamat import (Mat2Z, mat_mul, matrices_equal, theta_eval,
                                theta_matrix, theta_matrix_closed,
@@ -236,7 +237,26 @@ def test_blocks_do_not_change_the_sum(monkeypatch, block):
     sigma = _with_c(30, 7)
     whole = theta_matrix(f, sigma)
     monkeypatch.setattr(thetamat, "_BLOCK", block)
+    # an empty factor-sum cache, so the sums are taken again in these blocks
+    monkeypatch.setattr(thetamat, "_sums", {})
     assert matrices_equal(theta_matrix(f, sigma), whole)
+
+
+def test_factor_sum_cache_is_bounded(monkeypatch):
+    # a bound of about two factors' sums (some 2 kB each at D = 15) drops
+    # the oldest, keeps none over it, and leaves the values as they are
+    f = QuadField(15)
+    sigmas = [_with_c(c, _least_d(c)) for c in (30, 45, 60, -75)]
+    whole = [theta_matrix(f, s) for s in sigmas]
+    monkeypatch.setattr(thetamat, "_sums", {})
+    monkeypatch.setattr(thetamat, "_SUMS", 4000)
+    sizes = []
+    for s, M in zip(sigmas, whole):
+        assert matrices_equal(theta_matrix(f, s), M)
+        sizes.append(sum(r.nbytes + c.nbytes for r, c in thetamat._sums.values()))
+        assert all(not x.flags.writeable for pair in thetamat._sums.values() for x in pair)
+    # the 25-residue factor of c = -75 alone is over the bound
+    assert 0 < min(sizes[:3]) and max(sizes) <= 4000 and sizes[3] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +267,8 @@ def _shift_factor(monkeypatch, P):
     """The factor sum over O_K/P^e times e[1/P^e]: its counts move up one exponent."""
     factor_sums = thetamat._factor_sums
 
-    def shifted(field, A, q, p, s1, s2):
-        row, counts = factor_sums(field, A, q, p, s1, s2)
+    def shifted(field, A, a, q, p):
+        row, counts = factor_sums(field, A, a, q, p)
         return row, np.roll(counts, 1, axis=1) if p == P else counts
 
     monkeypatch.setattr(thetamat, "_factor_sums", shifted)
@@ -336,3 +356,102 @@ def test_matrices_equal_compares_values():
     assert matrices_equal([[CycloNum(4, {0: half})]], [[CycloNum.from_rational(half)]])
     assert not matrices_equal([[i, i]], [[i, -i]])
     assert not matrices_equal([[CycloNum(4, {0: half})]], [[CycloNum(4, {0: half, 1: 1})]])
+
+
+# ---------------------------------------------------------------------------
+# the one-pass reader, the folded scalar and the sparse product
+
+
+def _rep(x):
+    return x.order, x.den, x.coeffs
+
+
+@given(st.integers(1, 3), st.sampled_from([1, 2, 4, 6, 12, 15, 40]),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-100, 100),
+                          st.integers(-3, 3)), max_size=30),
+       st.sampled_from([1, 2, 6, 35]))
+@settings(max_examples=300)
+def test_read_equals_esum_per_entry(D, order, rows, den):
+    # duplicate, negative and >= order exponents, zero and cancelling
+    # weights, den > 1 and entries without rows
+    rows = [(u % D, v % D, k, w) for u, v, k, w in rows]
+    terms = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    got = thetamat._read(order, terms, D, den)
+    for u in range(D):
+        for v in range(D):
+            kw = [(k, w) for x, y, k, w in rows if (x, y) == (u, v)]
+            want = esum(order, kw, den) if kw else CycloNum.zero()
+            assert _rep(got[u][v]) == _rep(want), (u, v, kw)
+
+
+def test_read_refuses_an_int64_sort_key():
+    with pytest.raises(OverflowError):
+        thetamat._read(2**60, np.array([[1, 1, 1, 1]], dtype=np.int64), 4)
+
+
+def test_closed_form_refuses_int64_weights(monkeypatch):
+    f = QuadField(15)
+    sigma = next(s for s in sweep_sigmas(f) if s.c == 3)
+    scalar, light = thetamat.theta_terms(f, sigma)
+    heavy = light.copy()
+    heavy[:, 3] = 2**40
+    monkeypatch.setattr(thetamat, "theta_terms", lambda field, s: (scalar * 2**20, heavy))
+    with pytest.raises(OverflowError):
+        theta_matrix_closed(f, sigma)
+
+
+entries = st.builds(lambda M, kw, den: esum(M, kw, den), st.sampled_from([1, 3, 4, 8, 12]),
+                    st.lists(st.tuples(st.integers(0, 23), st.integers(-2, 2)), max_size=4),
+                    st.sampled_from([1, 2, 3]))
+
+
+def _naive(A, B):
+    n = len(A)
+    return [[csum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    *(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+      for _ in range(2)))))
+@settings(max_examples=60)
+def test_mat_mul_equals_the_naive_sum_on_dense_matrices(AB):
+    A, B = AB
+    assert matrices_equal(mat_mul(A, B), _naive(A, B))
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    *(st.tuples(st.permutations(range(n)), st.lists(st.integers(0, 11), min_size=n, max_size=n))
+      for _ in range(2)))))
+@settings(max_examples=60)
+def test_mat_mul_equals_the_naive_sum_on_monomial_matrices(perms):
+    # one nonzero entry per row and column: every product entry is a lone
+    # product or 0
+    def monomial(p, ks):
+        n = len(p)
+        return [[CycloNum(12, {ks[i]: 1}) if p[i] == j else CycloNum.zero() for j in range(n)]
+                for i in range(n)]
+
+    A, B = (monomial(*x) for x in perms)
+    C = mat_mul(A, B)
+    assert matrices_equal(C, _naive(A, B))
+    assert sum(bool(x.coeffs) for row in C for x in row) == len(A)
+
+
+def test_a_dropped_scalar_term_is_located(monkeypatch):
+    # one sigma's closed form loses one term of its folded scalar: the
+    # closed-form check of verify --mode theta fails at that sigma alone
+    f = QuadField(15)
+    target = next(s for s in sweep_sigmas(f) if s.c == 5)
+    terms = thetamat.theta_terms
+
+    def dropped(field, sigma):
+        scalar, light = terms(field, sigma)
+        if sigma != target:
+            return scalar, light
+        (k, _), *rest = scalar.coeffs.items()
+        return CycloNum(scalar.order, {k: Fraction(c, scalar.den) for k, c in rest}), light
+
+    monkeypatch.setattr(thetamat, "theta_terms", dropped)
+    assert len(terms(f, target)[0].coeffs) > 1
+    rep = run_mode("theta", 15, 1, seed=0)
+    assert rep["failures"] == [{"check": "closed", "sigma": list(target.entries())}]
