@@ -5,6 +5,12 @@ histogram (`esum`): the terms are integer pairs (exponent, weight), and no
 CycloNum or Fraction is built per term.  The closed forms
 G(psi_m) = eps(psi_m)*sqrt(m) are checked in squared (exact) and embedded
 (numeric) form.
+
+What is fixed per prime or field is built once, in bounded caches: the
+Legendre character mod p is a table of its values (`legendre`), the Gauss sum
+G(psi; z) of the Salie closed form is kept per (p, z mod p), and a norm sum
+reads the histogram of |gamma|^2 mod N over O_K/N, counted once per
+(Tr omega, N(omega), N), so each t costs at most N terms.
 """
 
 from __future__ import annotations
@@ -13,21 +19,37 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .arith import kronecker
 from .cyclotomic import CycloNum, esum
 from .quadfield import Character, QuadField, chi_component
 
 
 class LegendreChar:
-    """The Legendre symbol (* | p) as a standalone character mod an odd prime."""
+    """The Legendre symbol (* | p) as a standalone character mod an odd prime,
+    its values mod p tabulated once."""
 
     def __init__(self, p: int):
         if p == 2 or p < 2:
             raise ValueError("p must be an odd prime")
         self.modulus = p
+        self.table = tuple(kronecker(n, p) for n in range(p))
 
     def __call__(self, n: int) -> int:
-        return kronecker(n, self.modulus)
+        return self.table[n % self.modulus]
+
+
+@lru_cache(maxsize=64)
+def legendre(p: int) -> LegendreChar:
+    """The Legendre character mod p, one table per prime."""
+    return LegendreChar(p)
+
+
+@lru_cache(maxsize=1024)
+def _legendre_gauss(p: int, z: int) -> CycloNum:
+    """G(psi; z) for the Legendre character psi mod p and 0 <= z < p."""
+    return gauss_sum(legendre(p), z)
 
 
 def gauss_sum(psi, b: int = 1) -> CycloNum:
@@ -56,8 +78,8 @@ def check_closed_form(psi: Character) -> bool:
 
 def salie_lhs(p: int, x: int, y: int, z: int) -> CycloNum:
     """sum_{j=1}^{p-1} (j|p) e[z(j x^2 + j^{-1} y^2)/p], by brute force."""
-    psi = LegendreChar(p)
-    return esum(p, ((z * (j * x * x + pow(j, -1, p) * y * y), psi(j)) for j in range(1, p)))
+    psi = legendre(p).table
+    return esum(p, ((z * (j * x * x + pow(j, -1, p) * y * y), psi[j]) for j in range(1, p)))
 
 
 def salie_rhs(p: int, x: int, y: int, z: int) -> CycloNum:
@@ -66,12 +88,12 @@ def salie_rhs(p: int, x: int, y: int, z: int) -> CycloNum:
     psi(x^2) is 0 when p | x and 1 otherwise, so the middle factor is the
     rational 0, 1/2 or 1 and the division is always by 1 or 2.
     """
-    psi = LegendreChar(p)
+    psi = legendre(p)
     mid = Fraction(psi(x * x) + psi(y * y), 1 + psi(y * y))
     if mid == 0:
         return CycloNum.zero()
     tail = esum(p, ((2 * x * z * g, 1) for g in range(p) if (g * g - y * y) % p == 0))
-    return gauss_sum(psi, z) * mid * tail
+    return _legendre_gauss(p, z % p) * mid * tail
 
 
 def salie_check(p: int, x: int, y: int, z: int) -> tuple[CycloNum, CycloNum, bool]:
@@ -82,11 +104,22 @@ def salie_check(p: int, x: int, y: int, z: int) -> tuple[CycloNum, CycloNum, boo
     return lhs, rhs, (lhs - rhs).is_zero()
 
 
+@lru_cache(maxsize=512)
+def _norm_counts(tr: int, nm: int, N: int) -> tuple[int, ...]:
+    """The number of gamma = a + b*omega in O_K/N O_K with |gamma|^2 = r mod N,
+    for r < N (omega of trace tr and norm nm).  Each value is below N^2 (2 + N),
+    far inside int64 for any N^2 grid that fits in memory."""
+    a = np.arange(N, dtype=np.int64)[:, None]
+    b = np.arange(N, dtype=np.int64)[None, :]
+    q = (a * a + tr * a * b + nm % N * b * b) % N
+    return tuple(np.bincount(q.ravel(), minlength=N).tolist())
+
+
 def norm_sum(field: QuadField, N: int, t: int) -> CycloNum:
-    """sum over gamma in O_K/N O_K of e[t|gamma|^2 / N]."""
-    tr, nm = field.omega_trace, field.omega_norm
-    return esum(N, ((t * (a * a + tr * a * b + nm * b * b), 1)
-                    for a in range(N) for b in range(N)))
+    """sum over gamma in O_K/N O_K of e[t|gamma|^2 / N], from the histogram
+    of |gamma|^2 mod N: at most N terms."""
+    counts = _norm_counts(field.omega_trace, field.omega_norm, N)
+    return esum(N, ((t * r, c) for r, c in enumerate(counts) if c))
 
 
 def norm_sum_check(field: QuadField, N: int, t: int) -> bool:

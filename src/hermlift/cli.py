@@ -195,11 +195,10 @@ def _report_hecke(field: QuadField, N: int) -> dict:
     for p in _inert_primes(field, N, 2):
         reps = coset_reps(field, p, N)
         want = 1 + p + p**3 + p**4
-        ok_count = len(reps) == want
-        ok_distinct = verify_reps_distinct(field, p, N, reps)
-        cases.append({"p": p, "count": len(reps), "expected": want,
-                      "distinct": ok_distinct})
-        if not ok_count or not ok_distinct:
+        count, ok_distinct = len(reps), verify_reps_distinct(field, p, N, reps)
+        del reps  # one prime's representatives at a time
+        cases.append({"p": p, "count": count, "expected": want, "distinct": ok_distinct})
+        if count != want or not ok_distinct:
             failures.append({"p": p})
     return {"cases": cases, "failures": failures}
 

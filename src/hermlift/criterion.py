@@ -58,6 +58,7 @@ from .residues import ResidueRing, certifies_zero
 from .thetamat import IDENTITY, Mat2Z, lattice_coords, monomial_terms, theta_order, theta_terms
 
 FLOAT_TOL = 1e-9  # |A - delta| below which the float route passes a verdict
+_FLOAT_BLOCK = 2**14  # lattice terms (v, gamma) per numpy expression of the float M(sigma)
 
 # per-j data entering the transformation formula
 SigmaContext = namedtuple("SigmaContext", "j mu m n kappa")
@@ -128,19 +129,19 @@ def _direct_rows(D: int, entries: tuple[tuple[int, int, int, int], ...]) -> tupl
     return rows, np.where(quad.any(axis=1), 2, 1)
 
 
-@cache
+@lru_cache(maxsize=4096)
 def _gauss(field: QuadField, m: int, b: int) -> CycloNum:
     """G(psi_m; b) for 0 <= b < m, one CycloNum per (field, m, b mod m)."""
     return gauss_sum(chi_component(field, m), b)
 
 
-@cache
+@lru_cache(maxsize=4096)
 def _closed_factor(field: QuadField, m: int, n: int, b: int, a: int) -> CycloNum:
     """m G(psi_n; b) psi_m(a), b mod n, a mod m: a closed form's sigma-only factor."""
     return m * _gauss(field, n, b) * chi_component(field, m)(a)
 
 
-@cache
+@lru_cache(maxsize=4096)
 def _gauss_terms(field: QuadField, m: int, b: int) -> tuple[tuple[int, int], ...]:
     """G(psi_m; b) as (exponent over L, weight) pairs, weights nonzero."""
     g = _gauss(field, m, b)
@@ -265,17 +266,31 @@ def expected_delta(field: QuadField, v: DiffClass, w: DiffClass) -> int:
 # independent floating-point route
 
 
-def _theta_entry_float(field: QuadField, sigma: Mat2Z, u: DiffClass, v: DiffClass) -> complex:
+def _theta_matrix_float(field: QuadField, sigma: Mat2Z) -> list[list[complex]]:
+    """M(sigma)[u][v] in floating point: sign(a) delta_{u, av} e[ab|u|^2] at
+    c = 0, else -i/(c sqrt(D)) sum_{gamma in u + O_K mod c} e[(a|gamma|^2 -
+    Tr(gamma conj(v)) + d|v|^2)/c], one numpy expression over (v, gamma) per
+    row u, or per block of v when D c^2 exceeds _FLOAT_BLOCK."""
     a, b, c, d = sigma.entries()
-    D = field.D
+    D, cls = field.D, classes(field)
     tp = 2j * cmath.pi
-    if c == 0:  # sign(a) delta_{u, av} e[ab|u|^2]
-        return ((1 if a > 0 else -1) * cmath.exp(tp * a * b * u.dnorm / D)
-                if v.scaled(a).key == u.key else 0j)
-    v1, v2 = (float(x) for x in v.coords())
-    g1, g2 = lattice_coords(field, u, *np.divmod(np.arange(c * c), abs(c)))
-    num = a * (g1 * g1 + D * g2 * g2) - 2 * (g1 * v1 + D * g2 * v2) + d * (v1 * v1 + D * v2 * v2)
-    return (-1j / (c * math.sqrt(D))) * complex(np.exp(tp / c * num).sum())
+    if c == 0:
+        sign = 1 if a > 0 else -1
+        return [[sign * cmath.exp(tp * a * b * u.dnorm / D) if v.scaled(a).key == u.key else 0j
+                 for v in cls] for u in cls]
+    v1, v2 = np.array([[float(x) for x in v.coords()] for v in cls]).T[:, :, None]
+    al, be = np.divmod(np.arange(c * c), abs(c))
+    scale = -1j / (c * math.sqrt(D))
+    step = max(1, _FLOAT_BLOCK // (c * c))  # columns v per expression
+    rows = []
+    for u in cls:
+        g1, g2 = lattice_coords(field, u, al, be)
+        row = []
+        for w1, w2 in ((v1[s:s + step], v2[s:s + step]) for s in range(0, D, step)):
+            num = a * (g1 * g1 + D * g2 * g2) - 2 * (g1 * w1 + D * g2 * w2) + d * (w1 * w1 + D * w2 * w2)
+            row += [scale * complex(x) for x in np.exp(tp / c * num).sum(axis=1)]
+        rows.append(row)
+    return rows
 
 
 def _j_data_float(field: QuadField, sigma: Mat2Z) -> list[tuple[SigmaContext, complex]]:
@@ -417,7 +432,7 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
 
     def check_float(sigma: Mat2Z) -> None:
         # A = sum_u M_{u,v} A_u / D, one verdict per (v, distinct D|w|^2)
-        M = [[_theta_entry_float(field, sigma, u, v) for v in cls] for u in cls]
+        M = _theta_matrix_float(field, sigma)
         j_data = _j_data_float(field, sigma)
         au = [[_inner_sum_float(field, sigma, ru, rw, j_data) for rw in reps] for ru in reps]
         for iv, iw in np.ndindex(delta.shape):

@@ -26,12 +26,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .arith import is_prime, prime_divisors, valuation
 from .quadfield import AlgInt, QuadField
 
 
 class TableRangeError(Exception):
     """A beta/alpha value outside the backing table's range was requested."""
+
+
+_MISSING = object()
 
 
 class BetaTable:
@@ -45,21 +50,21 @@ class BetaTable:
         self._memo: dict[tuple[int, int], object] = {}
 
     def value(self, u: int, v: int):
-        if u <= 0:
-            return 0
-        if v < 0:
-            raise ValueError("second argument must be non-negative")
-        key = (u, v)
-        if key not in self._memo:
-            self._memo[key] = self._fn(u, v)
-        return self._memo[key]
+        out = self._memo.get((u, v), _MISSING)
+        if out is _MISSING:
+            if u <= 0:
+                return 0
+            if v < 0:
+                raise ValueError("second argument must be non-negative")
+            out = self._memo[(u, v)] = self._fn(u, v)
+        return out
 
 
 # ---------------------------------------------------------------------------
 # integral unitary matrices and the T_p coset representatives
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitaryMat4:
     """A 4x4 matrix g in U(2,2)(O_K): entries a + b*omega with integers a, b,
     and g* J4 g = J4, both checked exactly by make."""
@@ -75,7 +80,7 @@ class UnitaryMat4:
             raise ValueError("need a 4x4 matrix")
         if not all(isinstance(x.a, int) and isinstance(x.b, int) for r in rs for x in r):
             raise ValueError("entries must be integral")
-        _check_unitary(field, rs)
+        _check_unitary(field, np.array([[[(x.a, x.b) for x in r] for r in rs]], dtype=object))
         return UnitaryMat4(field, rs)
 
     def __mul__(self, other: "UnitaryMat4") -> "UnitaryMat4":
@@ -102,25 +107,50 @@ class UnitaryMat4:
         return [[[x.a, x.b] for x in row] for row in self.rows]
 
 
-def _check_unitary(field: QuadField, rows) -> None:
-    """Raise unless g* J4 g = J4, on the integer pairs (x0, x1) of the entries
-    x0 + x1*omega: conj(x) y = ((x0 + t x1) y0 + n x1 y1, x0 y1 - x1 y0) with
-    t, n the trace and norm of omega."""
-    # J4 g = [-g_2; -g_3; g_0; g_1], so (g* J4 g)_{ij} = sum_{k=0,1} conj(g_{k+2,i})
-    # g_{kj} - conj(g_{ki}) g_{k+2,j}.  It is skew-hermitian (J4 is real and skew):
-    # the entries on and above the diagonal decide it, (0,2), (1,3) = -1, the rest 0
+def _pair_dtype(field: QuadField, bound: int):
+    """int64 when entries of magnitude <= bound keep every value of
+    _in_u22 below 2^63 in magnitude, i.e. 8 (1 + t + n) bound^2 < 2^63 for
+    omega of trace t and norm n; else object, exact at any size."""
     t, n = field.omega_trace, field.omega_norm
-    g = [[(x.a, x.b) for x in row] for row in rows]
-    for i in range(4):
-        for j in range(i, 4):
-            re = im = 0
-            for k in (0, 1):
-                (a0, a1), (b0, b1) = g[k + 2][i], g[k][j]
-                (c0, c1), (d0, d1) = g[k][i], g[k + 2][j]
-                re += (a0 + t * a1) * b0 + n * a1 * b1 - (c0 + t * c1) * d0 - n * c1 * d1
-                im += a0 * b1 - a1 * b0 - c0 * d1 + c1 * d0
-            if (re, im) != ((-1, 0) if j == i + 2 else (0, 0)):
-                raise ValueError("matrix is not in U(2,2)(O_K)")
+    return np.int64 if 8 * (1 + t + n) * bound * bound < 2**63 else object
+
+
+# g* J4 g for g in U(2,2): -1 at (0, 2) and (1, 3), and +1 at (2, 0) and (3, 1)
+_J4 = np.array([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
+
+
+def _in_u22(field: QuadField, g: np.ndarray) -> np.ndarray:
+    """For each matrix of the [n, 4, 4, 2] integer pairs (x0, x1) of the
+    entries x0 + x1*omega, whether g* J4 g = J4.  With conj(x) y =
+    ((x0 + t x1) y0 + n x1 y1, x0 y1 - x1 y0) (t, n the trace and norm of
+    omega) and J4 g = [-g_2; -g_3; g_0; g_1], (g* J4 g)_{ij} = sum_{k=0,1}
+    conj(g_{k+2,i}) g_{kj} - conj(g_{ki}) g_{k+2,j}: four products of 2x4
+    blocks per part."""
+    t, n = field.omega_trace, field.omega_norm
+    X, Y = g[..., 0], g[..., 1]
+    top0, top1, bot0, bot1 = X[:, :2], Y[:, :2], X[:, 2:], Y[:, 2:]
+
+    def tr(a):
+        return a.transpose(0, 2, 1)
+
+    re = (tr(bot0 + t * bot1) @ top0 + n * (tr(bot1) @ top1)
+          - tr(top0 + t * top1) @ bot0 - n * (tr(top1) @ bot1))
+    im = tr(bot0) @ top1 - tr(bot1) @ top0 - tr(top0) @ bot1 + tr(top1) @ bot0
+    return ((re == _J4) & (im == 0)).all(axis=(1, 2))
+
+
+def _check_unitary(field: QuadField, g: np.ndarray, N: int = 1) -> None:
+    """Raise ValueError unless every matrix of the [n, 4, 4, 2] integer pairs
+    g lies in U(2,2)(O_K) with lower-left block divisible by N.  An int64 g
+    whose entries exceed _pair_dtype's bound is checked as object."""
+    if g.dtype != object and _pair_dtype(field, int(np.abs(g).max(initial=0))) is object:
+        g = g.astype(object)
+    unitary = _in_u22(field, g)
+    if not unitary.all():
+        raise ValueError(f"matrix {int(np.argmin(unitary))} is not in U(2,2)(O_K)")
+    c_block = (g[:, 2:, :2] % N == 0).all(axis=(1, 2, 3))
+    if not c_block.all():
+        raise ValueError(f"matrix {int(np.argmin(c_block))} has a lower-left block not divisible by {N}")
 
 
 def _bezout_pair(p: int, N: int) -> tuple[int, int]:
@@ -141,64 +171,70 @@ def _check_inert(field: QuadField, p: int, N: int) -> None:
         raise ValueError("p must not divide N")
 
 
+def _families(field: QuadField, p: int, N: int):
+    """The four parametrised families of coset_reps, one [n, 4, 4, 2] array
+    of integer pairs each, built by broadcasting over the parameters (the
+    first one outermost) and made one at a time."""
+    t = field.omega_trace
+    xi, lam = _bezout_pair(p, N)
+    # every entry is at most (2N + 2 + |lam| + xi) p in magnitude
+    dtype = _pair_dtype(field, (2 * N + 2 + abs(lam) + xi) * p)
+
+    def grid(*ranges):
+        return np.ix_(*(np.array(list(r), dtype=dtype) for r in ranges))
+
+    def build(shape, rows):
+        # an entry is an int or array (rational) or a pair (a, b) for a + b*omega
+        g = np.zeros(shape + (4, 4, 2), dtype)
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                g[..., i, j, 0], g[..., i, j, 1] = x if isinstance(x, tuple) else (x, 0)
+        return g.reshape(-1, 4, 4, 2)
+
+    # family 1: [[xi p I, lam I], [N I, I]]
+    yield build((), [[xi * p, 0, lam, 0], [0, xi * p, 0, lam], [N, 0, 1, 0], [0, N, 0, 1]])
+    # family 2: [[I, B], [N I, N B + I]] with B = [[gamma, b], [conj(b), delta]]
+    b0, b1, gamma, delta = grid(range(p), range(p), range(1, p + 1), range(1, p + 1))
+    bc0, bc1 = b0 + t * b1, -b1
+    yield build((p,) * 4, [[1, 0, gamma, (b0, b1)], [0, 1, (bc0, bc1), delta],
+                           [N, 0, 1 + N * gamma, (N * b0, N * b1)],
+                           [0, N, (N * bc0, N * bc1), 1 + N * delta]])
+    # family 3
+    gamma, = grid(range(1, p + 1))
+    yield build((p,), [[1, 0, gamma, 0], [0, xi * p, 0, lam], [0, 0, 1, 0], [0, N, 0, 1]])
+    # family 4
+    d0, d1, gamma = grid(range(p), range(p), range(1, p + 1))
+    yield build((p,) * 3, [[xi * p, 0, lam, (lam * d0, lam * d1)], [(-(d0 + t * d1), d1), 1, 0, gamma],
+                          [N, 0, 1, (d0, d1)], [0, 0, 0, 1]])
+
+
+def _mats(field: QuadField, g: np.ndarray) -> list[UnitaryMat4]:
+    """The checked matrices of the [n, 4, 4, 2] integer pairs g, each
+    distinct entry one AlgInt shared by every matrix that holds it."""
+    lo = int(g[..., 1].min())
+    span = int(g[..., 1].max()) - lo + 1
+    # one integer key a * span + (b - lo) per entry a + b*omega
+    keys, at = np.unique(g[..., 0] * span + (g[..., 1] - lo), return_inverse=True)
+    get = [AlgInt(field, a, b + lo) for a, b in (divmod(k, span) for k in keys.tolist())].__getitem__
+    at = at.reshape(-1, 16)
+    out = []
+    for s in range(0, len(at), 4096):  # a block at a time keeps tolist's lists small
+        for m in at[s:s + 4096].tolist():
+            x = tuple(map(get, m))
+            out.append(UnitaryMat4(field, (x[:4], x[4:8], x[8:12], x[12:])))
+    return out
+
+
 def coset_reps(field: QuadField, p: int, N: int) -> list[UnitaryMat4]:
     """The 1 + p^4 + p + p^3 right-coset representatives R_N for
     alpha^{-1} Gamma_{0,2}(Np) alpha \\ Gamma_{0,2}(N), alpha = diag(I, pI),
-    p inert and prime to N.  Every representative is verified to lie in
-    U(2,2)(O_K) with lower-left block divisible by N."""
+    p inert and prime to N.  Each family is checked as one array: every
+    representative lies in U(2,2)(O_K) with lower-left block divisible by N."""
     _check_inert(field, p, N)
-    xi, lam = _bezout_pair(p, N)
     reps = []
-
-    def add(rows):
-        g = UnitaryMat4.make(field, rows)
-        if not g.c_block_divisible_by(N):
-            raise AssertionError("representative fails Gamma_{0,2}(N) membership")
-        reps.append(g)
-
-    one = AlgInt(field, 1, 0)
-    zero = AlgInt(field, 0, 0)
-
-    # family 1: [[xi p I, lam I], [N I, I]]
-    add([
-        [xi * p, 0, lam, 0],
-        [0, xi * p, 0, lam],
-        [N, 0, 1, 0],
-        [0, N, 0, 1],
-    ])
-    # family 2: [[I, B], [N I, N B + I]] with B = [[gamma, b], [conj(b), delta]]
-    for b0 in range(p):
-        for b1 in range(p):
-            b = AlgInt(field, b0, b1)
-            bc = b.conj()
-            for gamma in range(1, p + 1):
-                for delta in range(1, p + 1):
-                    add([
-                        [one, zero, gamma * one, b],
-                        [zero, one, bc, delta * one],
-                        [N * one, zero, (1 + N * gamma) * one, N * b],
-                        [zero, N * one, N * bc, (1 + N * delta) * one],
-                    ])
-    # family 3
-    for gamma in range(1, p + 1):
-        add([
-            [1, 0, gamma, 0],
-            [0, xi * p, 0, lam],
-            [0, 0, 1, 0],
-            [0, N, 0, 1],
-        ])
-    # family 4
-    for d0 in range(p):
-        for d1 in range(p):
-            d = AlgInt(field, d0, d1)
-            dc = d.conj()
-            for gamma in range(1, p + 1):
-                add([
-                    [xi * p * one, zero, lam * one, lam * d],
-                    [-dc, one, zero, gamma * one],
-                    [N * one, zero, one, d],
-                    [zero, zero, zero, one],
-                ])
+    for g in _families(field, p, N):
+        _check_unitary(field, g, N)
+        reps += _mats(field, g)
     if len(reps) != 1 + p + p**3 + p**4:
         raise AssertionError(f"{len(reps)} coset representatives, not 1 + p + p^3 + p^4")
     return reps
@@ -291,23 +327,25 @@ def beta_Tp(beta: BetaTable, p: int, field: QuadField) -> BetaTable:
     (p !| q; terms with p^{v-1} at v = 0 drop by zero extension)."""
     _check_inert(field, p, beta.N)
     k = beta.k
-    up_c, r_c, down_c = Fraction(1, p ** (2 * k - 4)), Fraction(1, p ** (k - 1)), Fraction(1, p ** (k - 3))
-    unit_c, down_unit_c = Fraction(p + 1, p ** (k - 1)), Fraction(p * p - p, p ** (k - 1))
+    if k < 3:
+        raise ValueError("beta_Tp needs k >= 3")
+    # every coefficient as an integer multiple of 1/P, P = p^(2k-4)
+    P, pp = p ** (2 * k - 4), p * p
+    r_c, down_c = p ** (k - 3), p ** (k - 1)
+    unit_c, down_unit_c = (p + 1) * r_c, (pp - p) * r_c
+    value = beta.value
 
     def fn(u: int, r: int):
         # u = p^v q: p^{v-1} q = u/p, or 0 (zero extension) at v = 0; p^{v+1} q = u p
         pv_down, pv_up = (0 if u % p else u // p), u * p
-        out = beta.value(pv_down, r) + up_c * beta.value(pv_up, r)
-        if r % (p * p) == 0:
-            out = out + r_c * beta.value(pv_up, r // (p * p))
-            out = out + down_c * beta.value(pv_down, r * p * p)
+        out = P * value(pv_down, r) + value(pv_up, r)
+        if r % pp == 0:
+            out += r_c * value(pv_up, r // pp) + down_c * value(pv_down, r * pp)
         elif r % p == 0:
-            out = out + r_c * beta.value(u, r)
-            out = out + down_c * beta.value(pv_down, r * p * p)
+            out += r_c * value(u, r) + down_c * value(pv_down, r * pp)
         else:
-            out = out + unit_c * beta.value(u, r)
-            out = out + down_unit_c * beta.value(pv_down, r * p * p)
-        return out
+            out += unit_c * value(u, r) + down_unit_c * value(pv_down, r * pp)
+        return Fraction(out, P) if type(out) is int else out / P
 
     return BetaTable(k, beta.N, fn)
 
@@ -320,6 +358,7 @@ def verify_beta_conditions(beta: BetaTable, window: tuple[int, int], N: int) -> 
     checked = skipped = 0
     failures = []
     pk = {p: p ** (beta.k - 1) for p in (2, 3, 5, 7) if N % p}
+    value = beta.value
     for u in range(1, u_max + 1):
         iii = u > 1 and all(N % p == 0 for p in prime_divisors(u))
         # (ii) for each prime p with p !| N q: (p, u/p or 0, q, p^(2v))
@@ -329,20 +368,20 @@ def verify_beta_conditions(beta: BetaTable, window: tuple[int, int], N: int) -> 
             continue
         for d in range(0, d_max + 1):
             try:
-                b = beta.value(u, d)
+                b = value(u, d)
             except TableRangeError:
                 skipped += iii + len(ii)
                 continue
             if iii:
                 try:
-                    if b != beta.value(1, d * u * u):
+                    if b != value(1, d * u * u):
                         failures.append({"cond": "iii", "u": u, "d": d})
                     checked += 1
                 except TableRangeError:
                     skipped += 1
             for p, down, q, p2v in ii:
                 try:
-                    if b - pk[p] * beta.value(down, d) != beta.value(q, d * p2v):
+                    if b - pk[p] * value(down, d) != value(q, d * p2v):
                         failures.append({"cond": "ii", "u": u, "d": d, "p": p})
                     checked += 1
                 except TableRangeError:

@@ -20,7 +20,15 @@ chi_q(M / M_q) * eta_q^{val_q(M)} with eta_q = prod_{p | D, p != q} chi_p(q);
 this operational definition is fixed by requiring the subset-sum and the
 product closed form of a_{f*[l]} to agree (cross-checked on every call).
 The subset sum groups the subsets Q by M_Q: each group shares one product
-a_f(M/M_Q) conj(a_f(M_Q)), weighted by the integer sum of its signs.
+a_f(M/M_Q) conj(a_f(M_Q)) (a_f(M) itself for M_Q = 1), weighted by the
+integer sum of its signs, and the weights are expanded one prime of D at a
+time.
+
+a_f(M) is memoized per M in the eigendata: a(p^e) is one step of the
+recursion from the memoized a(p^{e-1}), a(p^{e-2}), and a(M) for M with
+more than one prime is the one product a(p^e) a(M/p^e), p^e the power of
+M's least prime.  Both paths of f*[l] read these values, so the tests check
+them against the recursion run afresh per prime.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
 from .arith import factorize, valuation
 from .cyclotomic import CycloNum, csum
@@ -68,30 +76,33 @@ def _cyc(x) -> CycloNum:
 
 
 def coeff(ed: EigenData, M: int) -> CycloNum:
-    """a(M) by multiplicativity and the Hecke recursion."""
+    """a(M) by multiplicativity and the Hecke recursion, memoized per M: with
+    p^e the prime power of M's least prime, a(M) = a(p^e) a(M/p^e) is one
+    product, and a(p^e) one step of the recursion from a(p^{e-1}), a(p^{e-2})."""
+    memo = ed._memo
+    if M in memo:
+        return memo[M]
     if M < 1:
         raise ValueError("M must be positive")
-    if M in ed._memo:
-        return ed._memo[M]
-    out = CycloNum.from_rational(1)
-    for p, e in factorize(M):
-        out = out * _prime_power(ed, p, e)
-    ed._memo[M] = out
+    if M == 1:
+        out = CycloNum.from_rational(1)
+    else:
+        p, e = factorize(M)[0]
+        q = p**e
+        out = _prime_power(ed, p, e) if q == M else coeff(ed, q) * coeff(ed, M // q)
+    memo[M] = out
     return out
 
 
 def _prime_power(ed: EigenData, p: int, e: int) -> CycloNum:
+    """a(p^e) for e >= 1 from the memoized lower powers."""
     apv = ed.a(p)
+    if e == 1:
+        return apv
     if ed.level % p == 0:
-        out = CycloNum.from_rational(1)
-        for _ in range(e):
-            out = out * apv
-        return out
+        return coeff(ed, p ** (e - 1)) * apv
     chi_pw = ed.field.chi(p) * p ** (ed.weight - 1)
-    prev, cur = CycloNum.from_rational(1), apv
-    for _ in range(e - 1):
-        prev, cur = cur, apv * cur - chi_pw * prev
-    return cur if e >= 1 else prev
+    return apv * coeff(ed, p ** (e - 1)) - chi_pw * coeff(ed, p ** (e - 2))
 
 
 def validate_eigendata(ed: EigenData) -> None:
@@ -134,7 +145,7 @@ def synthetic_eigendata(field: QuadField, weight: int, level_m: int,
 # the twists f_Q and the star map
 
 
-@cache
+@lru_cache(maxsize=256)
 def _eta(field: QuadField, q: int) -> int:
     """eta_q = prod_{p | D, p != q} chi_p(q)."""
     out = 1
@@ -177,14 +188,16 @@ def fstar_coeff(ed: EigenData, ell: int, M: int) -> CycloNum:
         raise ValueError("ell must be coprime to D")
     fac = dict(factorize(M))
     under = {q: chi_under(field, q, M) for q in field.primes}
-    weight: dict[int, int] = {}  # M_Q -> its integer weight
-    for mask in range(1 << len(field.primes)):
-        MQ, sign = 1, 1
-        for i, q in enumerate(field.primes):
-            if mask >> i & 1:
-                MQ, sign = MQ * q ** fac.get(q, 0), sign * field.chi_p(q, -ell) * under[q]
-        weight[MQ] = weight.get(MQ, 0) + sign
-    total = csum(w * (coeff(ed, M // MQ) * coeff(ed, MQ).conjugate())
+    # M_Q -> its integer weight, expanded one prime q of D at a time: a subset
+    # omits q, or takes q^val_q(M) into M_Q with the sign chi_q(-ell) chi_under_q(M)
+    weight = {1: 1}
+    for q in field.primes:
+        Mq, sign = q ** fac.get(q, 0), field.chi_p(q, -ell) * under[q]
+        grown = dict(weight)
+        for MQ, w in weight.items():
+            grown[MQ * Mq] = grown.get(MQ * Mq, 0) + sign * w
+        weight = grown
+    total = csum(w * (coeff(ed, M) if MQ == 1 else coeff(ed, M // MQ) * coeff(ed, MQ).conjugate())
                  for MQ, w in weight.items() if w)
     # closed form
     onD = [(q, q**e) for q, e in fac.items() if field.D % q == 0]

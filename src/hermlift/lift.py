@@ -164,12 +164,29 @@ def maass_coeff(field: QuadField, N: int, k: int, alpha: AlphaSeries,
 
 def beta_from_alpha(alpha: AlphaSeries, k: int, N: int) -> BetaTable:
     """beta(u, v) = sum_{d | u, gcd(d,N)=1} d^(k-1) alpha(v (u/d)^2); the
-    pairs (d^(k-1), (u/d)^2) are built once per u."""
+    pairs (d^(k-1), (u/d)^2) are built once per u, and alpha's table, bound
+    and unspecified indices are read as AlphaSeries.value reads them: the
+    largest index v u^2 (d = 1) in range, no index unspecified, an integral
+    Fraction as its int numerator."""
     terms: dict[int, list[tuple[int, int]]] = {}
+    get, bound, unspecified = alpha.table.get, alpha.bound, alpha.unspecified
 
     def fn(u: int, v: int):
-        if u not in terms:
-            terms[u] = [(d ** (k - 1), (u // d) ** 2) for d in divisors(u) if math.gcd(d, N) == 1]
-        return sum(w * alpha.value(v * s) for w, s in terms[u])
+        ts = terms.get(u)
+        if ts is None:
+            ts = terms[u] = [(d ** (k - 1), (u // d) ** 2) for d in divisors(u) if math.gcd(d, N) == 1]
+        if v * u * u > bound:
+            raise TableRangeError(f"index {v * u * u} outside [0, {bound}]")
+        if unspecified:
+            for _, s in ts:
+                if v * s in unspecified:
+                    raise ValueError(f"coefficient {v * s} is unspecified")
+        out = 0
+        for w, s in ts:
+            x = get(v * s, 0)
+            if type(x) is Fraction and x.denominator == 1:
+                x = x.numerator
+            out += w * x
+        return out
 
     return BetaTable(k, N, fn)

@@ -55,6 +55,7 @@ class QuadField:
             self.omega_trace = 0
             self.omega_norm = D // 4
         self.unit_count = 6 if D == 3 else 4 if D == 4 else 2
+        self._chi_p: dict[int, tuple[int, ...]] = {}  # p -> period table of chi_p
 
     def chi(self, n: int) -> int:
         """The field character chi_K(n) = (-D | n)."""
@@ -73,10 +74,14 @@ class QuadField:
         return kronecker(8, n)
 
     def chi_p(self, p: int, n: int) -> int:
-        """chi_p(n) for a prime component p of D (use p=2 for the even part)."""
-        if p == 2:
-            return self.chi2(n)
-        return kronecker(n, p)
+        """chi_p(n) for a prime component p of D (use p=2 for the even part),
+        read from the period table of chi_component(self, p or 2^e)."""
+        table = self._chi_p.get(p)
+        if table is None:
+            if p == 2 and self.e == 0:
+                raise ValueError("chi_2 only exists for even discriminant")
+            table = self._chi_p[p] = chi_component(self, 2**self.e if p == 2 else p).table
+        return table[n % len(table)]
 
     def __repr__(self):
         return f"QuadField(D={self.D})"
@@ -223,7 +228,7 @@ class Character:
         return f"Character(psi_{self.modulus}, D={self.field.D})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def chi_component(field: QuadField, m: int) -> Character:
     return Character(field, m)
 

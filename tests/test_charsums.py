@@ -6,7 +6,7 @@ import pytest
 
 import tests.test_acceptance as acceptance
 from hermlift import charsums
-from hermlift.arith import divisors
+from hermlift.arith import divisors, kronecker
 from hermlift.charsums import (LegendreChar, check_closed_form, gauss_sum,
                                norm_sum, norm_sum_check, salie_check, salie_lhs,
                                salie_rhs)
@@ -120,20 +120,40 @@ def _gauss_sum_oracle(psi, b=1):
     return csum(v * root_of_unity(Fraction(a * b, M)) for a in range(M) if (v := psi(a)))
 
 
+class _KroneckerChar:
+    """(n | p) from arith.kronecker, independent of LegendreChar's table."""
+
+    def __init__(self, p):
+        self.modulus = p
+
+    def __call__(self, n):
+        return kronecker(n, self.modulus)
+
+
 def _salie_lhs_oracle(p, x, y, z):
-    psi = LegendreChar(p)
+    psi = _KroneckerChar(p)
     return csum(psi(j) * root_of_unity(Fraction(z * (j * x * x + pow(j, -1, p) * y * y), p))
                 for j in range(1, p))
 
 
 def _salie_rhs_oracle(p, x, y, z):
-    psi = LegendreChar(p)
+    psi = _KroneckerChar(p)
     mid = Fraction(psi(x * x) + psi(y * y), 1 + psi(y * y))
     if mid == 0:
         return CycloNum.zero()
     tail = csum(root_of_unity(Fraction(2 * x * z * g, p))
                 for g in range(p) if (g * g - y * y) % p == 0)
     return _gauss_sum_oracle(psi, z) * CycloNum.from_rational(mid) * tail
+
+
+def _norm_counts_oracle(field, N):
+    """The histogram of |gamma|^2 mod N over O_K/N by the N^2 double loop."""
+    tr, nm = field.omega_trace, field.omega_norm
+    out = [0] * N
+    for a in range(N):
+        for b in range(N):
+            out[(a * a + tr * a * b + nm * b * b) % N] += 1
+    return tuple(out)
 
 
 def _norm_sum_oracle(field, N, t):
@@ -160,6 +180,20 @@ def test_histogram_sums_equal_the_term_by_term_oracle(D):
         psi = chi_component(f, m)
         for b in range(-m, 2 * m):
             assert _rep(gauss_sum(psi, b)) == _rep(_gauss_sum_oracle(psi, b)), (m, b)
+
+
+@pytest.mark.parametrize("D", ALL_D)
+def test_norm_histogram_equals_the_double_loop(D):
+    f = QuadField(D)
+    for N in range(1, 21):
+        assert charsums._norm_counts(f.omega_trace, f.omega_norm, N) == _norm_counts_oracle(f, N), N
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 97])
+def test_legendre_table_is_the_kronecker_symbol(p):
+    psi = charsums.legendre(p)
+    assert psi.modulus == p and len(psi.table) == p
+    assert [psi(n) for n in range(-2 * p, 2 * p)] == [kronecker(n, p) for n in range(-2 * p, 2 * p)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -229,3 +263,37 @@ def test_c05_locates_a_negated_gauss_term(monkeypatch):
     # every Gauss sum mod 5 loses the sign of its first term
     _faulty_esum(monkeypatch, _negate_first_weight, when=lambda M: M == 5)
     assert acceptance.gauss_failures() == [(15, 5), (20, 5)]
+
+
+def test_c04_locates_a_flipped_legendre_entry(monkeypatch):
+    # (3 | 7) = -1 read as +1 on both sides: at x = y = 0 the left side is
+    # sum_j psi(j) = 2 while the middle factor of the right side is 0
+    real = charsums.legendre
+    bad = LegendreChar(7)
+    bad.table = tuple(-v if n == 3 else v for n, v in enumerate(bad.table))
+    monkeypatch.setattr(charsums, "legendre", lambda p: bad if p == 7 else real(p))
+    charsums._legendre_gauss.cache_clear()  # its G(psi; z) are read from the flipped table
+    try:
+        failures = acceptance.salie_failures()
+    finally:
+        charsums._legendre_gauss.cache_clear()
+    assert failures
+    assert {p for p, *_ in failures} == {7}
+    assert [(7, 0, 0, z) for z in range(1, 7)] == [w for w in failures if w[1:3] == (0, 0)]
+
+
+def test_c06_locates_a_shifted_norm_histogram_bucket(monkeypatch):
+    # one gamma of O_K/5 moved from |gamma|^2 = 0 to 1 at D = 7: the sum
+    # changes by e[t/5] - 1, nonzero for every t
+    f = QuadField(7)
+    real = charsums._norm_counts
+
+    def shifted(tr, nm, N):
+        counts = list(real(tr, nm, N))
+        if (tr, nm, N) == (f.omega_trace, f.omega_norm, 5):
+            counts[0] -= 1
+            counts[1] += 1
+        return tuple(counts)
+
+    monkeypatch.setattr(charsums, "_norm_counts", shifted)
+    assert acceptance.norm_sum_failures() == [(7, 5, t) for t in range(1, 5)]

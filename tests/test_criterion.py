@@ -1,4 +1,6 @@
+import cmath
 import inspect
+import math
 import os
 import random
 import subprocess
@@ -125,6 +127,41 @@ def test_verify_criterion_reports_injected_fault(monkeypatch, arithmetic, target
         c = fail["sigma"][2]
         assert c > 0 and D % c == 0
         assert fail["expected"] == 1
+
+
+def _theta_entry_float(field, sigma, u, v):
+    """M(sigma)[u][v] in floating point, one entry and one lattice point at a time."""
+    a, b, c, d = sigma.entries()
+    D = field.D
+    e = lambda x: cmath.exp(2j * cmath.pi * x)  # noqa: E731
+    if c == 0:
+        return (1 if a > 0 else -1) * e(a * b * u.dnorm / D) if v.scaled(a).key == u.key else 0j
+    v1, v2 = (float(x) for x in v.coords())
+    u1, u2 = (float(x) for x in u.coords())
+    out = 0j
+    for x in range(abs(c)):  # gamma = u + x + y*omega, 1 and omega along (1, i sqrt(D))
+        for y in range(abs(c)):
+            g1 = u1 + x + (y / 2 if field.e == 0 else 0)
+            g2 = u2 + y / 2
+            out += e((a * (g1 * g1 + D * g2 * g2) - 2 * (g1 * v1 + D * g2 * v2)
+                      + d * (v1 * v1 + D * v2 * v2)) / c)
+    return -1j / (c * math.sqrt(D)) * out
+
+
+def test_float_theta_matrix_equals_the_entrywise_sum():
+    # every sweep sigma of D = 7 and two translates of each, so c runs over
+    # 0, 1, 7 and translates with |c| up to D^2
+    f, rng = QuadField(7), random.Random(7)
+    cls = classes(f)
+    sigmas = [s * g for s in sweep_sigmas(f) for g in [criterion.IDENTITY] + [random_gamma0(f, rng)
+                                                                            for _ in range(2)]]
+    assert {s.c for s in sigmas} >= {0, 1, 7} and max(abs(s.c) for s in sigmas) > 7
+    for sigma in sigmas:
+        M = criterion._theta_matrix_float(f, sigma)
+        assert all(type(x) is complex for row in M for x in row)
+        for i, u in enumerate(cls):
+            for j, v in enumerate(cls):
+                assert abs(M[i][j] - _theta_entry_float(f, sigma, u, v)) < 1e-9, (sigma.entries(), i, j)
 
 
 def test_float_route_reports_perturbed_lattice_term(monkeypatch):

@@ -2,13 +2,15 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import tests.test_acceptance as acceptance
+from hermlift import hecke
 from hermlift.arith import prime_divisors, valuation
 from hermlift.cyclotomic import CycloNum, root_of_unity
 from hermlift.hecke import (BetaTable, TableRangeError, UnitaryMat4, _check_unitary,
-                            _same_coset, beta_Tp, coset_key, coset_reps,
+                            _in_u22, _same_coset, beta_Tp, coset_key, coset_reps,
                             verify_beta_conditions, verify_reps_distinct)
 from hermlift.lift import AlphaSeries, beta_from_alpha
 from hermlift.quadfield import AlgInt, QuadField
@@ -57,6 +59,15 @@ def _check_unitary_oracle(field, rows):
                 raise ValueError("matrix is not in U(2,2)(O_K)")
 
 
+def _pairs(rows):
+    """The [1, 4, 4, 2] integer pairs of a matrix of AlgInts, exact at any size."""
+    return np.array([[[(x.a, x.b) for x in row] for row in rows]], dtype=object)
+
+
+def _check_pairs(field, rows):
+    _check_unitary(field, _pairs(rows))
+
+
 def _accepts(check, field, rows):
     try:
         check(field, rows)
@@ -73,15 +84,78 @@ def test_unitarity_check_agrees_with_the_algint_oracle(D, p, N):
     shifts = [AlgInt(f, 1, 0), AlgInt(f, -1, 0), AlgInt(f, 0, 1), AlgInt(f, 0, -1)]
     rejected = 0
     for n, r in enumerate(coset_reps(f, p, N)):
-        assert _accepts(_check_unitary, f, r.rows) and _accepts(_check_unitary_oracle, f, r.rows)
+        assert _accepts(_check_pairs, f, r.rows) and _accepts(_check_unitary_oracle, f, r.rows)
         i, j = divmod(n % 16, 4)
         for s in shifts:
             rows = [list(row) for row in r.rows]
             rows[i][j] = rows[i][j] + s
-            got = _accepts(_check_unitary, f, rows)
+            got = _accepts(_check_pairs, f, rows)
             assert got == _accepts(_check_unitary_oracle, f, rows), (r.to_json(), i, j, s)
             rejected += not got
     assert rejected > 0
+
+
+@pytest.mark.parametrize("D,p,q", [(3, 2, 5), (4, 3, 7), (7, 3, 5), (8, 5, 7), (11, 2, 7)])
+def test_array_unitarity_agrees_with_the_per_matrix_formula(D, p, q):
+    # random unitary matrices (products of representatives for two primes)
+    # and copies with one random entry moved, all in one int64 array
+    f, rng = QuadField(D), random.Random(D)
+    reps = coset_reps(f, p, 1) + coset_reps(f, q, 1)
+    mats = []
+    for _ in range(200):
+        g = rng.choice(reps) * rng.choice(reps)
+        rows = [list(row) for row in g.rows]
+        if rng.random() < 0.5:
+            i, j = rng.randrange(4), rng.randrange(4)
+            rows[i][j] = rows[i][j] + AlgInt(f, rng.randint(-2, 2), rng.randint(-2, 2))
+        mats.append(rows)
+    g = np.concatenate([_pairs(rows) for rows in mats]).astype(np.int64)
+    want = [_accepts(_check_unitary_oracle, f, rows) for rows in mats]
+    assert _in_u22(f, g).tolist() == want
+    assert 50 < sum(want) < 200
+
+
+def test_coset_reps_are_exact_beyond_int64():
+    # at N ~ 10^12 the entries 1 + N gamma and N conj(b) make products of
+    # ~10^25: the families are built and checked as Python ints
+    f, p, N = QuadField(3), 2, 10**12 + 1
+    assert hecke._pair_dtype(f, 2 * N * p) is object
+    reps = coset_reps(f, p, N)
+    assert len(reps) == 1 + p + p**3 + p**4
+    assert max(abs(x.a) for r in reps for row in r.rows for x in row) ** 2 > 2**63
+    for r in reps:
+        assert all(type(x.a) is int and type(x.b) is int for row in r.rows for x in row)
+        assert _accepts(_check_unitary_oracle, f, r.rows) and r.c_block_divisible_by(N)
+    assert verify_reps_distinct(f, p, N, reps)
+
+
+def test_make_refuses_a_non_unitary_matrix_that_int64_would_accept():
+    # a d - b c = 2^64 + 1 for the SL2 block (a, b; c, d) = (2^40, -1; 1, 2^24):
+    # not unitary, but a d wraps to 0 in int64, which reads a d - b c = 1
+    f = QuadField(3)
+    rows = [[2**40, 0, -1, 0], [0, 1, 0, 0], [1, 0, 2**24, 0], [0, 0, 0, 1]]
+    wrapped = np.array([[[(x, 0) for x in row] for row in rows]], dtype=np.int64)
+    assert _in_u22(f, wrapped).tolist() == [True]
+    with pytest.raises(ValueError, match="not in U"):
+        _check_unitary(f, wrapped)
+    with pytest.raises(ValueError, match="not in U"):
+        UnitaryMat4.make(f, rows)
+    UnitaryMat4.make(f, [[2**40, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
+
+
+def test_coset_reps_raise_on_a_faulty_family_member(monkeypatch):
+    # member 7 of family 2 with its (0, 2) entry gamma off by one
+    real = hecke._families
+
+    def faulty(field, p, N):
+        for k, g in enumerate(real(field, p, N)):
+            if k == 1:
+                g[7, 0, 2, 0] += 1
+            yield g
+
+    monkeypatch.setattr(hecke, "_families", faulty)
+    with pytest.raises(ValueError, match="matrix 7 is not in U"):
+        coset_reps(QuadField(3), 5, 7)
 
 
 def _all_pairs_distinct(f, p, N, reps):
@@ -332,6 +406,26 @@ def _beta_Tp_variant(beta, p, fault=None):
         return out
 
     return BetaTable(k, beta.N, fn)
+
+
+def test_beta_Tp_equals_the_fraction_recursion():
+    # over one denominator p^(2k-4), on c08's tables and on tables with
+    # non-integral and cyclotomic values: equal values, a Fraction from ints
+    tables = [(f, p, betaF) for _, _, f, p, betaF in acceptance.c08_beta_tables()]
+    for alpha in (AlphaSeries({ell: Fraction(ell % 7 - 3, 3) for ell in range(25000)}, "maass", 24999),
+                  AlphaSeries({ell: root_of_unity(Fraction(ell % 5, 5)) * (ell % 3 - 1)
+                               for ell in range(25000)}, "maass", 24999)):
+        for k in (8, 12):
+            tables += [(QuadField(3), 2, beta_from_alpha(alpha, k, 1)),
+                       (QuadField(4), 3, beta_from_alpha(alpha, k, 1))]
+    for f, p, betaF in tables:
+        want, got = _beta_Tp_variant(betaF, p), beta_Tp(betaF, p, f)
+        for u in range(1, 11):
+            for d in range(25):
+                x, y = want.value(u, d), got.value(u, d)
+                assert x == y and type(x) is type(y) is not int, (u, d)
+    with pytest.raises(ValueError, match="k >= 3"):
+        beta_Tp(BetaTable(2, 1, lambda u, v: 0), 2, QuadField(3))
 
 
 def test_c08_locates_a_faulty_beta_Tp():

@@ -7,6 +7,7 @@ from sympy import primerange
 
 import tests.test_acceptance as acceptance
 from hermlift import ikeda
+from hermlift.arith import factorize
 from hermlift.cyclotomic import CycloNum
 from hermlift.ikeda import (EigenData, chi_under, coeff, fQ_coeff,
                             fstar_coeff, fstar_plus_check, rho_coeff,
@@ -42,6 +43,36 @@ def test_bad_prime_powers_multiply():
     for e in range(1, 4):
         want = coeff(ed, q) * coeff(ed, q ** (e - 1))
         assert (coeff(ed, q**e) - want).is_zero()
+
+
+def _coeff_oracle(ed, M):
+    """a(M) as the product over M's prime powers p^e, each a(p^e) from the
+    Hecke recursion run afresh from a(p)."""
+    out = CycloNum.from_rational(1)
+    for p, e in factorize(M):
+        ap = ed.a(p)
+        if ed.level % p == 0:
+            x = CycloNum.from_rational(1)
+            for _ in range(e):
+                x = x * ap
+        else:
+            chi_pw = ed.field.chi(p) * p ** (ed.weight - 1)
+            prev, x = CycloNum.from_rational(1), ap
+            for _ in range(e - 1):
+                prev, x = x, ap * x - chi_pw * prev
+        out = out * x
+    return out
+
+
+@pytest.mark.parametrize("D", ALL_D)
+def test_coeff_equals_the_recursion_per_prime(D):
+    # both evaluation paths of fstar_coeff read coeff, so a wrong a(p^e)
+    # would pass its cross-check: only this oracle sees it.  At level 13 D
+    # there are primes dividing D, dividing 13 and prime to the level
+    ed = synthetic_eigendata(QuadField(D), 7, 13, list(primerange(2, 520)), random.Random(D))
+    for M in range(1, 501):
+        got, want = coeff(ed, M), _coeff_oracle(ed, M)
+        assert (got.order, got.coeffs, got.den) == (want.order, want.coeffs, want.den), M
 
 
 def test_validate_eigendata_rejects_bad():

@@ -23,3 +23,38 @@ def test_no_weighted_bincount():
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "bincount"
              and (len(node.args) > 1 or any(k.arg == "weights" for k in node.keywords))]
     assert found == []
+
+
+# caches keyed by the discriminant D alone: one entry per field, so bounded
+# by the fields a process meets
+KEYED_BY_D = {"criterion._tables", "quadfield._classes", "charsums.i_sqrtD"}
+
+
+def _unbounded_caches():
+    """module.function for every functools cache in the package without a
+    finite maxsize: @cache, @lru_cache(maxsize=None), @lru_cache(None)."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for dec in node.decorator_list:
+                name = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(name, "id", getattr(name, "attr", None))
+                if name == "cache":
+                    unbounded = True
+                elif name == "lru_cache" and isinstance(dec, ast.Call):
+                    size = dec.args[0] if dec.args else next(
+                        (k.value for k in dec.keywords if k.arg == "maxsize"), None)
+                    unbounded = size is not None and isinstance(size, ast.Constant) and size.value is None
+                else:
+                    continue
+                if unbounded:
+                    found[f"{path.stem}.{node.name}"] = [a.arg for a in node.args.args]
+    return found
+
+
+def test_every_cache_is_bounded():
+    found = _unbounded_caches()
+    assert set(found) == KEYED_BY_D
+    assert all(args == ["D"] for args in found.values()), found
