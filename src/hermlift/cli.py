@@ -64,6 +64,14 @@ def _read_json(path: str):
         raise UsageError(f"cannot read {path}: {e}") from e
 
 
+def _ints(cfg: dict, key: str, default: list) -> list:
+    """cfg[key], or default when absent: a non-empty list of integers (no bool, no float)."""
+    value = cfg.get(key, default)
+    if not (isinstance(value, list) and value and all(type(x) is int for x in value)):
+        raise UsageError(f"{key!r} must be a non-empty list of integers")
+    return value
+
+
 def _emit(report: dict, out: str | None, name: str) -> None:
     text = json.dumps(report, indent=2, default=str)
     if out is None:
@@ -238,19 +246,19 @@ def cmd_verify(args) -> int:
         cfg = _read_json(args.config)
         if not isinstance(cfg, dict):
             raise UsageError(f"{args.config} must hold a JSON object")
-        discs = cfg.get("discriminants", [])
-        levels = cfg.get("levels", [1])
+        discs, levels = _ints(cfg, "discriminants", []), _ints(cfg, "levels", [1])
         modes = cfg.get("modes", ["criterion"])
+        if not (isinstance(modes, list) and modes and all(m in MODES for m in modes)):
+            raise UsageError(f"'modes' must be a non-empty list of {', '.join(MODES)}")
         arithmetic = cfg.get("arithmetic", args.arithmetic)
         out = cfg.get("output_dir", args.out)
+        if out is not None and not isinstance(out, str):
+            raise UsageError("'output_dir' must be a string")
     else:
         if args.D is None:
             raise UsageError("--D or --config is required")
         discs, levels = [args.D], [args.N]
         modes, arithmetic, out = [args.mode], args.arithmetic, args.out
-    for mode in modes:
-        if mode not in MODES:
-            raise UsageError(f"unknown mode {mode!r}")
     if arithmetic not in ("exact", "float"):
         raise UsageError("arithmetic must be 'exact' or 'float'")
     tasks = [(D, N) for D in discs for N in levels]

@@ -19,10 +19,12 @@ and the statement verified here is A = 1 if D|w|^2 = D|v|^2 mod D, else 0.
 
 A_u also has closed forms when c | D, c > 0 (one for odd D; a two-branch
 B_u + C_u expression for even D); both routes are implemented and compared
-exactly.  The closed forms absorb the a_w/a_u factor.  The direct terms are
-int64 arrays over (sigma, j) built from per-D tables (`_direct_rows`) and
-read two ways: one exponent histogram per sigma (`inner_sum_direct`) and
-residues over a chunk of sigma and all pairs at once (`inner_sums_residues`).
+exactly.  The closed forms absorb the a_w/a_u factor.  Each is the product of
+integer (exponent over L, weight) pair lists, one per factor, read by one
+`esum` over one denominator.  The direct terms are int64 arrays over (sigma,
+j) built from per-D tables (`_direct_rows`) and read two ways: one exponent
+histogram per sigma (`inner_sum_direct`) and residues over a chunk of sigma
+and all pairs at once (`inner_sums_residues`).
 
 `verify_criterion` decides exactly in residues (`residues`): each value of
 one sigma lies in Q(zeta_L), L = D (odd D) or 2D, stored as its phi(L)
@@ -52,7 +54,7 @@ import numpy as np
 
 from .arith import bezout, component, crt, divisors, inverse_mod, valuation
 from .charsums import gauss_sum
-from .cyclotomic import CycloNum, esum, ext_root, root_of_unity
+from .cyclotomic import CycloNum, esum
 from .quadfield import DiffClass, QuadField, chi_component, classes
 from .residues import ResidueRing, certifies_zero
 from .thetamat import IDENTITY, Mat2Z, lattice_coords, monomial_terms, theta_order, theta_terms
@@ -130,21 +132,9 @@ def _direct_rows(D: int, entries: tuple[tuple[int, int, int, int], ...]) -> tupl
 
 
 @lru_cache(maxsize=4096)
-def _gauss(field: QuadField, m: int, b: int) -> CycloNum:
-    """G(psi_m; b) for 0 <= b < m, one CycloNum per (field, m, b mod m)."""
-    return gauss_sum(chi_component(field, m), b)
-
-
-@lru_cache(maxsize=4096)
-def _closed_factor(field: QuadField, m: int, n: int, b: int, a: int) -> CycloNum:
-    """m G(psi_n; b) psi_m(a), b mod n, a mod m: a closed form's sigma-only factor."""
-    return m * _gauss(field, n, b) * chi_component(field, m)(a)
-
-
-@lru_cache(maxsize=4096)
 def _gauss_terms(field: QuadField, m: int, b: int) -> tuple[tuple[int, int], ...]:
-    """G(psi_m; b) as (exponent over L, weight) pairs, weights nonzero."""
-    g = _gauss(field, m, b)
+    """G(psi_m; b) for 0 <= b < m as (exponent over L, weight) pairs, weights nonzero."""
+    g = gauss_sum(chi_component(field, m), b)
     return tuple((k * (theta_order(field) // g.order), v) for k, v in g.coeffs.items())
 
 
@@ -163,99 +153,93 @@ def inner_sum_direct(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass)
     return esum(theta_order(field), terms) * Fraction(w.mult, int(halves[0]) * u.mult)
 
 
-def _inner_closed_odd(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass) -> CycloNum:
+def _product(*factors: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The terms of a product of sums of (exponent, weight) pairs."""
+    terms = [(0, 1)]
+    for factor in factors:
+        terms = [(k + k2, v * v2) for k, v in terms for k2, v2 in factor]
+    return terms
+
+
+def _roots(n: int, dn: int, s: int, L: int) -> list[tuple[int, int]]:
+    """F: e[s g/n] over the square roots g of dn mod n, n | L."""
+    return [(s * g * (L // n), 1) for g in range(n) if (g * g - dn) % n == 0]
+
+
+def _sigma_factor(field: QuadField, m: int, n: int, b: int, a: int, dn: int) -> list[tuple[int, int]]:
+    """m G(psi_n; b) psi_m(a), 0 <= b < n, if m | dn = D|u|^2 - d^2 D|w|^2,
+    else no terms: a closed form's factor that depends on u, w through dn only."""
+    if dn % m != 0:
+        return []
+    s = m * chi_component(field, m)(a)
+    return [(k, s * v) for k, v in _gauss_terms(field, n, b)]
+
+
+def _inner_closed_odd(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass):
+    """Odd D: the terms of A_u over L = D, and their denominator 1."""
     a, b, c, d = sigma.entries()
-    D = field.D
-    Dstar = D // c
-    if (u.dnorm - d * d * w.dnorm) % c != 0:
-        return CycloNum.zero()
+    Dstar, dnu, dnw = field.D // c, u.dnorm, w.dnorm
     h = crt([(b % c, c), (inverse_mod(c % Dstar, Dstar), Dstar)])
-    x = u.key[0]
-    F = esum(Dstar, ((2 * x * h * h * g, 1)
-                     for g in range(Dstar) if (g * g - w.dnorm) % Dstar == 0))
-    return (F * _closed_factor(field, c, Dstar, 1 % Dstar, a % c)
-            * root_of_unity(Fraction(-w.dnorm * d * h, D) + Fraction(-u.dnorm * a * h * h, Dstar)))
+    F = _roots(Dstar, dnw, 2 * u.key[0] * h * h, field.D)
+    K = [(-dnw * d * h - dnu * a * h * h * c, 1)]  # e[-D|w|^2 dh/D - D|u|^2 ah^2/D*]
+    return _product(F, K, _sigma_factor(field, c, Dstar, 1 % Dstar, a, dnu - d * d * dnw)), 1
 
 
-def _inner_closed_even(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass) -> CycloNum:
+def _inner_closed_even(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass):
+    """Even D: the terms of A_u = B_u + C_u over L = 2D, and their denominator."""
     a, b, c, d = sigma.entries()
-    D, e, Dp = field.D, field.e, field.Dprime
+    D, e, Dp, chi2 = field.D, field.e, field.Dprime, field.chi2
+    dnu, dnw, L = u.dnorm, w.dnorm, 2 * field.D
     f = valuation(c, 2)
     cp = c >> f
     cstar = (2**e) * cp if f >= 1 else cp
-    Dstar = D // cstar
+    Dstar, Dpc = D // cstar, Dp // cp
     f2 = 0 if f >= 1 else e
-    f1 = f2 if w.dnorm == 0 else min(f2, valuation(w.dnorm, 2))
-    dnu, dnw = u.dnorm, w.dnorm
-    chi2 = field.chi2
+    f1 = f2 if dnw == 0 else min(f2, valuation(dnw, 2))
 
-    # F_u: sum over square roots of D|w|^2 mod D'/c'
-    Dpc = Dp // cp
-    x = u.key[1]
-    # e[(2xg / (c c* 2^f2)) / (D'/c')]: the denominator is inverted mod D'/c'
-    inv = pow(c * cstar * (2**f2), -1, Dpc)
-    F = esum(Dpc, ((2 * x * g * inv, 1) for g in range(Dpc) if (g * g - dnw) % Dpc == 0))
-    K = (
-        ext_root(Fraction(-dnu * a * b, D // cp), cp)
-        * ext_root(Fraction(-dnu * a, c * cstar), Dstar)
-        * ext_root(Fraction(-dnw * d, c * cstar), Dstar)
-    )
+    # F_u: e[(2xg / (c c* 2^f2)) / (D'/c')] over g^2 = D|w|^2 mod D'/c', denominator inverted
+    F = _roots(Dpc, dnw, 2 * u.key[1] * inverse_mod(c * cstar * 2**f2, Dpc), L)
+    # K_u = e[(-D|u|^2 ab / (D/c')) / c'] e[(-(D|u|^2 a + D|w|^2 d) / (c c*)) / D*]: each
+    # denominator is coprime to its modulus and inverted there
+    K = [(-dnu * a * b * inverse_mod(D // cp, cp) * (L // cp)
+          - (dnu * a + dnw * d) * inverse_mod(c * cstar, Dstar) * (L // Dstar), 1)]
 
-    # E_u
+    # E_u, over 2^e
     if c % 2 == 1:
-        E = _gauss(field, 2**e, Dp * c % 2**e) * chi2(dnu + dnw)
+        E = [(k, chi2(dnu + dnw) * v) for k, v in _gauss_terms(field, 2**e, Dp * c % 2**e)]
+    elif (dnu - dnw - c) % (2 ** (e - 1)) != 0:
+        E = []
     else:
-        if (dnu - dnw - c) % (2 ** (e - 1)) != 0:
-            E = CycloNum.zero()
-        else:
-            E = (
-                (2 ** (e - 1))
-                * chi2(a)
-                * root_of_unity(Fraction(-Dp * dnw * a * b, 2**e))
-                * (
-                    1
-                    + root_of_unity(
-                        Fraction(Dp * (dnu - dnw * (2 * b * c + 1) - dnw * c * d), 2**e)
-                    )
-                    * chi2(1 + a * c)
-                )
-            )
+        k, s, v = -Dp * dnw * a * b, L >> e, (2 ** (e - 1)) * chi2(a)
+        E = [(k * s, v), ((k + Dp * (dnu - dnw * (2 * b * c + 1) - dnw * c * d)) * s, v * chi2(1 + a * c))]
 
-    # chi_p(D|u|^2) is 0 or 1 for every p | D (a_u >= 1), so these are safe
-    ratio = Fraction(1 + chi2(dnw), 1 + chi2(dnu))
-    B = CycloNum.zero()
-    if (dnu - d * d * dnw) % cp == 0:
-        B = F * K * E * ratio * _closed_factor(field, cp, Dpc, (2**f2) * cstar * c % Dpc, a % cp)
+    # chi_p(D|u|^2) is 0 or 1 for every p | D (a_u >= 1): the denominator of the
+    # ratio (1 + chi_2(D|w|^2)) / (1 + chi_2(D|u|^2)) of B_u and of the 1 / (1 + chi_2(D|u|^2)) of C_u
+    den, dn = 1 + chi2(dnu), dnu - d * d * dnw
+    B = _product(F, K, E, [(0, 1 + chi2(dnw))],
+                 _sigma_factor(field, cp, Dpc, (2**f2) * cstar * c % Dpc, a, dn))
     if f1 == 0:
-        return B
+        return B, den
 
-    # C_u branch: only reachable for odd c with 2 | D|w|^2
-    if e - f1 == 0:
-        Eprime = CycloNum.from_rational(1)
-    elif e - f1 == 1:
-        Eprime = CycloNum.from_rational((-1) ** dnu)
+    # C_u branch: only reachable for odd c with 2 | D|w|^2; E'_u is a sign
+    if e - f1 < 2:
+        sign = (-1) ** (dnu * (e - f1))
     elif dnu % 2 == 0:
-        Eprime = CycloNum.from_rational((-1) ** (dnu // 2))
+        sign = (-1) ** (dnu // 2)
+    elif (dnu + dnw // 2) % 2 == 0:
+        sign = (-1) ** ((dnu + dnw // 2) // 2) * chi2(-1)
     else:
-        ex = dnu + dnw // 2
-        if ex % 2:
-            raise AssertionError(f"D|u|^2 + D|w|^2 / 2 = {ex} is odd")
-        Eprime = CycloNum.from_rational((-1) ** (ex // 2) * chi2(-1))
-    C = CycloNum.zero()
-    if (dnu - d * d * dnw) % c == 0:
-        C = (F * K * Eprime * Fraction(1, 1 + chi2(dnu))
-             * _closed_factor(field, c, Dstar, 1 % Dstar, a % c))
-    return B + C
+        raise AssertionError(f"D|u|^2 + D|w|^2 / 2 = {dnu + dnw // 2} is odd")
+    C = _product(F, K, [(0, sign)], _sigma_factor(field, c, Dstar, 1 % Dstar, a, dn))
+    return B + C, den
 
 
 def inner_sum_closed(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass) -> CycloNum:
-    """Closed-form A_u for c | D, c > 0."""
-    a, b, c, d = sigma.entries()
-    if c <= 0 or field.D % c != 0:
+    """Closed-form A_u for c | D, c > 0: one `esum` of its terms."""
+    if sigma.c <= 0 or field.D % sigma.c != 0:
         raise ValueError("closed form requires c | D with c > 0")
-    if field.e == 0:
-        return _inner_closed_odd(field, sigma, u, w)
-    return _inner_closed_even(field, sigma, u, w)
+    closed = _inner_closed_even if field.e else _inner_closed_odd
+    return esum(theta_order(field), *closed(field, sigma, u, w))
 
 
 def expected_delta(field: QuadField, v: DiffClass, w: DiffClass) -> int:
@@ -406,11 +390,13 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
     them; `certificate` has L, primes, max B bits.
 
     The level N is validated (positive, coprime to D) and reported, but it
-    does not change the sweep."""
+    does not change the sweep.  translates (per sweep sigma) must be >= 0."""
     if N < 1 or math.gcd(field.D, N) != 1:
         raise ValueError("level N must be a positive integer coprime to D")
     if arithmetic not in ("exact", "float"):
         raise ValueError("arithmetic must be 'exact' or 'float'")
+    if translates < 0:
+        raise ValueError("translates must be at least 0")
     rng = random.Random(seed)
     t0 = time.monotonic()
     cls = classes(field)

@@ -338,14 +338,3 @@ def root_of_unity(r: Rat) -> CycloNum:
     M = r.denominator
     return _raw(M, {r.numerator % M: 1}, 1)
 
-
-def ext_root(r: Rat, M: int) -> CycloNum:
-    """e[r/M] in the extended sense: r is a rational with denominator coprime
-    to M, and e[r/M] means e[s/M] for the integer s = r mod M (denominator
-    inverted modulo M)."""
-    if M < 0:
-        return ext_root(-Fraction(r), -M)
-    r = Fraction(r)
-    if math.gcd(r.denominator, M) != 1:
-        raise ValueError(f"denominator of {r} not invertible mod {M}")
-    return root_of_unity(Fraction(r.numerator * pow(r.denominator, -1, M), M))

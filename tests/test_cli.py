@@ -185,9 +185,22 @@ def _coeffs(d, enc):
     (["verify", "--config", "g.json"], lambda d: [d]),
     (["lift", "--D", "3", "--k", "12", "--input", "g.json"], None),
     (["lift", "--D", "7", "--input", "g.json"], None),
+    (["verify", "--config", "g.json"], lambda d: {"discriminants": 7}),
+    (["verify", "--config", "g.json"], lambda d: {"discriminants": [7], "levels": ["2"]}),
+    (["verify", "--config", "g.json"], lambda d: {"discriminants": [7.0]}),
+    (["verify", "--config", "g.json"], lambda d: {"discriminants": [7], "levels": [2.0]}),
+    (["verify", "--config", "g.json"], lambda d: {"discriminants": [True]}),
+    (["verify", "--config", "g.json"], lambda d: {}),
+    (["verify", "--config", "g.json"], lambda d: {"discriminants": [3], "levels": []}),
+    (["verify", "--config", "g.json"], lambda d: {"discriminants": [3], "modes": "theta"}),
+    (["verify", "--config", "g.json"], lambda d: {"discriminants": [3], "modes": ["thetas"]}),
+    (["verify", "--config", "g.json"], lambda d: {"discriminants": [3], "output_dir": 5}),
 ], ids=["lift-odd-k", "ikeda-odd-k", "lift-missing-input", "verify-missing-config",
         "theta-overflow", "input-missing-key", "input-precision", "input-float", "input-re-im",
-        "config-not-an-object", "input-wrong-weight", "input-wrong-disc"])
+        "config-not-an-object", "input-wrong-weight", "input-wrong-disc", "config-disc-not-a-list",
+        "config-level-a-string", "config-disc-a-float", "config-level-a-float", "config-disc-a-bool",
+        "config-empty", "config-no-levels", "config-modes-a-string", "config-unknown-mode",
+        "config-output-dir-not-a-string"])
 def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys, args, edit):
     monkeypatch.chdir(tmp_path)
     if "g.json" in args:  # the D = 3, k = 8 form, edited unless the command mismatches it

@@ -26,18 +26,28 @@ from hermlift.thetamat import (Mat2Z, mat_mul, theta_matrix, theta_matrix_closed
 from tests.conftest import ALL_D, SMALL_D
 
 
-@pytest.mark.parametrize("D", SMALL_D)
-def test_inner_sums_closed_vs_direct(D):
+def closed_vs_direct_translated(D):
+    """The (sigma, u, w) where the closed and direct A_u differ, over every
+    sweep sigma with c | D, c > 0 and its T^k sigma, T^k = (1 k; 0 1), k = 1, 2.
+    The sweep's sigma at c = 1 all have a = 0; T^k sigma has a = k, so the
+    closed forms' a-dependent exponents are not 0 mod D at c = 1."""
     f = QuadField(D)
     cls = classes(f)
-    for sigma in sweep_sigmas(f):
-        if sigma.c <= 0 or D % sigma.c != 0:
+    out = []
+    for base in sweep_sigmas(f):
+        if base.c <= 0 or D % base.c != 0:
             continue
-        for u in cls:
-            for w in cls:
-                lhs = inner_sum_direct(f, sigma, u, w)
-                rhs = inner_sum_closed(f, sigma, u, w)
-                assert (lhs - rhs).is_zero(), (D, sigma.entries(), u.key, w.key)
+        for sigma in [base] + [Mat2Z(1, k, 0, 1) * base for k in (1, 2)]:
+            for u in cls:
+                for w in cls:
+                    if not (inner_sum_direct(f, sigma, u, w) - inner_sum_closed(f, sigma, u, w)).is_zero():
+                        out.append((sigma.entries(), u.key, w.key))
+    return out
+
+
+@pytest.mark.parametrize("D", SMALL_D)
+def test_inner_sums_closed_vs_direct(D):
+    assert closed_vs_direct_translated(D) == []
 
 
 @pytest.mark.parametrize("D", (3, 4))
@@ -82,6 +92,14 @@ def test_verify_criterion_rejects_bad_level():
         verify_criterion(f, 6)
     with pytest.raises(ValueError):
         verify_criterion(f, 1, arithmetic="symbolic")
+
+
+@pytest.mark.parametrize("translates", [-1, -2])
+def test_verify_criterion_refuses_negative_translates(translates):
+    # a negative count once reported triples_checked 0 (-1) or -686 (-2, D = 7)
+    # for a sweep whose base sigma were checked
+    with pytest.raises(ValueError, match="translates"):
+        verify_criterion(QuadField(7), 1, translates=translates)
 
 
 def test_random_gamma0_in_group():
@@ -253,13 +271,30 @@ def test_c02_locates_a_flipped_chi2_in_R(monkeypatch):
 def test_c02_locates_a_dropped_C_branch(monkeypatch):
     # C_u is reached only for odd c with 2 | D|w|^2: the even D fail there
     monkeypatch.setattr(criterion, "_inner_closed_even",
-                        _mutated(criterion._inner_closed_even, "return B + C\n", "return B\n"))
+                        _mutated(criterion._inner_closed_even, "return B + C, den\n", "return B, den\n"))
     got = acceptance.closed_vs_direct_failures(SMALL_D)
     assert [x for x in got if x[0] == 4] and {D for D, *_ in got} <= {4, 8}
     assert len([x for x in got if x[0] == 4]) == 32
     for D, sigma, u, w in got:
         dnorm = {x.key: x.dnorm for x in classes(QuadField(D))}
         assert sigma[2] == 1 and dnorm[w] % 2 == 0 and u in dnorm, (D, sigma, u, w)
+
+
+def test_a_flipped_a_h2_sign_is_located(monkeypatch):
+    # e[+D|u|^2 a h^2 / D*] for e[-D|u|^2 a h^2 / D*] in the odd closed form.
+    # At c = D the exponent D|u|^2 a h^2 c is 0 mod D, and c02's sweep has a = 0
+    # at c = 1, so at prime D only the T^k sigma see the fault, at c = 1
+    monkeypatch.setattr(criterion, "_inner_closed_odd",
+                        _mutated(criterion._inner_closed_odd, "- dnu * a * h * h * c,", "+ dnu * a * h * h * c,"))
+    got = {D: closed_vs_direct_translated(D) for D in SMALL_D}
+    assert sum(map(len, got.values())) == 624 and {D for D, x in got.items() if x} == {3, 7}
+    for D, witnesses in got.items():
+        dnorm = {x.key: x.dnorm for x in classes(QuadField(D))}
+        for (a, b, c, d), u, w in witnesses:
+            assert c == 1 and a % D and dnorm[u] % D and w in dnorm, (D, (a, b, c, d), u, w)
+    # c02 itself sees it at the composite odd D = 15, where a = 0 mod c only
+    got = acceptance.closed_vs_direct_failures((15,))
+    assert len(got) == 1648 and {sigma[2] for _, sigma, _, _ in got} == {3, 5}
 
 
 def _sigma_context_rows(f, sigma):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermlift.cyclotomic import (CycloNum, csum, cyclotomic_polynomial, esum,
-                                 ext_root, root_of_unity)
+                                 root_of_unity)
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 roots = st.builds(root_of_unity,
@@ -72,23 +72,6 @@ def test_division():
         a / 0
     with pytest.raises(TypeError):
         a / (1 + root_of_unity(Fraction(1, 5)))
-
-
-def test_ext_root_inverts_denominator():
-    # ext_root(r, M) = e[s/M] with den(r)*s = num(r) mod M
-    assert (ext_root(3, 8) - root_of_unity(Fraction(3, 8))).is_zero()
-    assert (ext_root(Fraction(1, 3), 4) - root_of_unity(Fraction(3, 4))).is_zero()
-    for M in (3, 4, 5, 8):
-        for num in range(1, 6):
-            for den in (1, 3, 7):
-                if math.gcd(den, M) != 1:
-                    continue
-                r = Fraction(num, den)
-                z = ext_root(r, M)
-                (k, _), = z.coeffs.items()
-                assert (den * k * (M // z.order)) % M == num % M
-    with pytest.raises(ValueError):
-        ext_root(Fraction(1, 2), 4)
 
 
 def test_i_unit():
