@@ -198,16 +198,19 @@ def _inert_primes(field: QuadField, N: int, count: int) -> list[int]:
 
 
 def _report_hecke(field: QuadField, N: int) -> dict:
-    failures = []
-    cases = []
+    failures, cases = [], []
     for p in _inert_primes(field, N, 2):
-        reps = coset_reps(field, p, N)
         want = 1 + p + p**3 + p**4
-        count, ok_distinct = len(reps), verify_reps_distinct(field, p, N, reps)
-        del reps  # one prime's representatives at a time
-        cases.append({"p": p, "count": count, "expected": want, "distinct": ok_distinct})
-        if count != want or not ok_distinct:
-            failures.append({"p": p})
+        try:  # builds and checks the families: unitarity, level and the count
+            distinct = verify_reps_distinct(field, p, N)
+        except OverflowError as e:
+            raise UsageError(str(e)) from e
+        except (ValueError, AssertionError) as e:  # a faulty family
+            failures.append({"p": p, "check": str(e)})
+            continue
+        cases.append({"p": p, "count": want, "expected": want, "distinct": distinct})
+        if not distinct:
+            failures.append({"p": p, "check": "distinct"})
     return {"cases": cases, "failures": failures}
 
 
@@ -343,7 +346,7 @@ def cmd_hecke_reps(args) -> int:
     _check_level(args.D, args.N)
     try:
         reps = coset_reps(field, args.p, args.N)
-    except ValueError as e:  # p not an inert prime prime to N
+    except (ValueError, OverflowError) as e:  # p not an inert prime prime to N, or too large
         raise UsageError(str(e)) from e
     want = 1 + args.p + args.p**3 + args.p**4
     rep = {

@@ -8,20 +8,16 @@ Three pieces:
       (iii) beta(u, v) = beta(1, v u^2) for u | N^infinity;
   * the right-coset representatives R_N of the inert-prime Hecke operator
     T_p = Gamma_{0,2}(N) diag(I, pI) Gamma_{0,2}(N) (count 1 + p + p^3 + p^4),
-    integral unitary 4x4 matrices in U(2,2)(O_K), with an exact distinctness
-    verifier.  Each coset has a canonical key, the reduced row echelon form
-    over O_K/pO_K = F_{p^2} of the top two rows [A | B] of a representative
-    mod p: if r2 = y r1 with y's B block = 0 mod p, then top(r2) = A_y
-    top(r1) mod p with A_y invertible mod p (det y is a unit = det A_y
-    det D_y).  Representatives are bucketed by key and any collision is
-    decided by the exact membership test, so the check is linear when the
-    keys are distinct;
+    integral unitary 4x4 matrices in U(2,2)(O_K), and verify_reps_distinct,
+    which keys each coset by the normalized Plücker vector of the top two
+    rows mod p, for all representatives at once;
   * beta_Tp -- the three-branch recursion transporting beta under T_p, which
     preserves conditions (ii)/(iii) (checked by verify_beta_conditions).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -78,8 +74,6 @@ class UnitaryMat4:
                    for row in rows)
         if len(rs) != 4 or any(len(r) != 4 for r in rs):
             raise ValueError("need a 4x4 matrix")
-        if not all(isinstance(x.a, int) and isinstance(x.b, int) for r in rs for x in r):
-            raise ValueError("entries must be integral")
         _check_unitary(field, np.array([[[(x.a, x.b) for x in r] for r in rs]], dtype=object))
         return UnitaryMat4(field, rs)
 
@@ -140,10 +134,13 @@ def _in_u22(field: QuadField, g: np.ndarray) -> np.ndarray:
 
 
 def _check_unitary(field: QuadField, g: np.ndarray, N: int = 1) -> None:
-    """Raise ValueError unless every matrix of the [n, 4, 4, 2] integer pairs
-    g lies in U(2,2)(O_K) with lower-left block divisible by N.  An int64 g
-    whose entries exceed _pair_dtype's bound is checked as object."""
-    if g.dtype != object and _pair_dtype(field, int(np.abs(g).max(initial=0))) is object:
+    """Raise ValueError unless every matrix of the [n, 4, 4, 2] pairs g is
+    integral and lies in U(2,2)(O_K) with lower-left block divisible by N.
+    An int64 g whose entries exceed _pair_dtype's bound is checked as object."""
+    if g.dtype == object:
+        if not all(isinstance(x, int) for x in g.flat):
+            raise ValueError("entries must be integral")
+    elif _pair_dtype(field, int(np.abs(g).max(initial=0))) is object:
         g = g.astype(object)
     unitary = _in_u22(field, g)
     if not unitary.all():
@@ -211,8 +208,8 @@ def _families(field: QuadField, p: int, N: int):
 def _mats(field: QuadField, g: np.ndarray) -> list[UnitaryMat4]:
     """The checked matrices of the [n, 4, 4, 2] integer pairs g, each
     distinct entry one AlgInt shared by every matrix that holds it."""
-    lo = int(g[..., 1].min())
-    span = int(g[..., 1].max()) - lo + 1
+    lo = int(g[..., 1].min(initial=0))
+    span = int(g[..., 1].max(initial=0)) - lo + 1
     # one integer key a * span + (b - lo) per entry a + b*omega
     keys, at = np.unique(g[..., 0] * span + (g[..., 1] - lo), return_inverse=True)
     get = [AlgInt(field, a, b + lo) for a, b in (divmod(k, span) for k in keys.tolist())].__getitem__
@@ -225,19 +222,35 @@ def _mats(field: QuadField, g: np.ndarray) -> list[UnitaryMat4]:
     return out
 
 
+# the largest family has p^4 members of 32 int64 each: p <= 19 is admitted
+_FAMILY = 2**17
+
+
+def _check_coset_prime(field: QuadField, p: int, N: int) -> None:
+    """_check_inert, and OverflowError for p^4 > _FAMILY (so keys stay below p^12 < 2^63)."""
+    _check_inert(field, p, N)
+    if p**4 > _FAMILY:
+        raise OverflowError(f"p = {p} needs a coset family of {p**4} members, over the limit {_FAMILY}")
+
+
+def _rep_array(field: QuadField, p: int, N: int) -> np.ndarray:
+    """coset_reps as one [n, 4, 4, 2] array of integer pairs, each family
+    checked: in U(2,2)(O_K), lower-left block divisible by N, and the count."""
+    _check_coset_prime(field, p, N)
+    fams = list(_families(field, p, N))
+    for g in fams:
+        _check_unitary(field, g, N)
+    g = np.concatenate(fams)
+    if len(g) != 1 + p + p**3 + p**4:
+        raise AssertionError(f"{len(g)} coset representatives, not 1 + p + p^3 + p^4")
+    return g
+
+
 def coset_reps(field: QuadField, p: int, N: int) -> list[UnitaryMat4]:
     """The 1 + p^4 + p + p^3 right-coset representatives R_N for
     alpha^{-1} Gamma_{0,2}(Np) alpha \\ Gamma_{0,2}(N), alpha = diag(I, pI),
-    p inert and prime to N.  Each family is checked as one array: every
-    representative lies in U(2,2)(O_K) with lower-left block divisible by N."""
-    _check_inert(field, p, N)
-    reps = []
-    for g in _families(field, p, N):
-        _check_unitary(field, g, N)
-        reps += _mats(field, g)
-    if len(reps) != 1 + p + p**3 + p**4:
-        raise AssertionError(f"{len(reps)} coset representatives, not 1 + p + p^3 + p^4")
-    return reps
+    p inert and prime to N, read from the checked arrays of _rep_array."""
+    return _mats(field, _rep_array(field, p, N))
 
 
 def _same_coset(field: QuadField, p: int, N: int, r1: UnitaryMat4, r2: UnitaryMat4) -> bool:
@@ -250,65 +263,53 @@ def _same_coset(field: QuadField, p: int, N: int, r1: UnitaryMat4, r2: UnitaryMa
     return b_div and y.c_block_divisible_by(N)
 
 
-def coset_key(field: QuadField, p: int, r: UnitaryMat4) -> tuple:
-    """The canonical key of the right coset of r: the reduced row
-    echelon form over O_K/pO_K = F_{p^2} of the top two rows [A | B] of r
-    mod p, each entry a pair (a, b) standing for a + b*omega.  For a
-    representative of T_p it is a totally isotropic 2-space of the hermitian
-    form J4 (A B* - B A* = 0 mod p), a generator of the polar space H(3, p^2).
-    """
-    t, n = field.omega_trace, field.omega_norm
+def _plucker_keys(field: QuadField, p: int, top: np.ndarray) -> np.ndarray:
+    """The key of each [2, 4, 2] block of integer pairs in top, the rows
+    [A | B]: the six 2x2 minors of the rows over F_{p^2}, scaled by the
+    inverse of the first nonzero one, read as one base-p^2 integer."""
+    t, n = field.omega_trace % p, field.omega_norm % p
+    top = (top % p).astype(np.int64)
 
-    def mul(x, y):  # omega^2 = t*omega - n
-        return ((x[0] * y[0] - n * x[1] * y[1]) % p,
-                (x[0] * y[1] + x[1] * y[0] + t * x[1] * y[1]) % p)
+    def mul(x0, x1, y0, y1):  # omega^2 = t*omega - n
+        return (x0 * y0 - n * x1 * y1) % p, (x0 * y1 + x1 * y0 + t * x1 * y1) % p
 
-    def inv(x):  # conj(x) / N(x), and N(x) != 0 mod p because p is inert
-        a, b = x
-        s = pow(a * a + t * a * b + n * b * b, -1, p)
-        return (a + t * b) * s % p, -b * s % p
-
-    rows = [[(x.a % p, x.b % p) for x in row] for row in r.rows[:2]]
-    lead = 0
-    for c in range(4):
-        piv = next((i for i in range(lead, 2) if rows[i][c] != (0, 0)), None)
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        s = inv(rows[lead][c])
-        rows[lead] = [mul(s, x) for x in rows[lead]]
-        other = 1 - lead
-        f = rows[other][c]
-        if f != (0, 0):
-            rows[other] = [((x[0] - fy[0]) % p, (x[1] - fy[1]) % p)
-                           for x, fy in zip(rows[other], (mul(f, y) for y in rows[lead]))]
-        lead += 1
-        if lead == 2:
-            break
-    return tuple(map(tuple, rows))
+    i, j = np.triu_indices(4, 1)
+    u0, u1 = mul(top[:, 0, i, 0], top[:, 0, i, 1], top[:, 1, j, 0], top[:, 1, j, 1])
+    v0, v1 = mul(top[:, 0, j, 0], top[:, 0, j, 1], top[:, 1, i, 0], top[:, 1, i, 1])
+    m0, m1 = (u0 - v0) % p, (u1 - v1) % p
+    # x^{-1} = conj(x) N(x)^{-1}, and N(x) != 0 mod p for x != 0 as p is inert
+    first = np.argmax((m0 != 0) | (m1 != 0), axis=1)[:, None]
+    a, b = np.take_along_axis(m0, first, 1), np.take_along_axis(m1, first, 1)
+    w = np.array([0] + [pow(z, -1, p) for z in range(1, p)])[(a * a + t * a * b + n * b * b) % p]
+    k0, k1 = mul(m0, m1, (a + t * b) * w % p, -b * w % p)
+    return (k0 * p + k1) @ (p * p) ** np.arange(6, dtype=np.int64)
 
 
 def verify_reps_distinct(field: QuadField, p: int, N: int,
                          reps: list[UnitaryMat4] | None = None) -> bool:
-    """Exact check that reps (default coset_reps(field, p, N)) lie in
-    pairwise distinct right cosets.
+    """Exact check that reps (default: those of coset_reps, kept as arrays)
+    lie in pairwise distinct right cosets; given reps are read through
+    to_json and checked as coset_reps checks its own.
 
-    Representatives are bucketed by coset_key.  The key of a coset is well
-    defined: if r2 = y r1 with y's B block = 0 mod p, then top(r2) = A_y
-    top(r1) mod p, and det y is a unit = det A_y det D_y mod p, so A_y is
-    invertible mod p.  Each collision is then decided by the exact
-    membership test _same_coset, so the verdict equals that of comparing all
-    pairs, at linear cost when the keys are distinct.
+    The key of a coset is the normalized Plücker vector of the top two rows
+    mod p: if r2 = y r1 with y's B block = 0 mod p, then top(r2) = A_y top(r1)
+    mod p with det A_y a unit (det y = det A_y det D_y), which scales every
+    minor.  Colliding keys are decided by the exact test _same_coset.  A
+    unitary g has A B* = B A*, so its key is a totally isotropic plane of J4
+    mod p; H(3, p^2) has exactly (p + 1)(p^3 + 1) = 1 + p + p^3 + p^4 of them
+    (Hirschfeld and Thas, General Galois Geometries), so a right count,
+    distinct keys and unitarity prove a complete system at every p.
     """
-    _check_inert(field, p, N)
     if reps is None:
-        reps = coset_reps(field, p, N)
-    buckets: dict[tuple, list[UnitaryMat4]] = {}
-    for r in reps:
-        buckets.setdefault(coset_key(field, p, r), []).append(r)
-    return not any(_same_coset(field, p, N, r1, r2)
-                   for rs in buckets.values()
-                   for i, r1 in enumerate(rs) for r2 in rs[i + 1:])
+        g = _rep_array(field, p, N)
+    else:
+        _check_coset_prime(field, p, N)
+        g = np.array([r.to_json() for r in reps], dtype=object).reshape(-1, 4, 4, 2)
+        _check_unitary(field, g, N)
+    _, at, counts = np.unique(_plucker_keys(field, p, g[:, :2]), return_inverse=True, return_counts=True)
+    clash = np.flatnonzero(counts[at] > 1)
+    pairs = itertools.combinations(zip(at[clash].tolist(), _mats(field, g[clash])), 2)
+    return not any(k1 == k2 and _same_coset(field, p, N, r1, r2) for (k1, r1), (k2, r2) in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -242,8 +242,3 @@ def a_D(field: QuadField, ell: int) -> int:
         if out == 0:
             return 0
     return out
-
-
-def a_D_by_count(field: QuadField, ell: int) -> int:
-    """Independent brute-force count of {u in [d_K] : D|u|^2 = -ell mod D}."""
-    return sum(1 for u in classes(field) if (u.dnorm + ell) % field.D == 0)

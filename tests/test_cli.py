@@ -129,19 +129,64 @@ def test_hecke_mode_takes_inert_primes_prime_to_N(N, primes):
 
 
 def test_hecke_mode_builds_the_representatives_once(monkeypatch):
-    import hermlift.cli as cli
+    # one build of the families per prime, and no UnitaryMat4 on valid ones
     import hermlift.hecke as hecke
 
-    calls, real = [], hecke.coset_reps
+    calls, real, real_mats = [], hecke._families, hecke._mats
 
     def counted(field, p, N):
         calls.append(p)
         return real(field, p, N)
 
-    for module in (cli, hecke):
-        monkeypatch.setattr(module, "coset_reps", counted)
+    def no_objects(field, g):
+        assert not len(g), "built UnitaryMat4s"
+        return real_mats(field, g)
+
+    monkeypatch.setattr(hecke, "_families", counted)
+    monkeypatch.setattr(hecke, "_mats", no_objects)
     assert run_mode("hecke", 3, 1)["ok"]
     assert sorted(calls) == [2, 5]
+
+
+@pytest.mark.parametrize("fault,check", [("drop", "coset representatives, not 1 + p + p^3 + p^4"),
+                                         ("shift", "matrix 7 is not in U")], ids=["drop", "shift"])
+def test_hecke_mode_reports_a_faulty_family(monkeypatch, capsys, fault, check):
+    # family 1 without its one member, or member 7 of family 2 with its
+    # (0, 2) entry off by one: a FAIL naming p, with the JSON report
+    import hermlift.hecke as hecke
+
+    real = hecke._families
+
+    def faulty(field, p, N):
+        for k, g in enumerate(real(field, p, N)):
+            if fault == "drop" and k == 0:
+                g = g[:0]
+            if fault == "shift" and k == 1 and p == 5:
+                g[7, 0, 2, 0] += 1
+            yield g
+
+    monkeypatch.setattr(hecke, "_families", faulty)
+    assert run(["verify", "--D", "3", "--mode", "hecke"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert not rep["ok"]
+    assert [w["p"] for w in rep["failures"]] == ([2, 5] if fault == "drop" else [5])
+    assert all(check in w["check"] for w in rep["failures"])
+    assert [c["p"] for c in rep["cases"]] == ([] if fault == "drop" else [2])
+
+
+def test_hecke_refuses_an_oversized_prime(monkeypatch, capsys):
+    # hecke-reps at p = 101, and verify at a level that leaves 23 and 29 as
+    # the first inert primes, exit 2 before any family is built
+    import hermlift.hecke as hecke
+
+    def unreachable(field, p, N):
+        raise AssertionError("built a family")
+
+    monkeypatch.setattr(hecke, "_families", unreachable)
+    for args in (["hecke-reps", "--D", "3", "--p", "101"],
+                 ["verify", "--D", "3", "--N", str(2 * 5 * 11 * 17), "--mode", "hecke"]):
+        assert run(args) == 2, args
+        assert "over the limit" in capsys.readouterr().err, args
 
 
 def test_lift_table(tmp_path):

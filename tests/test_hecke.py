@@ -10,7 +10,7 @@ from hermlift import hecke
 from hermlift.arith import prime_divisors, valuation
 from hermlift.cyclotomic import CycloNum, root_of_unity
 from hermlift.hecke import (BetaTable, TableRangeError, UnitaryMat4, _check_unitary,
-                            _in_u22, _same_coset, beta_Tp, coset_key, coset_reps,
+                            _in_u22, _plucker_keys, _same_coset, beta_Tp, coset_reps,
                             verify_beta_conditions, verify_reps_distinct)
 from hermlift.lift import AlphaSeries, beta_from_alpha
 from hermlift.quadfield import AlgInt, QuadField
@@ -211,16 +211,20 @@ def _herm(x, y, f, p):
 
 @pytest.mark.parametrize("D,p,planes,isotropic", [(3, 2, 357, 27), (4, 3, 7462, 112)])
 def test_coset_keys_are_the_isotropic_planes(D, p, planes, isotropic):
-    # the keys of the representatives are exactly the totally isotropic
-    # 2-spaces of J4 over F_{p^2}, so the representatives form a complete
-    # system of the 1 + p + p^3 + p^4 cosets, not only a distinct one
+    # the keys of the representatives are exactly the keys of the totally
+    # isotropic 2-spaces of J4 over F_{p^2}, and distinct planes have
+    # distinct keys, so the representatives form a complete system of the
+    # 1 + p + p^3 + p^4 cosets, not only a distinct one
     f = QuadField(D)
     candidates = list(_planes(p))
     assert len(candidates) == len(set(candidates)) == planes
-    want = {rows for rows in candidates
+    keys = _plucker_keys(f, p, np.array(candidates)).tolist()
+    assert len(set(keys)) == planes
+    want = {k for k, rows in zip(keys, candidates)
             if all(_herm(x, y, f, p) == (0, 0) for x in rows for y in rows)}
     assert len(want) == isotropic == 1 + p + p**3 + p**4
-    assert {coset_key(f, p, r) for r in coset_reps(f, p, 1)} == want
+    g = hecke._rep_array(f, p, 1)
+    assert set(_plucker_keys(f, p, g[:, :2]).tolist()) == want
 
 
 def test_coset_reps_rejects_bad_input():
@@ -294,9 +298,11 @@ def test_distinctness_sees_a_repeated_coset(block, N, distinct):
     # replace reps[1] by h * reps[0].  h = [[I, pE], [0, I]] lies in
     # alpha^{-1} Gamma_{0,2}(Np) alpha, so the first coset repeats; so does
     # h = [[A, 0], [0, A*^-1]], which mixes the top rows (the key must be
-    # their echelon form, not the rows); h = [[I, 0], [E, I]] with E != 0
+    # their span, not the rows); h = [[I, 0], [E, I]] with E != 0
     # mod N does not (only the C block differs, so the coset keys collide
-    # and the membership test must tell the two apart)
+    # and the membership test tells the two apart).  That h reps[0] is not
+    # in Gamma_{0,2}(N), and the level check refuses it: between
+    # representatives in Gamma_{0,2}(N), equal keys mean one coset
     f, p = QuadField(3), 2
     w = AlgInt(f, 0, 1)
     h = {"B": [[1, 0, p, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
@@ -304,9 +310,15 @@ def test_distinctness_sees_a_repeated_coset(block, N, distinct):
          "C": [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]]}[block]
     reps = coset_reps(f, p, N)
     reps[1] = UnitaryMat4.make(f, h) * reps[0]
-    assert coset_key(f, p, reps[1]) == coset_key(f, p, reps[0])
-    assert verify_reps_distinct(f, p, N, reps) is distinct
+    top = np.array([r.to_json() for r in reps[:2]], dtype=object)[:, :2]
+    key0, key1 = _plucker_keys(f, p, top).tolist()
+    assert key0 == key1
     assert _all_pairs_distinct(f, p, N, reps) is distinct
+    if block == "C":
+        with pytest.raises(ValueError, match="matrix 1 has a lower-left block not divisible by 5"):
+            verify_reps_distinct(f, p, N, reps)
+    else:
+        assert verify_reps_distinct(f, p, N, reps) is distinct
 
 
 def test_distinctness_refuses_a_non_integral_representative():
@@ -320,6 +332,35 @@ def test_distinctness_refuses_a_non_integral_representative():
         bad = UnitaryMat4.make(f, [[1, 0, half, 0], [0, 1, 0, 0],
                                    [0, 0, 1, 0], [0, 0, 0, 1]])
         verify_reps_distinct(f, p, 1, reps[:1] + [bad] + reps[2:])
+
+
+@pytest.mark.parametrize("rows,match", [
+    ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "not in U"),
+    ([[1, 0, Fraction(1, 2), 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "integral")],
+    ids=["not-unitary", "non-integral"])
+def test_distinctness_checks_the_given_representatives(rows, match):
+    # a UnitaryMat4 built directly, without make, is checked as coset_reps
+    # checks its own: a matrix outside U(2,2) and a non-integral one are
+    # refused (the level check: test_distinctness_sees_a_repeated_coset)
+    f, p, N = QuadField(3), 2, 1
+    reps = coset_reps(f, p, N)
+    bad = UnitaryMat4(f, tuple(tuple(AlgInt(f, x, 0) for x in row) for row in rows))
+    with pytest.raises(ValueError, match=match):
+        verify_reps_distinct(f, p, N, reps[:1] + [bad] + reps[2:])
+
+
+def test_oversized_primes_are_refused_before_building(monkeypatch):
+    # p = 101 would ask for a 101^4-member family; the refusal comes first
+    def unreachable(field, p, N):
+        raise AssertionError("built a family")
+
+    monkeypatch.setattr(hecke, "_families", unreachable)
+    f = QuadField(3)
+    assert 17**4 <= hecke._FAMILY < 23**4
+    for call in (lambda: coset_reps(f, 101, 1), lambda: verify_reps_distinct(f, 23, 1),
+                 lambda: verify_reps_distinct(f, 101, 1, [])):
+        with pytest.raises(OverflowError, match="over the limit"):
+            call()
 
 
 def _beta_args(w):

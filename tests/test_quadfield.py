@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hermlift.arith import divisors, kronecker, prime_divisors
-from hermlift.quadfield import (AlgInt, QuadField, a_D, a_D_by_count,
-                                chi_component, class_from_key, classes)
+from hermlift.quadfield import AlgInt, QuadField, a_D, chi_component, class_from_key, classes
 from tests.conftest import ALL_D
 
 
@@ -59,6 +58,11 @@ def test_classes_group_structure(D):
         # dnorm = D*|u|^2 mod D as an integer, mult = a_D(-dnorm)
         assert u.dnorm % 1 == 0
         assert u.mult == a_D(f, -u.dnorm) >= 1
+
+
+def a_D_by_count(field: QuadField, ell: int) -> int:
+    """Independent brute-force count of {u in [d_K] : D|u|^2 = -ell mod D}."""
+    return sum(1 for u in classes(field) if (u.dnorm + ell) % field.D == 0)
 
 
 @pytest.mark.parametrize("D", ALL_D)
