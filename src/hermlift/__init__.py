@@ -6,8 +6,8 @@ from .charsums import (check_closed_form, gauss_sum, norm_sum, norm_sum_check,
                        salie_check)
 from .criterion import verify_criterion
 from .cyclotomic import CycloNum, root_of_unity
-from .hecke import (BetaTable, TableRangeError, UnitaryMat4, beta_Tp,
-                    coset_reps, verify_beta_conditions, verify_reps_distinct)
+from .hecke import (BetaTable, TableRangeError, beta_Tp, coset_reps,
+                    verify_beta_conditions, verify_reps_distinct)
 from .ikeda import (EigenData, coeff, fQ_coeff, fstar_coeff, fstar_plus_check,
                     synthetic_eigendata, validate_eigendata)
 from .lift import (AlphaSeries, HermitianCoeffKey, beta_from_alpha,

@@ -27,7 +27,7 @@ from . import criterion as crit
 from . import ikeda as ik
 from .arith import divisors, is_prime, prime_divisors
 from .charsums import check_closed_form, norm_sum_check, salie_check
-from .hecke import TableRangeError, coset_reps, verify_reps_distinct
+from .hecke import TableRangeError, _check_coset_prime, coset_reps, verify_reps_distinct
 from .lift import HermitianCoeffKey, maass_coeff, special_jacobi_alpha
 from .plusform import QExpansion, eisenstein_star
 from .quadfield import QuadField, chi_component
@@ -345,16 +345,17 @@ def cmd_hecke_reps(args) -> int:
     field = _field(args.D)
     _check_level(args.D, args.N)
     try:
-        reps = coset_reps(field, args.p, args.N)
+        _check_coset_prime(field, args.p, args.N)
     except (ValueError, OverflowError) as e:  # p not an inert prime prime to N, or too large
         raise UsageError(str(e)) from e
-    want = 1 + args.p + args.p**3 + args.p**4
-    rep = {
-        "mode": "hecke-reps", "D": args.D, "p": args.p, "N": args.N,
-        "count": len(reps), "expected": want,
-        "reps": [r.to_json() for r in reps],
-        "ok": len(reps) == want,
-    }
+    rep = {"mode": "hecke-reps", "D": args.D, "p": args.p, "N": args.N}
+    try:  # builds and checks the families: unitarity, level and the count
+        reps = coset_reps(field, args.p, args.N)
+    except (ValueError, AssertionError) as e:  # a faulty family
+        rep.update(failures=[{"p": args.p, "check": str(e)}], ok=False)
+    else:
+        rep.update(count=len(reps), expected=1 + args.p + args.p**3 + args.p**4,
+                   reps=reps.tolist(), ok=True)
     _emit(rep, args.out, f"hecke-reps-D{args.D}-p{args.p}-N{args.N}")
     return 0 if rep["ok"] else 1
 

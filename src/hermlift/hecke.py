@@ -8,24 +8,25 @@ Three pieces:
       (iii) beta(u, v) = beta(1, v u^2) for u | N^infinity;
   * the right-coset representatives R_N of the inert-prime Hecke operator
     T_p = Gamma_{0,2}(N) diag(I, pI) Gamma_{0,2}(N) (count 1 + p + p^3 + p^4),
-    integral unitary 4x4 matrices in U(2,2)(O_K), and verify_reps_distinct,
-    which keys each coset by the normalized Plücker vector of the top two
-    rows mod p, for all representatives at once;
+    integral unitary 4x4 matrices in U(2,2)(O_K), one [n, 4, 4, 2] array of
+    the integer pairs (a, b) of their entries a + b*omega, and
+    verify_reps_distinct, which keys each coset by the normalized Plücker
+    vector of the top two rows mod p, for all representatives at once:
+    between elements of Gamma_{0,2}(N), equal keys hold exactly when two
+    representatives lie in one coset, so distinct keys decide distinctness;
   * beta_Tp -- the three-branch recursion transporting beta under T_p, which
     preserves conditions (ii)/(iii) (checked by verify_beta_conditions).
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .arith import is_prime, prime_divisors, valuation
-from .quadfield import AlgInt, QuadField
+from .quadfield import QuadField
 
 
 class TableRangeError(Exception):
@@ -58,47 +59,6 @@ class BetaTable:
 
 # ---------------------------------------------------------------------------
 # integral unitary matrices and the T_p coset representatives
-
-
-@dataclass(frozen=True, slots=True)
-class UnitaryMat4:
-    """A 4x4 matrix g in U(2,2)(O_K): entries a + b*omega with integers a, b,
-    and g* J4 g = J4, both checked exactly by make."""
-
-    field: QuadField
-    rows: tuple[tuple[AlgInt, ...], ...]
-
-    @staticmethod
-    def make(field: QuadField, rows) -> "UnitaryMat4":
-        rs = tuple(tuple(x if isinstance(x, AlgInt) else AlgInt(field, x, 0) for x in row)
-                   for row in rows)
-        if len(rs) != 4 or any(len(r) != 4 for r in rs):
-            raise ValueError("need a 4x4 matrix")
-        _check_unitary(field, np.array([[[(x.a, x.b) for x in r] for r in rs]], dtype=object))
-        return UnitaryMat4(field, rs)
-
-    def __mul__(self, other: "UnitaryMat4") -> "UnitaryMat4":
-        zero = AlgInt(self.field, 0, 0)
-        rows = tuple(
-            tuple(sum((self.rows[i][k] * other.rows[k][j] for k in range(4)), zero)
-                  for j in range(4))
-            for i in range(4)
-        )
-        return UnitaryMat4(self.field, rows)
-
-    def inv(self) -> "UnitaryMat4":
-        """g^{-1} = -J4 g* J4: with g* = [[A, B], [C, D]], [[D, -C], [-B, A]]."""
-        s = [[self.rows[j][i].conj() for j in range(4)] for i in range(4)]
-        rows = ([tuple(s[i + 2][2:] + [-x for x in s[i + 2][:2]]) for i in range(2)]
-                + [tuple([-x for x in s[i][2:]] + s[i][:2]) for i in range(2)])
-        return UnitaryMat4(self.field, tuple(rows))
-
-    def c_block_divisible_by(self, M: int) -> bool:
-        return all(x.a % M == 0 and x.b % M == 0
-                   for i in range(2) for x in self.rows[i + 2][:2])
-
-    def to_json(self) -> list:
-        return [[[x.a, x.b] for x in row] for row in self.rows]
 
 
 def _pair_dtype(field: QuadField, bound: int):
@@ -140,7 +100,8 @@ def _check_unitary(field: QuadField, g: np.ndarray, N: int = 1) -> None:
     if g.dtype == object:
         if not all(isinstance(x, int) for x in g.flat):
             raise ValueError("entries must be integral")
-    elif _pair_dtype(field, int(np.abs(g).max(initial=0))) is object:
+    elif _pair_dtype(field, max(int(g.max(initial=0)), -int(g.min(initial=0)))) is object:
+        # the bound from max and min: np.abs(-2^63) wraps to -2^63
         g = g.astype(object)
     unitary = _in_u22(field, g)
     if not unitary.all():
@@ -205,23 +166,6 @@ def _families(field: QuadField, p: int, N: int):
                           [N, 0, 1, (d0, d1)], [0, 0, 0, 1]])
 
 
-def _mats(field: QuadField, g: np.ndarray) -> list[UnitaryMat4]:
-    """The checked matrices of the [n, 4, 4, 2] integer pairs g, each
-    distinct entry one AlgInt shared by every matrix that holds it."""
-    lo = int(g[..., 1].min(initial=0))
-    span = int(g[..., 1].max(initial=0)) - lo + 1
-    # one integer key a * span + (b - lo) per entry a + b*omega
-    keys, at = np.unique(g[..., 0] * span + (g[..., 1] - lo), return_inverse=True)
-    get = [AlgInt(field, a, b + lo) for a, b in (divmod(k, span) for k in keys.tolist())].__getitem__
-    at = at.reshape(-1, 16)
-    out = []
-    for s in range(0, len(at), 4096):  # a block at a time keeps tolist's lists small
-        for m in at[s:s + 4096].tolist():
-            x = tuple(map(get, m))
-            out.append(UnitaryMat4(field, (x[:4], x[4:8], x[8:12], x[12:])))
-    return out
-
-
 # the largest family has p^4 members of 32 int64 each: p <= 19 is admitted
 _FAMILY = 2**17
 
@@ -246,21 +190,13 @@ def _rep_array(field: QuadField, p: int, N: int) -> np.ndarray:
     return g
 
 
-def coset_reps(field: QuadField, p: int, N: int) -> list[UnitaryMat4]:
+def coset_reps(field: QuadField, p: int, N: int) -> np.ndarray:
     """The 1 + p^4 + p + p^3 right-coset representatives R_N for
     alpha^{-1} Gamma_{0,2}(Np) alpha \\ Gamma_{0,2}(N), alpha = diag(I, pI),
-    p inert and prime to N, read from the checked arrays of _rep_array."""
-    return _mats(field, _rep_array(field, p, N))
-
-
-def _same_coset(field: QuadField, p: int, N: int, r1: UnitaryMat4, r2: UnitaryMat4) -> bool:
-    """True iff alpha r2 r1^{-1} alpha^{-1} lies in Gamma_{0,2}(Np), i.e. r1
-    and r2 represent the same right coset."""
-    y = r2 * r1.inv()
-    # y is integral and unitary, and alpha [[A,B],[C,D]] alpha^{-1} =
-    # [[A, B/p], [pC, D]]: membership needs B = 0 mod p and C = 0 mod N
-    b_div = all(x.a % p == 0 and x.b % p == 0 for i in range(2) for x in y.rows[i][2:])
-    return b_div and y.c_block_divisible_by(N)
+    p inert and prime to N: the checked [n, 4, 4, 2] array of _rep_array,
+    whose entry [r, i, j] is the pair (a, b) of entry a + b*omega of
+    representative r, int64 under _pair_dtype's bound and Python ints above it."""
+    return _rep_array(field, p, N)
 
 
 def _plucker_keys(field: QuadField, p: int, top: np.ndarray) -> np.ndarray:
@@ -286,30 +222,38 @@ def _plucker_keys(field: QuadField, p: int, top: np.ndarray) -> np.ndarray:
 
 
 def verify_reps_distinct(field: QuadField, p: int, N: int,
-                         reps: list[UnitaryMat4] | None = None) -> bool:
-    """Exact check that reps (default: those of coset_reps, kept as arrays)
-    lie in pairwise distinct right cosets; given reps are read through
-    to_json and checked as coset_reps checks its own.
+                         reps: np.ndarray | list | None = None) -> bool:
+    """Exact check that reps lie in pairwise distinct right cosets.  reps,
+    by default those of coset_reps, may be any [n, 4, 4, 2] array or nested
+    list of the integer pairs (a, b) of entries a + b*omega; given reps are
+    checked to be integral, in U(2,2)(O_K) and with lower-left block
+    divisible by N, as coset_reps checks its own, but their count is not.
 
-    The key of a coset is the normalized Plücker vector of the top two rows
-    mod p: if r2 = y r1 with y's B block = 0 mod p, then top(r2) = A_y top(r1)
-    mod p with det A_y a unit (det y = det A_y det D_y), which scales every
-    minor.  Colliding keys are decided by the exact test _same_coset.  A
-    unitary g has A B* = B A*, so its key is a totally isotropic plane of J4
-    mod p; H(3, p^2) has exactly (p + 1)(p^3 + 1) = 1 + p + p^3 + p^4 of them
-    (Hirschfeld and Thas, General Galois Geometries), so a right count,
-    distinct keys and unitarity prove a complete system at every p.
+    The key of a representative is the normalized Plücker vector of its top
+    two rows [A | B] mod p.  For r1, r2 in Gamma_{0,2}(N), y = r2 r1^{-1} is
+    in Gamma_{0,2}(N) too, and r1, r2 lie in one coset iff y's B block is
+    0 mod p.  Now top(r2) = A_y top(r1) + B_y bot(r1) mod p.  If B_y = 0,
+    then det A_y is a unit (det y = det A_y det D_y is one), so both tops
+    span one plane and the keys are equal.  If the keys are equal, top(r2)
+    = M top(r1) for some M, and as the rows of r1 are a basis mod p (det r1
+    is a unit), B_y = 0.  So equal keys mean one coset, and the reps are
+    distinct iff their keys are.  A unitary g has A B* = B A*, so its key is
+    a totally isotropic plane of J4 mod p; H(3, p^2) has exactly
+    (p + 1)(p^3 + 1) = 1 + p + p^3 + p^4 of them (Hirschfeld and Thas,
+    General Galois Geometries), so coset_reps's count, distinct keys and
+    unitarity prove a complete system at every p.
     """
     if reps is None:
         g = _rep_array(field, p, N)
     else:
         _check_coset_prime(field, p, N)
-        g = np.array([r.to_json() for r in reps], dtype=object).reshape(-1, 4, 4, 2)
+        # anything but an int64 array as Python ints: np.asarray could read a
+        # list of large integers as float64
+        int64 = isinstance(reps, np.ndarray) and reps.dtype == np.int64
+        g = (reps if int64 else np.array(reps, dtype=object)).reshape(-1, 4, 4, 2)
         _check_unitary(field, g, N)
-    _, at, counts = np.unique(_plucker_keys(field, p, g[:, :2]), return_inverse=True, return_counts=True)
-    clash = np.flatnonzero(counts[at] > 1)
-    pairs = itertools.combinations(zip(at[clash].tolist(), _mats(field, g[clash])), 2)
-    return not any(k1 == k2 and _same_coset(field, p, N, r1, r2) for (k1, r1), (k2, r2) in pairs)
+    keys = _plucker_keys(field, p, g[:, :2])
+    return len(np.unique(keys)) == len(keys)
 
 
 # ---------------------------------------------------------------------------

@@ -244,8 +244,9 @@ def test_c08_hecke_layer():
     """Coset representative count 1 + p + p^3 + p^4 with exact distinctness
     (one canonical key per coset: the normalized Plücker vector over F_{p^2}
     of the top two rows mod p, their six 2x2 minors scaled by the inverse of
-    the first nonzero one, with every key collision decided by the exact
-    membership test) at (D=3,p=2), (D=4,p=3), (D=3,p=5) for two levels each, and
+    the first nonzero one; between representatives in Gamma_{0,2}(N), equal
+    keys hold exactly when two lie in one coset, so the representatives are
+    distinct iff their keys are) at (D=3,p=2), (D=4,p=3), (D=3,p=5) for two levels each, and
     the transformed beta tables satisfy the divisor-sum identities exactly
     for 50 random rational tables at k in {8, 12}.
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from hermlift.cli import MODES, _inert_primes, main, run_mode
+from hermlift.hecke import coset_reps, verify_reps_distinct
 from hermlift.plusform import eisenstein_star
 from hermlift.quadfield import QuadField
 
@@ -106,6 +107,18 @@ def test_hecke_reps_emission(tmp_path):
     assert len(rep["reps"]) == 27
 
 
+@pytest.mark.parametrize("D,p,N", [(3, 2, 1), (4, 3, 5), (3, 2, 10**12 + 1)])
+def test_hecke_reps_round_trip(tmp_path, D, p, N):
+    # the reps of a report are coset_reps as nested lists, Python ints
+    # beyond int64 at N = 10^12 + 1, and read back as distinct
+    out = tmp_path / "reps.json"
+    assert run(["hecke-reps", "--D", str(D), "--p", str(p), "--N", str(N), "--out", str(out)]) == 0
+    reps = json.loads(out.read_text())["reps"]
+    f = QuadField(D)
+    assert reps == coset_reps(f, p, N).tolist()
+    assert verify_reps_distinct(f, p, N, reps) is True
+
+
 def test_hecke_reps_rejects_split_prime(capsys):
     # a split prime, a non-prime, a p dividing N, and a level below 1
     for args in (["--p", "7"], ["--p", "4"], ["--p", "2", "--N", "4"],
@@ -129,30 +142,30 @@ def test_hecke_mode_takes_inert_primes_prime_to_N(N, primes):
 
 
 def test_hecke_mode_builds_the_representatives_once(monkeypatch):
-    # one build of the families per prime, and no UnitaryMat4 on valid ones
+    # one build of the families per prime
     import hermlift.hecke as hecke
 
-    calls, real, real_mats = [], hecke._families, hecke._mats
+    calls, real = [], hecke._families
 
     def counted(field, p, N):
         calls.append(p)
         return real(field, p, N)
 
-    def no_objects(field, g):
-        assert not len(g), "built UnitaryMat4s"
-        return real_mats(field, g)
-
     monkeypatch.setattr(hecke, "_families", counted)
-    monkeypatch.setattr(hecke, "_mats", no_objects)
     assert run_mode("hecke", 3, 1)["ok"]
     assert sorted(calls) == [2, 5]
 
 
-@pytest.mark.parametrize("fault,check", [("drop", "coset representatives, not 1 + p + p^3 + p^4"),
-                                         ("shift", "matrix 7 is not in U")], ids=["drop", "shift"])
-def test_hecke_mode_reports_a_faulty_family(monkeypatch, capsys, fault, check):
+@pytest.mark.parametrize("fault,check,cmd", [
+    ("drop", "coset representatives, not 1 + p + p^3 + p^4", "verify"),
+    ("shift", "matrix 7 is not in U", "verify"),
+    ("drop", "coset representatives, not 1 + p + p^3 + p^4", "hecke-reps"),
+    ("shift", "matrix 7 is not in U", "hecke-reps")],
+    ids=["drop", "shift", "hecke-reps-drop", "hecke-reps-shift"])
+def test_hecke_mode_reports_a_faulty_family(monkeypatch, capsys, fault, check, cmd):
     # family 1 without its one member, or member 7 of family 2 with its
-    # (0, 2) entry off by one: a FAIL naming p, with the JSON report
+    # (0, 2) entry off by one: a FAIL naming p, with the JSON report, from
+    # verify --mode hecke and from hecke-reps at p = 5
     import hermlift.hecke as hecke
 
     real = hecke._families
@@ -166,12 +179,17 @@ def test_hecke_mode_reports_a_faulty_family(monkeypatch, capsys, fault, check):
             yield g
 
     monkeypatch.setattr(hecke, "_families", faulty)
-    assert run(["verify", "--D", "3", "--mode", "hecke"]) == 1
+    args = {"verify": ["verify", "--D", "3", "--mode", "hecke"],
+            "hecke-reps": ["hecke-reps", "--D", "3", "--p", "5"]}[cmd]
+    assert run(args) == 1
     rep = json.loads(capsys.readouterr().out)
     assert not rep["ok"]
-    assert [w["p"] for w in rep["failures"]] == ([2, 5] if fault == "drop" else [5])
+    assert [w["p"] for w in rep["failures"]] == ([2, 5] if (fault, cmd) == ("drop", "verify") else [5])
     assert all(check in w["check"] for w in rep["failures"])
-    assert [c["p"] for c in rep["cases"]] == ([] if fault == "drop" else [2])
+    if cmd == "verify":
+        assert [c["p"] for c in rep["cases"]] == ([] if fault == "drop" else [2])
+    else:
+        assert "reps" not in rep
 
 
 def test_hecke_refuses_an_oversized_prime(monkeypatch, capsys):

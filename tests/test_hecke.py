@@ -9,34 +9,29 @@ import tests.test_acceptance as acceptance
 from hermlift import hecke
 from hermlift.arith import prime_divisors, valuation
 from hermlift.cyclotomic import CycloNum, root_of_unity
-from hermlift.hecke import (BetaTable, TableRangeError, UnitaryMat4, _check_unitary,
-                            _in_u22, _plucker_keys, _same_coset, beta_Tp, coset_reps,
-                            verify_beta_conditions, verify_reps_distinct)
+from hermlift.hecke import (BetaTable, TableRangeError, _check_unitary, _in_u22,
+                            _plucker_keys, beta_Tp, coset_reps, verify_beta_conditions,
+                            verify_reps_distinct)
 from hermlift.lift import AlphaSeries, beta_from_alpha
 from hermlift.quadfield import AlgInt, QuadField
+
+
+def _rational_pairs(rows):
+    """The [1, 4, 4, 2] pairs (x, 0) of a matrix of rational entries x, as objects."""
+    return np.array([[[(x, 0) for x in row] for row in rows]], dtype=object)
 
 
 def test_similitude_checked_on_build():
     f = QuadField(3)
     with pytest.raises(ValueError):  # alpha = diag(I, 2I): g* J4 g = 2 J4
-        UnitaryMat4.make(f, [[1, 0, 0, 0], [0, 1, 0, 0],
-                             [0, 0, 2, 0], [0, 0, 0, 2]])
+        _check_unitary(f, _rational_pairs([[1, 0, 0, 0], [0, 1, 0, 0],
+                                           [0, 0, 2, 0], [0, 0, 0, 2]]))
     with pytest.raises(ValueError):
-        UnitaryMat4.make(f, [[1, 0, 0, 0], [0, 1, 0, 0],
-                             [0, 0, 2, 0], [0, 0, 0, 1]])
+        _check_unitary(f, _rational_pairs([[1, 0, 0, 0], [0, 1, 0, 0],
+                                           [0, 0, 2, 0], [0, 0, 0, 1]]))
     with pytest.raises(ValueError):  # g* J4 g has an entry off the J4 pattern
-        UnitaryMat4.make(f, [[1, 1, 0, 0], [0, 1, 0, 0],
-                             [0, 0, 1, 0], [0, 0, 0, 1]])
-
-
-def test_inverse_and_product():
-    f = QuadField(3)
-    for r in coset_reps(f, 2, 5)[:10]:
-        y = r * r.inv()
-        for i in range(4):
-            for j in range(4):
-                x = y.rows[i][j]
-                assert (x.a, x.b) == ((1, 0) if i == j else (0, 0))
+        _check_unitary(f, _rational_pairs([[1, 1, 0, 0], [0, 1, 0, 0],
+                                           [0, 0, 1, 0], [0, 0, 0, 1]]))
 
 
 @pytest.mark.parametrize("D,p,N", [(3, 2, 1), (3, 2, 5), (4, 3, 1), (4, 3, 5)])
@@ -64,6 +59,33 @@ def _pairs(rows):
     return np.array([[[(x.a, x.b) for x in row] for row in rows]], dtype=object)
 
 
+def _algints(field, g):
+    """The rows of AlgInts of a [4, 4, 2] matrix of integer pairs."""
+    return [[AlgInt(field, a, b) for a, b in row] for row in g.tolist()]
+
+
+def _mat_mul(field, x, y):
+    zero = AlgInt(field, 0, 0)
+    return [[sum((x[i][k] * y[k][j] for k in range(4)), zero) for j in range(4)]
+            for i in range(4)]
+
+
+def _inverse(rows):
+    """g^{-1} = -J4 g* J4 of a unitary g: with g* = [[A, B], [C, D]], [[D, -C], [-B, A]]."""
+    s = [[rows[j][i].conj() for j in range(4)] for i in range(4)]
+    return ([s[i + 2][2:] + [-x for x in s[i + 2][:2]] for i in range(2)]
+            + [[-x for x in s[i][2:]] + s[i][:2] for i in range(2)])
+
+
+def _same_coset(field, p, N, r1, r2):
+    """The exact membership oracle: r1 and r2 represent one right coset iff
+    alpha y alpha^{-1} = [[A, B/p], [pC, D]] lies in Gamma_{0,2}(Np) for the
+    unitary y = r2 r1^{-1}, i.e. B = 0 mod p and C = 0 mod N."""
+    y = _mat_mul(field, r2, _inverse(r1))
+    return (all(x.a % p == 0 and x.b % p == 0 for row in y[:2] for x in row[2:])
+            and all(x.a % N == 0 and x.b % N == 0 for row in y[2:] for x in row[:2]))
+
+
 def _check_pairs(field, rows):
     _check_unitary(field, _pairs(rows))
 
@@ -83,14 +105,15 @@ def test_unitarity_check_agrees_with_the_algint_oracle(D, p, N):
     f = QuadField(D)
     shifts = [AlgInt(f, 1, 0), AlgInt(f, -1, 0), AlgInt(f, 0, 1), AlgInt(f, 0, -1)]
     rejected = 0
-    for n, r in enumerate(coset_reps(f, p, N)):
-        assert _accepts(_check_pairs, f, r.rows) and _accepts(_check_unitary_oracle, f, r.rows)
+    for n, g in enumerate(coset_reps(f, p, N)):
+        r = _algints(f, g)
+        assert _accepts(_check_pairs, f, r) and _accepts(_check_unitary_oracle, f, r)
         i, j = divmod(n % 16, 4)
         for s in shifts:
-            rows = [list(row) for row in r.rows]
+            rows = [list(row) for row in r]
             rows[i][j] = rows[i][j] + s
             got = _accepts(_check_pairs, f, rows)
-            assert got == _accepts(_check_unitary_oracle, f, rows), (r.to_json(), i, j, s)
+            assert got == _accepts(_check_unitary_oracle, f, rows), (g.tolist(), i, j, s)
             rejected += not got
     assert rejected > 0
 
@@ -100,11 +123,10 @@ def test_array_unitarity_agrees_with_the_per_matrix_formula(D, p, q):
     # random unitary matrices (products of representatives for two primes)
     # and copies with one random entry moved, all in one int64 array
     f, rng = QuadField(D), random.Random(D)
-    reps = coset_reps(f, p, 1) + coset_reps(f, q, 1)
+    reps = list(coset_reps(f, p, 1)) + list(coset_reps(f, q, 1))
     mats = []
     for _ in range(200):
-        g = rng.choice(reps) * rng.choice(reps)
-        rows = [list(row) for row in g.rows]
+        rows = _mat_mul(f, _algints(f, rng.choice(reps)), _algints(f, rng.choice(reps)))
         if rng.random() < 0.5:
             i, j = rng.randrange(4), rng.randrange(4)
             rows[i][j] = rows[i][j] + AlgInt(f, rng.randint(-2, 2), rng.randint(-2, 2))
@@ -121,26 +143,32 @@ def test_coset_reps_are_exact_beyond_int64():
     f, p, N = QuadField(3), 2, 10**12 + 1
     assert hecke._pair_dtype(f, 2 * N * p) is object
     reps = coset_reps(f, p, N)
-    assert len(reps) == 1 + p + p**3 + p**4
-    assert max(abs(x.a) for r in reps for row in r.rows for x in row) ** 2 > 2**63
-    for r in reps:
-        assert all(type(x.a) is int and type(x.b) is int for row in r.rows for x in row)
-        assert _accepts(_check_unitary_oracle, f, r.rows) and r.c_block_divisible_by(N)
+    assert reps.dtype == object and len(reps) == 1 + p + p**3 + p**4
+    assert all(type(x) is int for x in reps.flat)
+    assert max(abs(x) for x in reps.flat) ** 2 > 2**63
+    for g in reps:
+        assert _accepts(_check_unitary_oracle, f, _algints(f, g))
+        assert all(x % N == 0 for x in g[2:, :2].flat)
     assert verify_reps_distinct(f, p, N, reps)
 
 
-def test_make_refuses_a_non_unitary_matrix_that_int64_would_accept():
+def test_unitarity_check_refuses_a_non_unitary_matrix_that_int64_would_accept():
     # a d - b c = 2^64 + 1 for the SL2 block (a, b; c, d) = (2^40, -1; 1, 2^24):
-    # not unitary, but a d wraps to 0 in int64, which reads a d - b c = 1
+    # not unitary, but a d wraps to 0 in int64, which reads a d - b c = 1;
+    # so does (-2^63, -1; 1, 2), where np.abs(-2^63) would wrap to -2^63 too
     f = QuadField(3)
-    rows = [[2**40, 0, -1, 0], [0, 1, 0, 0], [1, 0, 2**24, 0], [0, 0, 0, 1]]
-    wrapped = np.array([[[(x, 0) for x in row] for row in rows]], dtype=np.int64)
-    assert _in_u22(f, wrapped).tolist() == [True]
-    with pytest.raises(ValueError, match="not in U"):
-        _check_unitary(f, wrapped)
-    with pytest.raises(ValueError, match="not in U"):
-        UnitaryMat4.make(f, rows)
-    UnitaryMat4.make(f, [[2**40, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
+    for rows in ([[2**40, 0, -1, 0], [0, 1, 0, 0], [1, 0, 2**24, 0], [0, 0, 0, 1]],
+                 [[-2**63, 0, -1, 0], [0, 1, 0, 0], [1, 0, 2, 0], [0, 0, 0, 1]]):
+        wrapped = _rational_pairs(rows).astype(np.int64)
+        assert _in_u22(f, wrapped).tolist() == [True]
+        with pytest.raises(ValueError, match="not in U"):
+            _check_unitary(f, wrapped)
+        with pytest.raises(ValueError, match="not in U"):
+            _check_unitary(f, _rational_pairs(rows))
+        with pytest.raises(ValueError, match="matrix 1 is not in U"):
+            verify_reps_distinct(f, 2, 1, np.concatenate([coset_reps(f, 2, 1)[:1], wrapped]))
+    _check_unitary(f, _rational_pairs([[2**40, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
+                   .astype(np.int64))
 
 
 def test_coset_reps_raise_on_a_faulty_family_member(monkeypatch):
@@ -159,7 +187,7 @@ def test_coset_reps_raise_on_a_faulty_family_member(monkeypatch):
 
 
 def _all_pairs_distinct(f, p, N, reps):
-    """The oracle: compare every pair of representatives directly."""
+    """The oracle: compare every pair of representatives (rows of AlgInts) directly."""
     return not any(_same_coset(f, p, N, r1, r2)
                    for i, r1 in enumerate(reps) for r2 in reps[i + 1:])
 
@@ -167,9 +195,33 @@ def _all_pairs_distinct(f, p, N, reps):
 @pytest.mark.parametrize("D,p,N", [(3, 2, 1), (3, 2, 5), (4, 3, 1), (4, 3, 5)])
 def test_distinctness_fast_agrees_with_pairwise(D, p, N):
     f = QuadField(D)
-    reps = coset_reps(f, p, N)
+    reps = [_algints(f, g) for g in coset_reps(f, p, N)]
     assert verify_reps_distinct(f, p, N) is True
     assert _all_pairs_distinct(f, p, N, reps) is True
+
+
+@pytest.mark.parametrize("D,p,N,q", [(3, 2, 1, 5), (3, 2, 5, 11), (4, 3, 1, 7), (4, 3, 5, 7),
+                                     (7, 3, 2, 5), (8, 5, 3, 7)])
+def test_equal_keys_mean_one_coset(D, p, N, q):
+    # products of three representatives for p and for q are elements of
+    # Gamma_{0,2}(N); between them, equal keys hold exactly when the exact
+    # oracle finds one coset, which is what lets verify_reps_distinct
+    # decide by key uniqueness alone; 20 p products give equal keys in
+    # every case (6 to 30 pairs)
+    f, rng = QuadField(D), random.Random(D * p * N * q)
+    reps = list(coset_reps(f, p, N)) + list(coset_reps(f, q, N))
+    mats = []
+    for _ in range(20 * p):
+        x, y, z = (_algints(f, rng.choice(reps)) for _ in range(3))
+        mats.append(_mat_mul(f, _mat_mul(f, x, y), z))
+    g = np.concatenate([_pairs(r) for r in mats])
+    _check_unitary(f, g, N)
+    keys = _plucker_keys(f, p, g[:, :2]).tolist()
+    equal = 0
+    for i, j in itertools.combinations(range(len(mats)), 2):
+        assert (keys[i] == keys[j]) == _same_coset(f, p, N, mats[i], mats[j]), (i, j)
+        equal += keys[i] == keys[j]
+    assert equal > 0
 
 
 def _fp2_mul(x, y, f, p):
@@ -300,38 +352,39 @@ def test_distinctness_sees_a_repeated_coset(block, N, distinct):
     # h = [[A, 0], [0, A*^-1]], which mixes the top rows (the key must be
     # their span, not the rows); h = [[I, 0], [E, I]] with E != 0
     # mod N does not (only the C block differs, so the coset keys collide
-    # and the membership test tells the two apart).  That h reps[0] is not
-    # in Gamma_{0,2}(N), and the level check refuses it: between
+    # and the exact oracle tells the two apart).  That h reps[0] is not in
+    # Gamma_{0,2}(N), and the level check refuses it: between
     # representatives in Gamma_{0,2}(N), equal keys mean one coset
     f, p = QuadField(3), 2
     w = AlgInt(f, 0, 1)
     h = {"B": [[1, 0, p, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
          "A": [[0, 1, 0, 0], [1, w, 0, 0], [0, 0, -w.conj(), 1], [0, 0, 1, 0]],
          "C": [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]]}[block]
-    reps = coset_reps(f, p, N)
-    reps[1] = UnitaryMat4.make(f, h) * reps[0]
-    top = np.array([r.to_json() for r in reps[:2]], dtype=object)[:, :2]
-    key0, key1 = _plucker_keys(f, p, top).tolist()
+    h = [[x if isinstance(x, AlgInt) else AlgInt(f, x, 0) for x in row] for row in h]
+    reps = [_algints(f, g) for g in coset_reps(f, p, N)]
+    reps[1] = _mat_mul(f, h, reps[0])
+    given = [[[[x.a, x.b] for x in row] for row in r] for r in reps]
+    key0, key1 = _plucker_keys(f, p, np.array(given[:2], dtype=object)[:, :2]).tolist()
     assert key0 == key1
     assert _all_pairs_distinct(f, p, N, reps) is distinct
     if block == "C":
         with pytest.raises(ValueError, match="matrix 1 has a lower-left block not divisible by 5"):
-            verify_reps_distinct(f, p, N, reps)
+            verify_reps_distinct(f, p, N, given)
     else:
-        assert verify_reps_distinct(f, p, N, reps) is distinct
+        assert verify_reps_distinct(f, p, N, given) is distinct
 
 
 def test_distinctness_refuses_a_non_integral_representative():
     # [[I, B], [0, I]] with hermitian B = diag(1/2, 0) satisfies
-    # g* J4 g = J4, but is not integral: make refuses it, so no such
-    # representative reaches the distinctness check
+    # g* J4 g = J4, but is not integral: given in a nested list, as a
+    # Fraction or as the float 0.5 a JSON file would hold, it is refused
     f, p = QuadField(3), 2
-    reps = coset_reps(f, p, 1)
-    half = Fraction(1, 2)
-    with pytest.raises(ValueError, match="integral"):
-        bad = UnitaryMat4.make(f, [[1, 0, half, 0], [0, 1, 0, 0],
-                                   [0, 0, 1, 0], [0, 0, 0, 1]])
-        verify_reps_distinct(f, p, 1, reps[:1] + [bad] + reps[2:])
+    reps = coset_reps(f, p, 1).tolist()
+    for half in (Fraction(1, 2), 0.5):
+        bad = _rational_pairs([[1, 0, half, 0], [0, 1, 0, 0],
+                               [0, 0, 1, 0], [0, 0, 0, 1]])[0].tolist()
+        with pytest.raises(ValueError, match="integral"):
+            verify_reps_distinct(f, p, 1, reps[:1] + [bad] + reps[2:])
 
 
 @pytest.mark.parametrize("rows,match", [
@@ -339,12 +392,12 @@ def test_distinctness_refuses_a_non_integral_representative():
     ([[1, 0, Fraction(1, 2), 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "integral")],
     ids=["not-unitary", "non-integral"])
 def test_distinctness_checks_the_given_representatives(rows, match):
-    # a UnitaryMat4 built directly, without make, is checked as coset_reps
-    # checks its own: a matrix outside U(2,2) and a non-integral one are
-    # refused (the level check: test_distinctness_sees_a_repeated_coset)
+    # given representatives, a nested list of integer pairs, are checked as
+    # coset_reps checks its own: a matrix outside U(2,2) and a non-integral
+    # one are refused (the level check: test_distinctness_sees_a_repeated_coset)
     f, p, N = QuadField(3), 2, 1
-    reps = coset_reps(f, p, N)
-    bad = UnitaryMat4(f, tuple(tuple(AlgInt(f, x, 0) for x in row) for row in rows))
+    reps = coset_reps(f, p, N).tolist()
+    bad = _rational_pairs(rows)[0].tolist()
     with pytest.raises(ValueError, match=match):
         verify_reps_distinct(f, p, N, reps[:1] + [bad] + reps[2:])
 
