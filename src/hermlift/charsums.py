@@ -26,24 +26,12 @@ from .cyclotomic import CycloNum, esum
 from .quadfield import Character, QuadField, chi_component
 
 
-class LegendreChar:
-    """The Legendre symbol (* | p) as a standalone character mod an odd prime,
-    its values mod p tabulated once."""
-
-    def __init__(self, p: int):
-        if p == 2 or p < 2:
-            raise ValueError("p must be an odd prime")
-        self.modulus = p
-        self.table = tuple(kronecker(n, p) for n in range(p))
-
-    def __call__(self, n: int) -> int:
-        return self.table[n % self.modulus]
-
-
 @lru_cache(maxsize=64)
-def legendre(p: int) -> LegendreChar:
-    """The Legendre character mod p, one table per prime."""
-    return LegendreChar(p)
+def legendre(p: int) -> Character:
+    """The Legendre character (* | p) mod an odd prime p, one table per prime."""
+    if p < 3:
+        raise ValueError("p must be an odd prime")
+    return Character(p, tuple(kronecker(n, p) for n in range(p)))
 
 
 @lru_cache(maxsize=1024)

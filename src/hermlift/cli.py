@@ -73,7 +73,7 @@ def _ints(cfg: dict, key: str, default: list) -> list:
 
 
 def _emit(report: dict, out: str | None, name: str) -> None:
-    text = json.dumps(report, indent=2, default=str)
+    text = json.dumps(report, separators=(",", ":"), default=str)
     if out is None:
         print(text)
         return

@@ -41,7 +41,7 @@ from functools import lru_cache
 
 from .arith import factorize, valuation
 from .cyclotomic import CycloNum, csum
-from .quadfield import QuadField, a_D
+from .quadfield import QuadField, a_D, chi_component
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,8 @@ def synthetic_eigendata(field: QuadField, weight: int, level_m: int,
 
 @lru_cache(maxsize=256)
 def _eta(field: QuadField, q: int) -> int:
-    """eta_q = prod_{p | D, p != q} chi_p(q)."""
-    out = 1
-    for p in field.primes:
-        if p != q:
-            out *= field.chi_p(p, q)
-    return out
+    """eta_q = prod_{p | D, p != q} chi_p(q) = psi_{D/q^v}(q), with q^v || D."""
+    return chi_component(field, field.D // q ** valuation(field.D, q))(q)
 
 
 def chi_under(field: QuadField, q: int, M: int) -> int:

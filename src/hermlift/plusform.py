@@ -48,12 +48,15 @@ class QExpansion:
     precision: int
 
     def __post_init__(self):
+        header = (self.weight, self.level, self.disc, self.denom, self.precision)
+        if any(type(x) is not int for x in header):
+            raise ValueError("weight, level, disc, denom and precision must be integers")
         if self.denom < 1 or self.level < 1:
             raise ValueError("denom and level must be positive")
         if self.precision != len(self.coeffs):
             raise ValueError("precision must equal the number of stored coefficients")
         for c in self.coeffs:
-            if c is not None and not isinstance(c, (int, Fraction, CycloNum)):
+            if c is not None and (isinstance(c, bool) or not isinstance(c, (int, Fraction, CycloNum))):
                 raise ValueError(f"coefficient {c!r} is not an int, Fraction or CycloNum")
 
     @staticmethod
@@ -134,6 +137,8 @@ class QExpansion:
                 return Fraction(c)
             return c
 
+        if not isinstance(d["coeffs"], list):
+            raise ValueError("coeffs must be a list")
         return QExpansion(
             d["weight"], d["level"], d["disc"], d["denom"],
             tuple(dec(c) for c in d["coeffs"]), d["precision"],

@@ -2,8 +2,8 @@
 
 Provides integral arithmetic in O_K = Z[omega], the group [d_K] of classes of
 the inverse different modulo O_K with canonical representatives, the quadratic
-character decomposition chi = prod_p chi_p, and the representation-counting
-function a_D.
+character chi_K with every component psi_m read from it, and the
+representation-counting function a_D.
 
 Conventions:
   * D = 2^e * D' with D' odd; e in {0, 2, 3}.
@@ -12,8 +12,9 @@ Conventions:
       odd D:  i*x/sqrt(D),                 x in Z/D;
       even D: x1/2 + i*x2/sqrt(D),         x1 in Z/2, x2 in Z/(D/2);
     ordered by x ascending (odd) resp. lexicographic (x1, x2) (even).
-  * dnorm is the integer D*|u|^2 of the canonical representative
-    (x^2 resp. 2^(e-2)*D'*x1^2 + x2^2); formulas consume it mod D.
+  * dnorm is D*|u|^2 of the canonical representative: reduced to x^2 mod D,
+    in [0, D), at odd D; the integer 2^(e-2)*D'*x1^2 + x2^2 at even D.
+    Formulas consume it mod D.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import is_squarefree, kronecker, prime_divisors, valuation
+from .arith import crt, is_squarefree, kronecker, prime_divisors, valuation
 
 
 class QuadField:
@@ -63,15 +64,7 @@ class QuadField:
 
     def chi2(self, n: int) -> int:
         """The 2-component chi_2 of chi_K (requires 4 | D)."""
-        if self.e == 0:
-            raise ValueError("chi_2 only exists for even discriminant")
-        if n % 2 == 0:
-            return 0
-        if self.e == 2:
-            return -1 if n % 4 == 3 else 1
-        if self.Dprime % 4 == 1:
-            return kronecker(-8, n)
-        return kronecker(8, n)
+        return self.chi_p(2, n)
 
     def chi_p(self, p: int, n: int) -> int:
         """chi_p(n) for a prime component p of D (use p=2 for the even part),
@@ -135,7 +128,7 @@ class DiffClass:
 
     field: QuadField
     key: tuple[int, ...]  # (x,) for odd D, (x1, x2) for even D
-    dnorm: int            # the integer D|u|^2 of the canonical representative
+    dnorm: int            # D|u|^2: x^2 mod D (odd D), 2^(e-2) D' x1^2 + x2^2 (even D)
     mult: int             # a_u = a_D(-D|u|^2)
 
     def coords(self) -> tuple[Fraction, Fraction]:
@@ -171,11 +164,8 @@ def _classes(D: int) -> tuple[DiffClass, ...]:
         keys = [(x1, x2) for x1 in range(2) for x2 in range(D // 2)]
         lead = 2 ** (field.e - 2) * field.Dprime
         dnorms = [(lead * x1 * x1 + x2 * x2) for x1, x2 in keys]
-    counts: dict[int, int] = {}
-    for dn in dnorms:
-        counts[dn % D] = counts.get(dn % D, 0) + 1
     for key, dn in zip(keys, dnorms):
-        out.append(DiffClass(field, key, dn, counts[dn % D]))
+        out.append(DiffClass(field, key, dn, a_D(field, -dn)))
     return tuple(out)
 
 
@@ -192,45 +182,35 @@ def class_from_key(field: QuadField, key: tuple[int, ...]) -> DiffClass:
 
 
 class Character:
-    """The quadratic character psi_m = prod_{p | m prime} chi_p for m | D with
-    gcd(m, D/m) = 1, as a callable of modulus m.
+    """A character of modulus m, callable through its table of values mod m."""
 
-    psi_m is periodic mod m (the 2-part of m is all of 2^e, the period of
-    chi_2), so its values mod m are tabulated once."""
-
-    def __init__(self, field: QuadField, m: int):
-        if m < 1 or field.D % m != 0:
-            raise ValueError(f"m = {m} must divide D = {field.D}")
-        if math.gcd(m, field.D // m) != 1:
-            raise ValueError(f"m = {m} and D/m = {field.D // m} must be coprime")
-        self.field = field
+    def __init__(self, m: int, table: tuple[int, ...]):
         self.modulus = m
-        odd_primes = [p for p in prime_divisors(m) if p != 2]
-        table = []
-        for n in range(m):
-            v = 1
-            for p in odd_primes:
-                v *= kronecker(n, p)
-            if m % 2 == 0:
-                v *= field.chi2(n)
-            table.append(v)
-        self.table = tuple(table)
+        self.table = table
 
     def __call__(self, n: int) -> int:
         return self.table[n % self.modulus]
 
     @property
     def parity(self) -> int:
-        """psi_m(-1)."""
-        return self(-1) if self.modulus > 1 else 1
+        """psi(-1)."""
+        return self(-1)
 
     def __repr__(self):
-        return f"Character(psi_{self.modulus}, D={self.field.D})"
+        return f"Character(mod {self.modulus})"
 
 
 @lru_cache(maxsize=256)
 def chi_component(field: QuadField, m: int) -> Character:
-    return Character(field, m)
+    """psi_m = prod_{p | m prime} chi_p for m | D with gcd(m, D/m) = 1, read
+    from chi_K = psi_m * psi_{D/m}: psi_m(n) = chi_K(n') for n' = n mod m and
+    n' = 1 mod D/m.  Its period is m (the 2-part of m is all of 2^e)."""
+    D = field.D
+    if m < 1 or D % m != 0:
+        raise ValueError(f"m = {m} must divide D = {D}")
+    if math.gcd(m, D // m) != 1:
+        raise ValueError(f"m = {m} and D/m = {D // m} must be coprime")
+    return Character(m, tuple(field.chi(crt([(n, m), (1, D // m)])) for n in range(m)))
 
 
 def a_D(field: QuadField, ell: int) -> int:

@@ -7,11 +7,10 @@ import pytest
 import tests.test_acceptance as acceptance
 from hermlift import charsums
 from hermlift.arith import divisors, kronecker
-from hermlift.charsums import (LegendreChar, check_closed_form, gauss_sum,
-                               norm_sum, norm_sum_check, salie_check, salie_lhs,
-                               salie_rhs)
+from hermlift.charsums import (check_closed_form, gauss_sum, norm_sum, norm_sum_check,
+                               salie_check, salie_lhs, salie_rhs)
 from hermlift.cyclotomic import CycloNum, csum, root_of_unity
-from hermlift.quadfield import QuadField, chi_component
+from hermlift.quadfield import Character, QuadField, chi_component
 from tests.conftest import ALL_D
 
 
@@ -121,7 +120,7 @@ def _gauss_sum_oracle(psi, b=1):
 
 
 class _KroneckerChar:
-    """(n | p) from arith.kronecker, independent of LegendreChar's table."""
+    """(n | p) from arith.kronecker, independent of the table of legendre(p)."""
 
     def __init__(self, p):
         self.modulus = p
@@ -265,12 +264,31 @@ def test_c05_locates_a_negated_gauss_term(monkeypatch):
     assert acceptance.gauss_failures() == [(15, 5), (20, 5)]
 
 
+@pytest.mark.parametrize("D,r", [(7, 3), (15, 2), (24, 5)])
+def test_c05_locates_a_flipped_chi_K_value(monkeypatch, D, r):
+    # every component psi_m is read from chi_K, so one wrong value of chi_K
+    # at a unit r mod D breaks at least psi_D, and only components of that D
+    real = QuadField.chi
+
+    def flipped(self, n):
+        v = real(self, n)
+        return -v if self.D == D and n % D == r else v
+
+    monkeypatch.setattr(QuadField, "chi", flipped)
+    chi_component.cache_clear()
+    try:
+        failures = acceptance.gauss_failures()
+    finally:
+        chi_component.cache_clear()
+    assert (D, D) in failures
+    assert {d for d, _ in failures} == {D}
+
+
 def test_c04_locates_a_flipped_legendre_entry(monkeypatch):
     # (3 | 7) = -1 read as +1 on both sides: at x = y = 0 the left side is
     # sum_j psi(j) = 2 while the middle factor of the right side is 0
     real = charsums.legendre
-    bad = LegendreChar(7)
-    bad.table = tuple(-v if n == 3 else v for n, v in enumerate(bad.table))
+    bad = Character(7, tuple(-v if n == 3 else v for n, v in enumerate(real(7).table)))
     monkeypatch.setattr(charsums, "legendre", lambda p: bad if p == 7 else real(p))
     charsums._legendre_gauss.cache_clear()  # its G(psi; z) are read from the flipped table
     try:

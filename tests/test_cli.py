@@ -102,7 +102,9 @@ def test_campaign_config(tmp_path):
 def test_hecke_reps_emission(tmp_path):
     out = tmp_path / "reps.json"
     assert run(["hecke-reps", "--D", "3", "--p", "2", "--out", str(out)]) == 0
-    rep = json.loads(out.read_text())
+    text = out.read_text()
+    assert text.count("\n") == 1 and ", " not in text  # compact: one line, no padding
+    rep = json.loads(text)
     assert rep["count"] == rep["expected"] == 27
     assert len(rep["reps"]) == 27
 
@@ -133,6 +135,13 @@ def test_verify_hecke_checks_distinctness_for_p5(capsys):
     cases = {c["p"]: c for c in rep["cases"]}
     assert sorted(cases) == [2, 5]
     assert cases[5]["distinct"] is True and cases[2]["distinct"] is True
+
+
+def test_verify_hecke_at_a_large_prime_discriminant(capsys):
+    # chi_K is read at p = 2, 3 without a table of size D
+    assert run(["verify", "--D", "1000003", "--mode", "hecke"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert [(c["p"], c["distinct"]) for c in rep["cases"]] == [(2, True), (3, True)]
 
 
 @pytest.mark.parametrize("N,primes", [(1, [2, 5]), (2, [5, 11]), (10, [11, 17])])
@@ -245,6 +254,13 @@ def _coeffs(d, enc):
     (["lift", "--D", "3", "--input", "g.json"], lambda d: {**d, "precision": 3}),
     (["lift", "--D", "3", "--input", "g.json"], lambda d: _coeffs(d, float)),
     (["lift", "--D", "3", "--input", "g.json"], lambda d: _coeffs(d, lambda c: {"re": c, "im": 0})),
+    (["lift", "--D", "3", "--input", "g.json"], lambda d: {**d, "coeffs": [*d["coeffs"][:2], True, *d["coeffs"][3:]]}),
+    (["lift", "--D", "3", "--input", "g.json"], lambda d: {**d, "weight": 7.0}),
+    (["lift", "--D", "3", "--input", "g.json"], lambda d: {**d, "disc": True}),
+    (["lift", "--D", "3", "--input", "g.json"], lambda d: {**d, "level": 1.0}),
+    (["lift", "--D", "3", "--input", "g.json"], lambda d: {**d, "denom": "1"}),
+    (["lift", "--D", "3", "--input", "g.json"], lambda d: {**d, "precision": float(d["precision"])}),
+    (["lift", "--D", "3", "--input", "g.json"], lambda d: {**d, "coeffs": "0" * d["precision"]}),
     (["verify", "--config", "g.json"], lambda d: [d]),
     (["lift", "--D", "3", "--k", "12", "--input", "g.json"], None),
     (["lift", "--D", "7", "--input", "g.json"], None),
@@ -260,6 +276,8 @@ def _coeffs(d, enc):
     (["verify", "--config", "g.json"], lambda d: {"discriminants": [3], "output_dir": 5}),
 ], ids=["lift-odd-k", "ikeda-odd-k", "lift-missing-input", "verify-missing-config",
         "theta-overflow", "input-missing-key", "input-precision", "input-float", "input-re-im",
+        "input-bool-coeff", "input-float-weight", "input-bool-disc", "input-float-level",
+        "input-string-denom", "input-float-precision", "input-coeffs-a-string",
         "config-not-an-object", "input-wrong-weight", "input-wrong-disc", "config-disc-not-a-list",
         "config-level-a-string", "config-disc-a-float", "config-level-a-float", "config-disc-a-bool",
         "config-empty", "config-no-levels", "config-modes-a-string", "config-unknown-mode",

@@ -25,7 +25,7 @@ def test_qexpansion_access_and_truncation():
         g.coeff(-1)
 
 
-@pytest.mark.parametrize("c", (1e-13, 2.0, complex(1, -2), {"re": 1, "im": 0}, "1/3"))
+@pytest.mark.parametrize("c", (1e-13, 2.0, complex(1, -2), {"re": 1, "im": 0}, "1/3", True))
 def test_qexpansion_takes_only_exact_coefficients(c):
     with pytest.raises(ValueError, match="not an int, Fraction or CycloNum"):
         QExpansion.make(7, 1, 3, 1, [0, c, None])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -55,9 +56,21 @@ def test_classes_group_structure(D):
     assert len(keys) == D
     for u in cls:
         assert class_from_key(f, u.key) is u or class_from_key(f, u.key).key == u.key
-        # dnorm = D*|u|^2 mod D as an integer, mult = a_D(-dnorm)
-        assert u.dnorm % 1 == 0
-        assert u.mult == a_D(f, -u.dnorm) >= 1
+        # mult counts the classes of the same D|u|^2 mod D
+        assert u.mult == a_D_by_count(f, -u.dnorm) >= 1
+
+
+@pytest.mark.parametrize("D", ALL_D)
+def test_dnorm_convention(D):
+    # odd D: x^2 reduced mod D; even D: the unreduced lead*x1^2 + x2^2
+    f = QuadField(D)
+    for u in classes(f):
+        if f.e == 0:
+            (x,) = u.key
+            assert u.dnorm == x * x % D and 0 <= u.dnorm < D
+        else:
+            x1, x2 = u.key
+            assert u.dnorm == 2 ** (f.e - 2) * f.Dprime * x1 * x1 + x2 * x2
 
 
 def a_D_by_count(field: QuadField, ell: int) -> int:
@@ -102,11 +115,15 @@ def test_algint_arithmetic():
 
 
 def test_chi2_only_for_even_D():
-    f3, f8 = QuadField(3), QuadField(8)
     with pytest.raises(ValueError):
-        f3.chi2(5)
-    vals = [f8.chi2(n) for n in (1, 3, 5, 7)]
-    assert all(v in (-1, 1) for v in vals)
+        QuadField(3).chi2(5)
+    # chi_{-4} at D = 4, 20; chi_{-8} at D = 8 (D' = 1); chi_8 at D = 24 (D' = 3)
+    want = {4: (1, -1, 1, -1), 20: (1, -1, 1, -1), 8: (1, 1, -1, -1), 24: (1, -1, -1, 1)}
+    for D, vals in want.items():
+        f = QuadField(D)
+        assert tuple(f.chi2(n) for n in (1, 3, 5, 7)) == vals
+        assert [f.chi2(n) for n in range(-8, 9, 2)] == [0] * 9
+        assert all(f.chi2(n) == f.chi2(n + 8) for n in range(-8, 8))
 
 
 @pytest.mark.parametrize("D", ALL_D)
@@ -125,6 +142,16 @@ def test_chi_component_is_character(D):
                 assert psi(a) == 0
 
 
+def _chi2_oracle(f, n):
+    """chi_2 from its own definition: chi_{-4} at e = 2; chi_{-8} or chi_8 at
+    e = 3 as D' = 1 or 3 mod 4."""
+    if n % 2 == 0:
+        return 0
+    if f.e == 2:
+        return -1 if n % 4 == 3 else 1
+    return kronecker(-8 if f.Dprime % 4 == 1 else 8, n)
+
+
 @pytest.mark.parametrize("D", ALL_D)
 def test_character_table_matches_product_formula(D):
     # psi_m(n) = prod_{p | m odd prime} (n | p) * chi_2(n) [2 | m], periodic mod m
@@ -137,5 +164,17 @@ def test_character_table_matches_product_formula(D):
         for n in range(-3 * m, 3 * m + 1):
             want = 1
             for p in prime_divisors(m):
-                want *= f.chi2(n) if p == 2 else kronecker(n, p)
+                want *= _chi2_oracle(f, n) if p == 2 else kronecker(n, p)
             assert psi(n) == want, (m, n)
+
+
+def test_field_builds_nothing_of_size_D():
+    # chi_K is read from the Kronecker symbol, not from a table mod D
+    tracemalloc.start()
+    try:
+        f = QuadField(1000003)
+        assert f.chi(2) == -1 and f.chi(3) == -1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
