@@ -161,30 +161,16 @@ def _report_salie(field: QuadField) -> dict:
 
 
 def _report_gauss(field: QuadField) -> dict:
-    failures = []
-    checked = []
-    for m in divisors(field.D):
-        if m == 1 or math.gcd(m, field.D // m) != 1:
-            continue
-        checked.append(m)
-        if not check_closed_form(chi_component(field, m)):
-            failures.append({"m": m})
-    return {"components": checked, "failures": failures}
+    checked = [m for m in divisors(field.D) if m > 1 and math.gcd(m, field.D // m) == 1]
+    return {"components": checked,
+            "failures": [{"m": m} for m in checked if not check_closed_form(chi_component(field, m))]}
 
 
 def _report_normsum(field: QuadField) -> dict:
-    failures = []
-    checked = 0
-    for N in range(1, 16):
-        if math.gcd(N, field.D) != 1:
-            continue
-        for t in range(N):
-            if math.gcd(t, N) != 1:
-                continue
-            checked += 1
-            if not norm_sum_check(field, N, t):
-                failures.append({"N": N, "t": t})
-    return {"checked": checked, "failures": failures}
+    cases = [(N, t) for N in range(1, 16) if math.gcd(N, field.D) == 1
+             for t in range(N) if math.gcd(t, N) == 1]
+    return {"checked": len(cases),
+            "failures": [{"N": N, "t": t} for N, t in cases if not norm_sum_check(field, N, t)]}
 
 
 def _inert_primes(field: QuadField, N: int, count: int) -> list[int]:
@@ -282,6 +268,8 @@ def cmd_lift(args) -> int:
     field = _field(args.D)
     _check_level(args.D, args.N)
     _check_weight(args.k, 4)
+    if args.upto < 0:
+        raise UsageError(f"--upto {args.upto} must be at least 0")
     if args.input:
         try:  # exact coefficients only: ints, "p/q" strings or null
             g = QExpansion.from_dict(_read_json(args.input))
@@ -365,6 +353,8 @@ def cmd_ikeda(args) -> int:
     _check_weight(args.k, 2)
     if math.gcd(args.ell, args.D) != 1:
         raise UsageError("ell must be coprime to D")
+    if args.bound < 1:
+        raise UsageError(f"--bound {args.bound} must be at least 1")
     rng = random.Random(args.seed)
     primes = _primes_below(max(260, args.bound + 10))
     ed = ik.synthetic_eigendata(field, args.k - 1, 1, primes, rng)

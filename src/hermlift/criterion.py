@@ -18,25 +18,20 @@ criterion left-hand side is
 and the statement verified here is A = 1 if D|w|^2 = D|v|^2 mod D, else 0.
 
 A_u also has closed forms when c | D, c > 0 (one for odd D; a two-branch
-B_u + C_u expression for even D); both routes are implemented and compared
-exactly.  The closed forms absorb the a_w/a_u factor.  Each is the product of
-integer (exponent over L, weight) pair lists, one per factor, read by one
-`esum` over one denominator.  The direct terms are int64 arrays over (sigma,
-j) built from per-D tables (`_direct_rows`) and read two ways: one exponent
-histogram per sigma (`inner_sum_direct`) and residues over a chunk of sigma
-and all pairs at once (`inner_sums_residues`).
+B_u + C_u expression for even D) that absorb the a_w/a_u factor, each a
+product of integer (exponent over L, weight) pair lists.  The direct terms
+are int64 arrays over (sigma, j) from per-D tables (`_direct_rows`).  Each
+route has one exact reader, of a chunk of sigma and all pairs of classes
+into a `ResidueRing` (`residues`): `inner_sum_direct` and `inner_sum_closed`.
 
-`verify_criterion` decides exactly in residues (`residues`): each value of
-one sigma lies in Q(zeta_L), L = D (odd D) or 2D, stored as its phi(L)
-residues mod a prime p = 1 (mod L) with D (p-1)^2 < 2^63, so no int64 sum of
-D residue products wraps.  With B >= ||den (A - delta)||_1 tracked in Python
-ints, vanishing residues prove A = delta once B is below the product of the
-primes used; a nonzero residue proves A != delta.  It takes a chunk of base
-sigma and their translates at once (the chunk size is internal), with
-M(base) as the term table and scalar of `thetamat.theta_terms`, no CycloNum
-per entry, and a translate's monomial M(g) (`thetamat.monomial_terms`, one
-call per chunk) as a column gather from it.  A
-failure's `lhs` is A's residue vector with its prime.  The float route
+Values lie in Q(zeta_L), L = D (odd D) or 2D, as phi(L) residues mod a prime
+p = 1 (mod L), D (p-1)^2 < 2^63, and every exact verdict on them is
+`certified`: residues of X that vanish with ||den X||_1 below the product of
+the primes prove X = 0, and a nonzero one proves X != 0.  `verify_criterion`
+tests X = A - delta with A_u from `inner_sum_direct`, for chunks of base
+sigma and their translates (M(base) from `thetamat.theta_terms`, M(g) from
+`thetamat.monomial_terms`); campaign c02 tests X = closed - direct over every
+swept sigma with c | D and every class pair.  The float route
 (`_inner_sum_float`) is the independent oracle of both readers.
 """
 
@@ -54,9 +49,8 @@ import numpy as np
 
 from .arith import bezout, component, crt, divisors, inverse_mod, valuation
 from .charsums import gauss_sum
-from .cyclotomic import CycloNum, esum
 from .quadfield import DiffClass, QuadField, chi_component, classes
-from .residues import ResidueRing, certifies_zero
+from .residues import ResidueRing, certified
 from .thetamat import IDENTITY, Mat2Z, lattice_coords, monomial_terms, theta_order, theta_terms
 
 FLOAT_TOL = 1e-9  # |A - delta| below which the float route passes a verdict
@@ -108,8 +102,8 @@ def _tables(D: int) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=8)
 def _direct_rows(D: int, entries: tuple[tuple[int, int, int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
     """The rows of these sigma and `halves` [sigma], 2 when some row has m = 4 mu
-    (else 1), from the entries mod 8D.  verify_criterion's chunks miss, and
-    inner_sum_direct reads one sigma at a time: a few entries keep its hits."""
+    (else 1), from the entries mod 8D.  A chunk of sigma misses once and hits
+    for each further prime of its certified loop, so a few entries suffice."""
     comp, inv, psi_tab, chi2, L = _tables(D)
     a, b, c, d = (np.array(entries, dtype=object) % (8 * D)).astype(np.int64).T[:, :, None]
     j = np.arange(D)
@@ -136,21 +130,6 @@ def _gauss_terms(field: QuadField, m: int, b: int) -> tuple[tuple[int, int], ...
     """G(psi_m; b) for 0 <= b < m as (exponent over L, weight) pairs, weights nonzero."""
     g = gauss_sum(chi_component(field, m), b)
     return tuple((k * (theta_order(field) // g.order), v) for k, v in g.coeffs.items())
-
-
-def inner_sum_direct(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass) -> CycloNum:
-    """A_u term by term over j mod D (includes the a_w/a_u factor): one
-    exponent histogram over L of sigma's `_direct_rows`."""
-    rows, halves = _direct_rows(field.D, (sigma.entries(),))
-    c, dnu, dnw, two = sigma.c, u.dnorm, w.dnorm, halves[0] == 2
-    terms = []
-    for mu, m, n, psi, jL, kL, r, h in rows[0].tolist():
-        if math.gcd(dnw, m) != mu:
-            continue
-        k = dnu * jL - dnw * kL
-        shifts = (k, k + h - r * dnw) if two else (k,)
-        terms += [(e + s, psi * v) for s in shifts for e, v in _gauss_terms(field, m, n * c % m)]
-    return esum(theta_order(field), terms) * Fraction(w.mult, int(halves[0]) * u.mult)
 
 
 def _product(*factors: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -234,12 +213,20 @@ def _inner_closed_even(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClas
     return B + C, den
 
 
-def inner_sum_closed(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass) -> CycloNum:
-    """Closed-form A_u for c | D, c > 0: one `esum` of its terms."""
-    if sigma.c <= 0 or field.D % sigma.c != 0:
+def inner_sum_closed(ring: ResidueRing, field: QuadField, sigmas: list[Mat2Z],
+                     reps: list[DiffClass]) -> tuple[np.ndarray, list[int], list[int]]:
+    """The closed-form A_u (c | D, c > 0) as inner_sum_direct gives the
+    direct one, from one scatter-add of every (sigma, u, w)'s pair list."""
+    if any(s.c <= 0 or field.D % s.c != 0 for s in sigmas):
         raise ValueError("closed form requires c | D with c > 0")
     closed = _inner_closed_even if field.e else _inner_closed_odd
-    return esum(theta_order(field), *closed(field, sigma, u, w))
+    sums, dens = zip(*(closed(field, s, u, w) for s in sigmas for u in reps for w in reps))
+    res, norms = ring.sums(sums)
+    den = math.lcm(*dens)  # 1 + chi_2(D|u|^2) at even D: the same for every sigma
+    A = res * np.array([pow(d, -1, ring.p) for d in dens])[:, None] % ring.p
+    n = len(reps) ** 2
+    bounds = [max(den // d * b for d, b in zip(dens[i:i + n], norms[i:i + n])) for i in range(0, len(dens), n)]
+    return A.reshape(len(sigmas), len(reps), len(reps), -1), bounds, [den] * len(sigmas)
 
 
 def expected_delta(field: QuadField, v: DiffClass, w: DiffClass) -> int:
@@ -342,11 +329,12 @@ def _contract(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.matmul(X.transpose(0, 3, 2, 1), Y.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1)
 
 
-def inner_sums_residues(ring: ResidueRing, field: QuadField, sigmas: list[Mat2Z],
-                        reps: list[DiffClass]) -> tuple[np.ndarray, list[int], list[int]]:
-    """A_u for every sigma and pair (u, w) of `reps` as residues [sigma, u, w, t],
-    with per-sigma bounds and denominators, den * A_u having ||.||_1 <= bound:
-    inner_sum_direct's terms, read from `_direct_rows` over sigma, j, w at once."""
+def inner_sum_direct(ring: ResidueRing, field: QuadField, sigmas: list[Mat2Z],
+                     reps: list[DiffClass]) -> tuple[np.ndarray, list[int], list[int]]:
+    """A_u term by term over j mod D (includes the a_w/a_u factor) for every
+    sigma and pair (u, w) of `reps` as residues [sigma, u, w, t], with
+    per-sigma bounds and denominators, den * A_u having ||.||_1 <= bound:
+    read from `_direct_rows` over sigma, j, w at once."""
     L, p, pw = ring.L, ring.p, ring.pw
     rows, halves = _direct_rows(field.D, tuple(s.entries() for s in sigmas))
     mu, m, n, psi, jL, kL, r, h = np.moveaxis(rows, 2, 0)[..., None]
@@ -354,9 +342,9 @@ def inner_sums_residues(ring: ResidueRing, field: QuadField, sigmas: list[Mat2Z]
     # G(psi_m; nc) once per distinct (m, nc mod m)
     c = np.array([s.c % field.D for s in sigmas])[:, None, None]
     keys, at = np.unique(m * field.D + n * c % m, return_inverse=True)
-    gauss = [ring.gauss(chi_component(field, int(k) // field.D), int(k) % field.D) for k in keys]
+    gauss, gnorms = ring.sums([_gauss_terms(field, k // field.D, k % field.D) for k in keys.tolist()])
     at = at.reshape(m.shape[:2])
-    base = np.array([g for g, _ in gauss])[at] * psi % p
+    base = gauss[at] * psi % p
     # e[-D|w|^2 kappa / D] R [sigma, j, w], R = (1 + e[(h - r D|w|^2)/L])/2
     ex = -dn * kL % L
     R = (pw[ex] + pw[(ex + h - r * dn) % L]) % p * ((p + 1) // 2) % p
@@ -368,7 +356,7 @@ def inner_sums_residues(ring: ResidueRing, field: QuadField, sigmas: list[Mat2Z]
     A = _contract(E, coef) % p * ratio[:, :, None] % p
     # terms: Gauss sum * R (norm 2 over 2) * root of unity; a_w/a_u <= max a/min a
     lcm = math.lcm(*mults)
-    norms = np.array([ng for _, ng in gauss])[at].sum(axis=1) * max(mults) * (lcm // min(mults))
+    norms = np.array(gnorms)[at].sum(axis=1) * max(mults) * (lcm // min(mults))
     return A, (halves * norms).tolist(), (halves * lcm).tolist()
 
 
@@ -381,12 +369,8 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
     """Check A = delta for the full representative sweep and random
     Gamma_0(D)-translates; returns a JSON-ready report.
 
-    Exact verdicts are residues mod p = 1 (mod L), D (p-1)^2 < 2^63, taken for
-    a chunk of base sigma and their translates at once: one holds when all
-    residues of A - delta vanish and the bound B is below the product of the
-    primes used, more being taken while the chunk's largest B is not.  A zero
-    under a certified bound is exact, so nothing depends on the internal chunk
-    size.  A failure's `lhs` is A's residues and the first prime that sees
+    Exact verdicts are `certified` per internal chunk, so they do not depend on
+    its size.  A failure's `lhs` is A's residues and the first prime that sees
     them; `certificate` has L, primes, max B bits.
 
     The level N is validated (positive, coprime to D) and reported, but it
@@ -436,24 +420,24 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
         tables = monomial_terms(field, [g for gs, _ in groups for g in gs])
         tables = tables.reshape(len(groups), len(groups[0][0]), D, 4)
         parts = [(theta_terms(field, ss[0]), np.moveaxis(t, 2, 0)) for (_, ss), t in zip(groups, tables)]
-        done = []
-        while not done or not certifies_zero(bounds[-1], [r.p for r, _ in done]):
-            if len(done) == len(rings):  # a kernel sum has at most D terms
-                rings.append(ResidueRing(L, D, below=rings[-1].p if rings else None))
-            ring = rings[len(done)]
+
+        def read(ring: ResidueRing):
             p, Ms, norms = ring.p, [], []
             for (scalar, terms), (u, _, k, w) in parts:  # u, k, w: [translate, v]
                 (s, ns, ds), (M, nM) = ring.of(scalar * Fraction(1, D)), ring.matrix(terms, D)
                 M = M * s % p
                 Ms += [M, *np.moveaxis(M[:, u] * (w[..., None] % p * ring.pw[k] % p) % p, 1, 0)]
                 norms += [(nM * g, ns, ds) for g in [1] + np.abs(w).max(axis=1).tolist()]
-            A, nA, dA = inner_sums_residues(ring, field, sigmas, reps)
-            done.append((ring, _contract(np.array(Ms), A[:, row_of]) % p))
-            bounds.append(max(nM * na * ns + da * ds for (nM, ns, ds), na, da in zip(norms, nA, dA)))
-        wrong = [((got - delta[:, :, None]) % r.p).any(axis=3) for r, got in done]
+            A, nA, dA = inner_sum_direct(ring, field, sigmas, reps)
+            return (_contract(np.array(Ms), A[:, row_of]) % p,
+                    max(nM * na * ns + da * ds for (nM, ns, ds), na, da in zip(norms, nA, dA)))
+
+        done, bound = certified(rings, L, D, read)
+        bounds.append(bound)
+        wrong = [((got - delta[:, :, None]) % p).any(axis=3) for p, got in done]
         for i, iv, iw in np.argwhere(np.logical_or.reduce(wrong)):
             k = next(k for k, nz in enumerate(wrong) if nz[i, iv, iw])
-            fail(sigmas[i], iv, iw, {"prime": done[k][0].p, "residues": done[k][1][i, iv, iw].tolist()})
+            fail(sigmas[i], iv, iw, {"prime": done[k][0], "residues": done[k][1][i, iv, iw].tolist()})
 
     groups = []  # (gammas, [base] + [base * g for g in gammas]) per sweep sigma
     for base in sweep_sigmas(field):

@@ -11,15 +11,18 @@ ch. 5, 8): if the residues of X vanish mod p_1, ..., p_r, then
 X = 0, and one nonzero residue proves X != 0.  int64 guard: a caller sums at
 most `terms` products of two residues, and terms * (p-1)^2 < 2^63.
 
-A theta matrix arrives as the integer term table of `thetamat.theta_terms`
-(rows u, v, k, w for w e[k/L]) and is read with one gather from the power
-table and one scatter-add (`matrix`); only its per-sigma scalar is a CycloNum
-(`of`).  The guards raise, so they hold under python -O too.
+Every sum of terms w e[k/L] is read by `read`, one power-table gather and
+one scatter-add: theta term tables (`matrix`), a CycloNum (`of`) and lists
+of (exponent, weight) pairs (`sums`), the inner sums' Gauss sums and closed
+forms.  `certified` takes primes until the certificate holds, for every
+exact criterion verdict and for campaign c02.  The guards raise, so they
+hold under python -O too.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -53,38 +56,56 @@ class ResidueRing:
         self.units = [t for t in range(L) if math.gcd(t, L) == 1]
         self.pw = np.array([[powers[t * e % L] for t in self.units] for e in range(L)],
                            dtype=np.int64)
-        self._gauss: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
+
+    def read(self, at: np.ndarray, k: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+        """Residues [i, t] of the n sums sum w e[k/L] over the terms with
+        index at = i, from int64 arrays of indices, exponents and weights
+        already reduced mod p: one power-table gather and one scatter-add."""
+        out = np.zeros((n, len(self.units)), dtype=np.int64)
+        np.add.at(out, at, w[:, None] * self.pw[k % self.L] % self.p)
+        return out % self.p
+
+    def sums(self, lists) -> tuple[np.ndarray, list[int]]:
+        """Residues [i, t] and ||.||_1 of the sum of each list of (exponent
+        over L, weight) pairs, the pairs reduced mod L and p before they
+        enter int64."""
+        pairs = [*chain.from_iterable(lists)]
+        k = np.array([e % self.L for e, _ in pairs], dtype=np.int64)
+        w = np.array([v % self.p for _, v in pairs], dtype=np.int64)
+        res = self.read(np.repeat(np.arange(len(lists)), [len(x) for x in lists]), k, w, len(lists))
+        return res, [sum(abs(v) for _, v in x) for x in lists]
 
     def of(self, x: CycloNum) -> tuple[np.ndarray, int, int]:
         """(residues, ||numerators||_1, den) of x = numerators/den."""
-        p = self.p
         if self.L % x.order:
             raise ValueError("value outside Q(zeta_L)")
-        if x.den % p == 0:
+        if x.den % self.p == 0:
             raise ValueError("p divides the denominator")
         k = np.array(list(x.coeffs), dtype=np.int64) * (self.L // x.order)
-        n = np.array([c % p for c in x.coeffs.values()], dtype=np.int64)
-        res = (n[:, None] * self.pw[k] % p).sum(axis=0) % p
-        return res * pow(x.den, -1, p) % p, sum(map(abs, x.coeffs.values())), x.den
+        w = np.array([c % self.p for c in x.coeffs.values()], dtype=np.int64)
+        res = self.read(np.zeros(len(k), dtype=np.int64), k, w, 1)[0]
+        return res * pow(x.den, -1, self.p) % self.p, sum(map(abs, x.coeffs.values())), x.den
 
     def matrix(self, terms: np.ndarray, n: int) -> tuple[np.ndarray, int]:
         """(residues [u, v, t], bound) of the n x n matrix of a term table,
         int64 rows (u, v, k, w) summing to sum w e[k/L] per entry
         (`thetamat.theta_terms`): bound is the largest column sum of |w|,
         submultiplicative."""
-        p = self.p
         u, v, k, w = terms.T
-        out = np.zeros((n, n, len(self.units)), dtype=np.int64)
-        np.add.at(out, (u, v), w[:, None] % p * self.pw[k] % p)
         cols = np.zeros(n, dtype=np.int64)
         np.add.at(cols, v, np.abs(w))
-        return out % p, int(cols.max())
+        return self.read(u * n + v, k, w % self.p, n * n).reshape(n, n, -1), int(cols.max())
 
-    def gauss(self, psi, b: int) -> tuple[np.ndarray, int]:
-        """(residues, ||numerators||_1) of sum_{a mod m} psi(a) e[ab/m] = G(psi; b)."""
-        m = psi.modulus
-        if (m, b % m) not in self._gauss:
-            table = np.array(psi.table, dtype=np.int64)
-            ex = [a * b % m * (self.L // m) for a in range(m)]
-            self._gauss[m, b % m] = (table @ self.pw[ex] % self.p, int(np.abs(table).sum()))
-        return self._gauss[m, b % m]
+
+def certified(rings: list[ResidueRing], L: int, terms: int, read) -> tuple[list, int]:
+    """[(p, residues)] of read(ring) -> (residues of X, B >= ||X||_1) mod one
+    prime after another, the rings taken so far kept in `rings`, until their
+    product certifies a zero under the largest B; and that B."""
+    done, bound = [], 0
+    while not done or not certifies_zero(bound, [p for p, _ in done]):
+        if len(done) == len(rings):
+            rings.append(ResidueRing(L, terms, below=rings[-1].p if rings else None))
+        x, b = read(rings[len(done)])
+        done.append((rings[len(done)].p, x))
+        bound = max(bound, b)
+    return done, bound

@@ -1,21 +1,23 @@
 """The ten headline verification campaigns, one test per criterion.
 
 Each test is exhaustive at the documented window sizes and uses exact
-cyclotomic arithmetic unless the criterion itself is about a numeric
-approximation.  A summary table with one pass/fail line per criterion is
-printed at the end of the run (see conftest.py).
+arithmetic (cyclotomic, or residues under the norm-bound certificate) unless
+the criterion itself is about a numeric approximation.  A summary table
+with one pass/fail line per criterion is printed at the end of the run (see
+conftest.py).
 """
 
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 from sympy import primerange
 
+from hermlift import criterion
 from hermlift.arith import divisors
 from hermlift.charsums import check_closed_form, gauss_sum, norm_sum, salie_check
-from hermlift.criterion import (inner_sum_closed, inner_sum_direct,
-                                random_gamma0, sweep_sigmas, verify_criterion)
+from hermlift.criterion import random_gamma0, sweep_sigmas, verify_criterion
 from hermlift.hecke import (beta_Tp, coset_reps, verify_beta_conditions,
                             verify_reps_distinct)
 from hermlift.ikeda import fQ_coeff, fstar_coeff, fstar_plus_check, rho_coeff, synthetic_eigendata
@@ -24,8 +26,9 @@ from hermlift.lift import (AlphaSeries, HermitianCoeffKey, beta_from_alpha,
                            special_jacobi_alpha, theta_decompose)
 from hermlift.plusform import build_Pm, eisenstein_star, slash_eval
 from hermlift.quadfield import QuadField, a_D, chi_component, classes
+from hermlift.residues import certified
 from hermlift.thetamat import (Mat2Z, mat_mul, matrices_equal, theta_eval,
-                               theta_matrix, theta_matrix_closed, theta_slash)
+                               theta_matrix, theta_matrix_closed, theta_order, theta_slash)
 
 ALL_D = (3, 4, 7, 8, 11, 15, 19, 20, 23, 24)
 SMALL_D = (3, 4, 7, 8)
@@ -50,27 +53,46 @@ def test_c01_arithmetic_criterion_sweep():
         assert rep["failures"] == [], (D, rep["failures"][:3])
 
 
+# (sigma, u, w) read at once by c02: bounds the closed pair lists held in memory
+C02_TRIPLES = 2**10
+
+
+def closed_minus_direct(f, sigmas):
+    """The (sigma, u, w), sigma among these (c | D, c > 0) and u, w any two
+    classes, where the closed and direct A_u differ: closed - direct from the
+    two residue readers, a chunk of sigma at a time, its zeros certified by
+    the verdicts' prime loop."""
+    cls, rings, out = classes(f), [], []
+    per = max(1, C02_TRIPLES // len(cls) ** 2)
+    for chunk in (sigmas[i:i + per] for i in range(0, len(sigmas), per)):
+        def read(ring):
+            closed, nc, dc = criterion.inner_sum_closed(ring, f, chunk, cls)
+            direct, nd, dd = criterion.inner_sum_direct(ring, f, chunk, cls)
+            # dc dd (closed - direct) = dd (dc closed) - dc (dd direct)
+            return (closed - direct) % ring.p, max(d * n + c * m for n, m, c, d in zip(nc, nd, dc, dd))
+
+        done, _ = certified(rings, theta_order(f), f.D, read)
+        wrong = np.logical_or.reduce([x.any(axis=3) for _, x in done])
+        out += [(chunk[i].entries(), cls[iu].key, cls[iw].key) for i, iu, iw in np.argwhere(wrong).tolist()]
+    return out
+
+
 def closed_vs_direct_failures(Ds=ALL_D):
     """c02's check: the (D, sigma, u, w) where the closed and direct A_u differ."""
     out = []
     for D in Ds:
         f = QuadField(D)
-        cls = classes(f)
-        for sigma in sweep_sigmas(f):
-            if sigma.c <= 0 or D % sigma.c != 0:
-                continue
-            for u in cls:
-                for w in cls:
-                    lhs = inner_sum_direct(f, sigma, u, w)
-                    rhs = inner_sum_closed(f, sigma, u, w)
-                    if not (lhs - rhs).is_zero():
-                        out.append((D, sigma.entries(), u.key, w.key))
+        sigmas = [s for s in sweep_sigmas(f) if s.c > 0 and D % s.c == 0]
+        out += [(D, *x) for x in closed_minus_direct(f, sigmas)]
     return out
 
 
 def test_c02_inner_sums_closed_vs_direct():
-    """inner_sum_closed equals the defining double sum for ALL class pairs
-    and ALL swept sigma, covering the odd case and both even branches."""
+    """The closed-form A_u equals the defining double sum for ALL class pairs
+    and ALL swept sigma with c | D, covering the odd case and both even
+    branches.  Decided in residues with the norm-bound certificate, the
+    direct side read by the reader that gives verify_criterion's verdicts;
+    the float route is the independent oracle of both readers."""
     assert closed_vs_direct_failures() == []
 
 

@@ -274,6 +274,9 @@ def _coeffs(d, enc):
     (["verify", "--config", "g.json"], lambda d: {"discriminants": [3], "modes": "theta"}),
     (["verify", "--config", "g.json"], lambda d: {"discriminants": [3], "modes": ["thetas"]}),
     (["verify", "--config", "g.json"], lambda d: {"discriminants": [3], "output_dir": 5}),
+    (["lift", "--D", "3", "--upto", "-1"], None),
+    (["ikeda", "--D", "7", "--bound", "0"], None),
+    (["ikeda", "--D", "7", "--bound", "-5"], None),
 ], ids=["lift-odd-k", "ikeda-odd-k", "lift-missing-input", "verify-missing-config",
         "theta-overflow", "input-missing-key", "input-precision", "input-float", "input-re-im",
         "input-bool-coeff", "input-float-weight", "input-bool-disc", "input-float-level",
@@ -281,7 +284,8 @@ def _coeffs(d, enc):
         "config-not-an-object", "input-wrong-weight", "input-wrong-disc", "config-disc-not-a-list",
         "config-level-a-string", "config-disc-a-float", "config-level-a-float", "config-disc-a-bool",
         "config-empty", "config-no-levels", "config-modes-a-string", "config-unknown-mode",
-        "config-output-dir-not-a-string"])
+        "config-output-dir-not-a-string", "lift-negative-upto", "ikeda-zero-bound",
+        "ikeda-negative-bound"])
 def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys, args, edit):
     monkeypatch.chdir(tmp_path)
     if "g.json" in args:  # the D = 3, k = 8 form, edited unless the command mismatches it

@@ -18,7 +18,7 @@ from hermlift import criterion, cyclotomic, residues, thetamat
 from hermlift.criterion import (expected_delta, inner_sum_closed,
                                 inner_sum_direct, random_gamma0, sigma_context,
                                 sweep_sigmas, verify_criterion)
-from hermlift.cyclotomic import CycloNum, csum, root_of_unity
+from hermlift.cyclotomic import CycloNum, csum, esum, root_of_unity
 from hermlift.quadfield import QuadField, chi_component, classes
 from hermlift.residues import ResidueRing, certifies_zero
 from hermlift.thetamat import (Mat2Z, mat_mul, theta_matrix, theta_matrix_closed,
@@ -28,21 +28,38 @@ from tests.conftest import ALL_D, SMALL_D
 
 def closed_vs_direct_translated(D):
     """The (sigma, u, w) where the closed and direct A_u differ, over every
-    sweep sigma with c | D, c > 0 and its T^k sigma, T^k = (1 k; 0 1), k = 1, 2.
-    The sweep's sigma at c = 1 all have a = 0; T^k sigma has a = k, so the
-    closed forms' a-dependent exponents are not 0 mod D at c = 1."""
+    sweep sigma with c | D, c > 0 and its T^k sigma, T^k = (1 k; 0 1), k = 1, 2,
+    decided as c02 decides.  The sweep's sigma at c = 1 all have a = 0; T^k
+    sigma has a = k, so the closed forms' a-dependent exponents are not 0 mod
+    D at c = 1."""
     f = QuadField(D)
-    cls = classes(f)
-    out = []
-    for base in sweep_sigmas(f):
-        if base.c <= 0 or D % base.c != 0:
+    sigmas = [t for s in sweep_sigmas(f) if s.c > 0 and D % s.c == 0
+              for t in [s] + [Mat2Z(1, k, 0, 1) * s for k in (1, 2)]]
+    return acceptance.closed_minus_direct(f, sigmas)
+
+
+def cyclonum_direct(field, sigma, u, w):
+    """A_u term by term over j mod D (includes the a_w/a_u factor) as one
+    CycloNum: an exponent histogram of sigma's `_direct_rows`, the exact
+    oracle of inner_sum_direct.  Both read `_direct_rows`, so the float
+    route is the independent oracle of both."""
+    rows, halves = criterion._direct_rows(field.D, (sigma.entries(),))
+    c, dnu, dnw, two = sigma.c, u.dnorm, w.dnorm, halves[0] == 2
+    terms = []
+    for mu, m, n, psi, jL, kL, r, h in rows[0].tolist():
+        if math.gcd(dnw, m) != mu:
             continue
-        for sigma in [base] + [Mat2Z(1, k, 0, 1) * base for k in (1, 2)]:
-            for u in cls:
-                for w in cls:
-                    if not (inner_sum_direct(f, sigma, u, w) - inner_sum_closed(f, sigma, u, w)).is_zero():
-                        out.append((sigma.entries(), u.key, w.key))
-    return out
+        k = dnu * jL - dnw * kL
+        shifts = (k, k + h - r * dnw) if two else (k,)
+        terms += [(e + s, psi * v) for s in shifts for e, v in criterion._gauss_terms(field, m, n * c % m)]
+    return esum(theta_order(field), terms) * Fraction(w.mult, int(halves[0]) * u.mult)
+
+
+def cyclonum_closed(field, sigma, u, w):
+    """The closed-form A_u (c | D, c > 0) as one CycloNum: one `esum` of its
+    pair list, the exact oracle of inner_sum_closed."""
+    closed = criterion._inner_closed_even if field.e else criterion._inner_closed_odd
+    return esum(theta_order(field), *closed(field, sigma, u, w))
 
 
 @pytest.mark.parametrize("D", SMALL_D)
@@ -113,8 +130,9 @@ def test_random_gamma0_in_group():
 
 def _doubled(orig, when):
     """orig with its value doubled at every sigma for which when(sigma)
-    holds; orig is an inner sum (field, sigma, u, w) in either arithmetic or
-    inner_sums_residues (ring, field, sigmas, reps) over a chunk of sigma."""
+    holds; orig is an inner sum (field, sigma, u, w), a CycloNum oracle or
+    the float route, or inner_sum_direct (ring, field, sigmas, reps) over a
+    chunk of sigma."""
     def wrapped(*args):
         out = orig(*args)
         if not isinstance(out, tuple):
@@ -131,7 +149,7 @@ def _c_divides_D(D):
 
 
 @pytest.mark.parametrize("arithmetic, target",
-                         [("exact", "inner_sums_residues"), ("float", "_inner_sum_float")])
+                         [("exact", "inner_sum_direct"), ("float", "_inner_sum_float")])
 def test_verify_criterion_reports_injected_fault(monkeypatch, arithmetic, target):
     # double A_u wherever c | D: then A = 2*delta, so exactly the triples
     # with delta = 1 and such sigma must fail, with located witnesses
@@ -202,39 +220,44 @@ def test_float_route_reports_perturbed_lattice_term(monkeypatch):
         assert not abs(complex(fail["lhs"]) - fail["expected"]) < 1e-9
 
 
-def test_direct_rows_are_bounded_and_keep_their_hits():
-    # c02's access pattern, every (u, w) of one sigma before the next: one
-    # miss per distinct sigma, and more sigmas than the bound
+def test_direct_rows_are_bounded_and_keep_their_hits(monkeypatch):
+    # the access that remains, a chunk of sigma read once per prime of the
+    # certified loop: one miss per chunk, and a hit for each further prime.
+    # One base group per chunk gives more chunks than the bound, and primes
+    # of 11 bits need two of them for some chunks
     f = QuadField(7)
-    cls = classes(f)
-    rng = random.Random(3)
-    sigmas = [s * random_gamma0(f, rng) for s in sweep_sigmas(f)]
+    monkeypatch.setattr(criterion, "_CHUNK", 1)
+    monkeypatch.setattr(residues, "_WORD", 2**24)
+    kernel = _kernel_calls(monkeypatch)
     criterion._direct_rows.cache_clear()
-    for sigma in sigmas:
-        for u in cls:
-            for w in cls:
-                inner_sum_direct(f, sigma, u, w)
+    verify_criterion(f, 1, seed=3, translates=1)
     info = criterion._direct_rows.cache_info()
+    chunks = len(sweep_sigmas(f))
     assert info.maxsize is not None and info.maxsize <= 16
-    assert info.misses == len({s.entries() for s in sigmas}) > info.maxsize
+    assert info.misses == chunks > info.maxsize
+    assert info.hits == len(kernel) - chunks > 0
 
 
 @pytest.mark.parametrize("D, values, keys", [(8, 8, 6), (20, 19, 9)])
 def test_inner_sum_direct_depends_on_the_classes_only_mod_D(D, values, keys):
     # verify_criterion evaluates one class per value of D|.|^2 mod D.  At
     # even D the canonical D|u|^2 is not reduced mod D, so this is not a
-    # tautology: there are more distinct values than keys
+    # tautology: there are more distinct values than keys.  Equal residues
+    # of two values with den ||.||_1 <= B each prove them equal when 2B < p
     f = QuadField(D)
     cls = classes(f)
     assert (len({u.dnorm for u in cls}), len({u.dnorm % D for u in cls})) == (values, keys)
     rng = random.Random(D)
-    for sigma in [t for s in sweep_sigmas(f) for t in (s, s * random_gamma0(f, rng))]:
+    sigmas = [t for s in sweep_sigmas(f) for t in (s, s * random_gamma0(f, rng))]
+    ring = ResidueRing(theta_order(f), D)
+    A, bounds, _ = inner_sum_direct(ring, f, sigmas, cls)
+    assert 2 * max(bounds) < ring.p
+    for sigma, A_sigma in zip(sigmas, A):
         first = {}
-        for u in cls:
-            for w in cls:
-                x = inner_sum_direct(f, sigma, u, w)
-                y = first.setdefault((u.dnorm % D, w.dnorm % D), x)
-                assert x is y or x == y, (sigma.entries(), u.key, w.key)
+        for iu, u in enumerate(cls):
+            for iw, w in enumerate(cls):
+                y = first.setdefault((u.dnorm % D, w.dnorm % D), A_sigma[iu, iw])
+                assert (A_sigma[iu, iw] == y).all(), (sigma.entries(), u.key, w.key)
 
 
 def _mutated(func, old, new):
@@ -297,6 +320,22 @@ def test_a_flipped_a_h2_sign_is_located(monkeypatch):
     assert len(got) == 1648 and {sigma[2] for _, sigma, _, _ in got} == {3, 5}
 
 
+def test_c02_sees_a_unit_ratio_in_the_direct_reader(monkeypatch):
+    # a_w/a_u taken as 1 in the reader that gives verify_criterion's
+    # verdicts: c02 sees it only because it reads that reader.  Every D of
+    # SMALL_D has classes of multiplicity 1 and 2, so c02 fails at each, and
+    # only at pairs with a_u != a_w
+    mults = {D: {x.key: x.mult for x in classes(QuadField(D))} for D in SMALL_D}
+    assert all(set(m.values()) == {1, 2} for m in mults.values())
+    unit = _mutated(criterion.inner_sum_direct,
+                    "ratio = np.array([[w * pow(u, -1, p) % p for w in mults] for u in mults])",
+                    "ratio = np.ones((len(mults), len(mults)), dtype=np.int64)")
+    monkeypatch.setattr(criterion, "inner_sum_direct", unit)
+    got = acceptance.closed_vs_direct_failures(SMALL_D)
+    assert {D for D, *_ in got} == set(SMALL_D)
+    assert all(mults[D][u] != mults[D][w] for D, _, u, w in got)
+
+
 def _sigma_context_rows(f, sigma):
     """sigma's direct rows per j from sigma_context, as the per-j loop that the
     vectorised _direct_rows replaced built them, and its halves."""
@@ -343,16 +382,17 @@ def test_a_wrong_kappa_trips_its_guard(monkeypatch):
     monkeypatch.setattr(criterion, "_direct_rows", wrong)
     with pytest.raises(AssertionError, match="kappa"):
         verify_criterion(QuadField(15), 1, translates=0)
+    f = QuadField(7)
     with pytest.raises(AssertionError, match="kappa"):
-        inner_sum_direct(QuadField(7), sweep_sigmas(QuadField(7))[1], *classes(QuadField(7))[:2])
+        inner_sum_direct(ResidueRing(7, 7), f, sweep_sigmas(f)[1:2], classes(f))
 
 
 # ---------------------------------------------------------------------------
 # the residue kernel against the CycloNum verdict loop it replaced
 
 
-def cyclonum_verdicts(field, seed, translates, inner_closed=inner_sum_closed,
-                      inner_direct=inner_sum_direct):
+def cyclonum_verdicts(field, seed, translates, inner_closed=cyclonum_closed,
+                      inner_direct=cyclonum_direct):
     """The exact verdict loop that the residue kernel replaced, kept as its
     oracle: CycloNum theta matrices, inner sums and zero tests, with the
     same sweep, translates and order.  Returns (triples_checked, failures as
@@ -402,25 +442,48 @@ def _verdicts(rep):
 @pytest.mark.parametrize("D", (4, 7, 8, 15))
 def test_inner_sums_residues_are_the_direct_sums_within_their_bound(D):
     # entrywise, every sigma read in one chunk: the residues are those of
-    # inner_sum_direct, and its value times the kernel's denominator has
-    # ||.||_1 within the kernel's bound.  Both read one builder, so the
-    # float route is the independent oracle
+    # the CycloNum oracle cyclonum_direct, and its value times the kernel's
+    # denominator has ||.||_1 within the kernel's bound.  Both read
+    # `_direct_rows`, so the float route is the independent oracle
     f = QuadField(D)
     ring = ResidueRing(D if f.e == 0 else 2 * D, D)
     reps = list({u.dnorm % D: u for u in classes(f)}.values())
     rng = random.Random(D)
     sigmas = [t for s in sweep_sigmas(f) for t in (s, s * random_gamma0(f, rng))]
-    A, bounds, dens = criterion.inner_sums_residues(ring, f, sigmas, reps)
+    A, bounds, dens = inner_sum_direct(ring, f, sigmas, reps)
     assert A.shape[:3] == (len(sigmas), len(reps), len(reps))
     for sigma, A_sigma, bound, den in zip(sigmas, A, bounds, dens):
         j_data = criterion._j_data_float(f, sigma)
         for iu, u in enumerate(reps):
             for iw, w in enumerate(reps):
-                x = inner_sum_direct(f, sigma, u, w)
+                x = cyclonum_direct(f, sigma, u, w)
                 assert abs(x.embed() - criterion._inner_sum_float(f, sigma, u, w, j_data)) < 1e-9
                 assert (ring.of(x)[0] == A_sigma[iu, iw]).all(), (sigma, u.key, w.key)
                 assert den % x.den == 0
                 assert den // x.den * sum(map(abs, x.coeffs.values())) <= bound
+
+
+@pytest.mark.parametrize("D", (4, 7, 8, 15))
+def test_closed_residues_are_the_closed_sums_within_their_bound(D):
+    # entrywise, every sweep sigma with c | D and its T sigma read in one
+    # call, every class pair: the residues are those of the CycloNum oracle
+    # cyclonum_closed, whose value times the reader's denominator has
+    # ||.||_1 within the reader's bound
+    f = QuadField(D)
+    ring = ResidueRing(theta_order(f), D)
+    cls = classes(f)
+    sigmas = [t for s in sweep_sigmas(f) if _c_divides_D(D)(s) for t in (s, Mat2Z(1, 1, 0, 1) * s)]
+    A, bounds, dens = inner_sum_closed(ring, f, sigmas, cls)
+    assert A.shape[:3] == (len(sigmas), D, D)
+    for sigma, A_sigma, bound, den in zip(sigmas, A, bounds, dens):
+        for iu, u in enumerate(cls):
+            for iw, w in enumerate(cls):
+                x = cyclonum_closed(f, sigma, u, w)
+                assert (ring.of(x)[0] == A_sigma[iu, iw]).all(), (sigma.entries(), u.key, w.key)
+                assert den % x.den == 0
+                assert den // x.den * sum(map(abs, x.coeffs.values())) <= bound
+    with pytest.raises(ValueError, match="c [|] D"):
+        inner_sum_closed(ring, f, [criterion.IDENTITY], cls)
 
 
 @pytest.mark.parametrize("D", ALL_D)
@@ -436,10 +499,9 @@ def test_injected_fault_gives_the_oracle_witnesses(monkeypatch, D):
     f = QuadField(D)
     bases = {s.entries() for s in sweep_sigmas(f) if _c_divides_D(D)(s)}
     when = lambda sigma: sigma.entries() in bases  # noqa: E731
-    oracle = cyclonum_verdicts(f, 0, 1, _doubled(inner_sum_closed, when),
-                               _doubled(inner_sum_direct, when))
-    monkeypatch.setattr(criterion, "inner_sums_residues",
-                        _doubled(criterion.inner_sums_residues, when))
+    oracle = cyclonum_verdicts(f, 0, 1, _doubled(cyclonum_closed, when),
+                               _doubled(cyclonum_direct, when))
+    monkeypatch.setattr(criterion, "inner_sum_direct", _doubled(criterion.inner_sum_direct, when))
     got = _verdicts(verify_criterion(f, 1, seed=0, translates=1))
     assert got == oracle and oracle[1]
     assert {w[0] for w in oracle[1]} == bases
@@ -455,13 +517,13 @@ def _reports(field, calls):
 
 
 def _kernel_calls(monkeypatch):
-    """(number of sigma, prime) of each inner_sums_residues call from now on."""
-    calls, orig = [], criterion.inner_sums_residues
+    """(number of sigma, prime) of each inner_sum_direct call from now on."""
+    calls, orig = [], criterion.inner_sum_direct
 
     def counted(ring, field, sigmas, reps):
         calls.append((len(sigmas), ring.p))
         return orig(ring, field, sigmas, reps)
-    monkeypatch.setattr(criterion, "inner_sums_residues", counted)
+    monkeypatch.setattr(criterion, "inner_sum_direct", counted)
     return calls
 
 
@@ -492,8 +554,8 @@ def test_chunk_size_does_not_change_the_witnesses(monkeypatch, D):
     # takes the second prime for sigma that alone would need only the first
     f = QuadField(D)
     bases = {s.entries() for s in sweep_sigmas(f) if _c_divides_D(D)(s)}
-    monkeypatch.setattr(criterion, "inner_sums_residues",
-                        _doubled(criterion.inner_sums_residues, lambda s: s.entries() in bases))
+    monkeypatch.setattr(criterion, "inner_sum_direct",
+                        _doubled(criterion.inner_sum_direct, lambda s: s.entries() in bases))
     kernel = _kernel_calls(monkeypatch)
 
     def reports():
@@ -549,8 +611,8 @@ def test_small_primes_take_the_multi_prime_path(monkeypatch):
     # with primes below 2^11 the bounds (12 bits at D=7) need two primes;
     # the verdicts, with and without an injected fault, stay the same
     f = QuadField(7)
-    orig = criterion.inner_sums_residues
-    monkeypatch.setattr(criterion, "inner_sums_residues", _doubled(orig, _c_divides_D(7)))
+    orig = criterion.inner_sum_direct
+    monkeypatch.setattr(criterion, "inner_sum_direct", _doubled(orig, _c_divides_D(7)))
     faulty = verify_criterion(f, 1, seed=0, translates=1)
     monkeypatch.setattr(residues, "_WORD", 2**24)
     small = verify_criterion(f, 1, seed=0, translates=1)
@@ -558,7 +620,7 @@ def test_small_primes_take_the_multi_prime_path(monkeypatch):
     assert len(primes) >= 2 and max(primes) < 2**11
     assert _verdicts(small) == _verdicts(faulty) and faulty["failures"]
     assert {fail["lhs"]["prime"] for fail in small["failures"]} <= set(primes)
-    monkeypatch.setattr(criterion, "inner_sums_residues", orig)
+    monkeypatch.setattr(criterion, "inner_sum_direct", orig)
     clean = verify_criterion(f, 1, seed=0, translates=1)
     assert clean["failures"] == [] and len(clean["certificate"]["primes"]) >= 2
 

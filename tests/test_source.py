@@ -58,3 +58,21 @@ def test_every_cache_is_bounded():
     found = _unbounded_caches()
     assert set(found) == KEYED_BY_D
     assert all(args == ["D"] for args in found.values()), found
+
+
+def _imported(path):
+    """(line, names) of each import statement in path: the module it names
+    and the names it binds."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            yield node.lineno, [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            yield node.lineno, [a.name for a in node.names]
+
+
+def test_criterion_imports_nothing_from_cyclotomic():
+    # the inner sums are read into residues only, so no per-triple CycloNum
+    # reader can come back beside the two residue readers
+    found = [line for line, names in _imported(SRC / "criterion.py")
+             if any(name.split(".")[-1] == "cyclotomic" for name in names)]
+    assert found == []
