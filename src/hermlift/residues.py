@@ -81,10 +81,8 @@ class ResidueRing:
             raise ValueError("value outside Q(zeta_L)")
         if x.den % self.p == 0:
             raise ValueError("p divides the denominator")
-        k = np.array(list(x.coeffs), dtype=np.int64) * (self.L // x.order)
-        w = np.array([c % self.p for c in x.coeffs.values()], dtype=np.int64)
-        res = self.read(np.zeros(len(k), dtype=np.int64), k, w, 1)[0]
-        return res * pow(x.den, -1, self.p) % self.p, sum(map(abs, x.coeffs.values())), x.den
+        (res,), (norm,) = self.sums([[(k * (self.L // x.order), c) for k, c in x.coeffs.items()]])
+        return res * pow(x.den, -1, self.p) % self.p, norm, x.den
 
     def matrix(self, terms: np.ndarray, n: int) -> tuple[np.ndarray, int]:
         """(residues [u, v, t], bound) of the n x n matrix of a term table,
