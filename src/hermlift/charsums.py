@@ -21,15 +21,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import kronecker
+from .arith import is_prime, kronecker
 from .cyclotomic import CycloNum, esum
 from .quadfield import Character, QuadField, chi_component
 
 
 @lru_cache(maxsize=64)
 def legendre(p: int) -> Character:
-    """The Legendre character (* | p) mod an odd prime p, one table per prime."""
-    if p < 3:
+    """The Legendre character (* | p) mod an odd prime p, one table per prime.
+    A composite p is refused: its Kronecker table is the Jacobi symbol."""
+    if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     return Character(p, tuple(kronecker(n, p) for n in range(p)))
 

@@ -47,14 +47,13 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .arith import bezout, component, crt, divisors, inverse_mod, valuation
+from .arith import bezout, component, crt, divisors, factorize, inverse_mod, valuation
 from .charsums import gauss_sum
 from .quadfield import DiffClass, QuadField, chi_component, classes
 from .residues import ResidueRing, certified
 from .thetamat import IDENTITY, Mat2Z, lattice_coords, monomial_terms, theta_order, theta_terms
 
 FLOAT_TOL = 1e-9  # |A - delta| below which the float route passes a verdict
-_FLOAT_BLOCK = 2**14  # lattice terms (v, gamma) per numpy expression of the float M(sigma)
 
 # per-j data entering the transformation formula
 SigmaContext = namedtuple("SigmaContext", "j mu m n kappa")
@@ -240,8 +239,15 @@ def expected_delta(field: QuadField, v: DiffClass, w: DiffClass) -> int:
 def _theta_matrix_float(field: QuadField, sigma: Mat2Z) -> list[list[complex]]:
     """M(sigma)[u][v] in floating point: sign(a) delta_{u, av} e[ab|u|^2] at
     c = 0, else -i/(c sqrt(D)) sum_{gamma in u + O_K mod c} e[(a|gamma|^2 -
-    Tr(gamma conj(v)) + d|v|^2)/c], one numpy expression over (v, gamma) per
-    row u, or per block of v when D c^2 exceeds _FLOAT_BLOCK."""
+    Tr(gamma conj(v)) + d|v|^2)/c], factored over the prime powers q of |c|.
+    With gamma = u + sum_q (c/q) x_q, x_q in O_K/q, the cross terms of
+    |gamma|^2 are multiples of c, so for y = a u - v the sum is
+      e[(a|u|^2 - Tr(u conj(v)) + d|v|^2)/c] prod_q sum_x e[(a (c/q) |x|^2 + Tr(x conj(y)))/q]:
+    q^2 terms per entry and factor instead of c^2.  On the grid x = al + be
+    omega the term is N[al, be] e[Tr(al conj(y))/q] e[Tr(be omega conj(y))/q],
+    N the grid of e[a (c/q) |x|^2 / q] and the traces read on its two axes,
+    so a factor is one matrix product over the entries (u, v).  The integers
+    |x|^2 and Tr are reduced mod q."""
     a, b, c, d = sigma.entries()
     D, cls = field.D, classes(field)
     tp = 2j * cmath.pi
@@ -249,19 +255,22 @@ def _theta_matrix_float(field: QuadField, sigma: Mat2Z) -> list[list[complex]]:
         sign = 1 if a > 0 else -1
         return [[sign * cmath.exp(tp * a * b * u.dnorm / D) if v.scaled(a).key == u.key else 0j
                  for v in cls] for u in cls]
-    v1, v2 = np.array([[float(x) for x in v.coords()] for v in cls]).T[:, :, None]
-    al, be = np.divmod(np.arange(c * c), abs(c))
-    scale = -1j / (c * math.sqrt(D))
-    step = max(1, _FLOAT_BLOCK // (c * c))  # columns v per expression
-    rows = []
-    for u in cls:
-        g1, g2 = lattice_coords(field, u, al, be)
-        row = []
-        for w1, w2 in ((v1[s:s + step], v2[s:s + step]) for s in range(0, D, step)):
-            num = a * (g1 * g1 + D * g2 * g2) - 2 * (g1 * w1 + D * g2 * w2) + d * (w1 * w1 + D * w2 * w2)
-            row += [scale * complex(x) for x in np.exp(tp / c * num).sum(axis=1)]
-        rows.append(row)
-    return rows
+    # a and d matter mod D|c| (D|u|^2 is an integer), and a only mod q in a factor
+    a, d = a % (D * abs(c)), d % (D * abs(c))
+    w1, w2 = np.array([[float(x) for x in u.coords()] for u in cls]).T
+    u1, u2, v1, v2 = (np.broadcast_to(x, (D, D)).ravel() for x in (w1[:, None], w2[:, None], w1, w2))
+    const = (a * (u1 * u1 + D * u2 * u2) - 2 * (u1 * v1 + D * u2 * v2) + d * (v1 * v1 + D * v2 * v2)) / c
+    out = np.exp(tp * const) * (-1j / (c * math.sqrt(D)))
+    for p, e in factorize(abs(c)):
+        q = p**e
+        g1, g2 = lattice_coords(field, cls[0], *np.divmod(np.arange(q * q), q))  # cls[0] = 0
+        N = np.exp(tp * (a * (c // q) % q * (g1 * g1 + D * g2 * g2) % q / q)).reshape(q, q)
+        y1, y2 = (a % q * u1 - v1)[:, None], (a % q * u2 - v2)[:, None]
+        # e[Tr(x conj(y))/q] per entry, on the axes x = al (E1) and x = be omega (E2)
+        E1, E2 = (np.exp(tp * (2 * (x1 * y1 + D * x2 * y2) % q / q))
+                  for x1, x2 in ((g1[::q], g2[::q]), (g1[:q], g2[:q])))
+        out *= ((E1 @ N) * E2).sum(axis=1)
+    return out.reshape(D, D).tolist()
 
 
 def _j_data_float(field: QuadField, sigma: Mat2Z) -> list[tuple[SigmaContext, complex]]:

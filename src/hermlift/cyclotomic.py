@@ -10,9 +10,11 @@ reduced modulo the M-th cyclotomic polynomial Phi_M.
 
 `csum` adds many terms into one dict over one order and one denominator, so a
 long sum costs one pass over its terms instead of a copy of the accumulator
-per term.  `esum` sums roots of unity given as integer pairs (exponent,
-weight): one exponent histogram, and no CycloNum or Fraction per term.  A
-rational factor scales the numerators (and the denominator) directly.
+per term.  The accumulator starts as a copy of the first term, so `+` and `-`
+cost one copy and one pass.  `esum` sums roots of unity given as integer
+pairs (exponent, weight): one exponent histogram, and no CycloNum or
+Fraction per term.  A rational factor scales the numerators (and the
+denominator) directly.
 
 Division is deliberately NOT general: only division by nonzero rationals and
 by roots of unity is provided here.  No caller divides by a Gauss sum; one
@@ -283,9 +285,13 @@ def _coerce(x) -> CycloNum:
 
 def csum(terms: Iterable) -> CycloNum:
     """The sum of CycloNums and rationals, accumulated in place.  The result
-    has the lcm of all the terms' orders, like a fold of `+`."""
-    M, den = 1, 1
-    cs: dict[int, int] = {}
+    has the lcm of all the terms' orders, like a fold of `+`.  The
+    accumulator starts as a copy of the first term's numerators."""
+    terms = iter(terms)
+    first = next(terms, 0)
+    if type(first) is not CycloNum:
+        first = _coerce(first)
+    M, den, cs = first.order, first.den, dict(first.coeffs)
     for t in terms:
         if type(t) is not CycloNum:
             t = _coerce(t)

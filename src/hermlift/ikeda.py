@@ -22,7 +22,10 @@ product closed form of a_{f*[l]} to agree (cross-checked on every call).
 The subset sum groups the subsets Q by M_Q: each group shares one product
 a_f(M/M_Q) conj(a_f(M_Q)) (a_f(M) itself for M_Q = 1), weighted by the
 integer sum of its signs, and the weights are expanded one prime of D at a
-time.
+time.  For M prime to D (two thirds of M) there is one group, w a_f(M), and
+the closed form is a_D(l M) a_f(M) with the same a_f(M): they differ by
+(w - a_D(l M)) a_f(M), and Q(zeta) has no zero divisors, so the check is the
+integer comparison w = a_D(l M) unless a_f(M) = 0.
 
 a_f(M) is memoized per M in the eigendata: a(p^e) is one step of the
 recursion from the memoized a(p^{e-1}), a(p^{e-2}), and a(M) for M with
@@ -178,10 +181,20 @@ def fstar_coeff(ed: EigenData, ell: int, M: int) -> CycloNum:
           (a_f(M_q) + chi_q(-1) chi_q(ell) conj(a_f(M_q)) chi_under_q(M)).
 
     The subsets Q with the same M_Q share a_f(M/M_Q) conj(a_f(M_Q)), which
-    takes the integer weight sum chi_Q(-ell) prod_{q in Q} chi_under_q(M)."""
+    takes the integer weight sum chi_Q(-ell) prod_{q in Q} chi_under_q(M).
+    For M prime to D every M_Q is 1: the subset sum is the one group
+    w a_f(M), w = prod_q (1 + chi_q(-ell) chi_under_q(M)), and the closed form
+    is a_D(ell M) a_f(M).  They differ by (w - a_D(ell M)) a_f(M), and Q(zeta)
+    has no zero divisors, so they agree iff w = a_D(ell M) or a_f(M) = 0."""
     field = ed.field
     if math.gcd(ell, field.D) != 1:
         raise ValueError("ell must be coprime to D")
+    if math.gcd(M, field.D) == 1:  # the one group M_Q = 1
+        w = math.prod(1 + field.chi_p(q, -ell) * chi_under(field, q, M) for q in field.primes)
+        aM = coeff(ed, M)
+        if not (w == a_D(field, ell * M) or aM.is_zero()):
+            raise AssertionError(f"subset sum and closed form disagree at M={M}, ell={ell}")
+        return w * aM
     fac = dict(factorize(M))
     under = {q: chi_under(field, q, M) for q in field.primes}
     # M_Q -> its integer weight, expanded one prime q of D at a time: a subset

@@ -195,6 +195,20 @@ def test_legendre_table_is_the_kronecker_symbol(p):
     assert [psi(n) for n in range(-2 * p, 2 * p)] == [kronecker(n, p) for n in range(-2 * p, 2 * p)]
 
 
+@pytest.mark.parametrize("p", [-3, 0, 1, 2, 9, 15, 21, 25])
+def test_legendre_refuses_what_is_not_an_odd_prime(p):
+    # kronecker(n, 9) is the Jacobi symbol (0, 1, 1, 0, 1, 1, ...), not a character mod a prime
+    with pytest.raises(ValueError, match="odd prime"):
+        charsums.legendre(p)
+
+
+@pytest.mark.parametrize("p", [9, 15, 25])
+def test_salie_check_refuses_a_composite_modulus(p):
+    # a unit z mod p, so the refusal is the modulus's and not z's
+    with pytest.raises(ValueError, match="odd prime"):
+        salie_check(p, 1, 1, 1)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_salie_sums_equal_the_term_by_term_oracle(p):
     for x in range(p):

@@ -15,6 +15,7 @@ from sympy import isprime
 
 import tests.test_acceptance as acceptance
 from hermlift import criterion, cyclotomic, residues, thetamat
+from hermlift.arith import bezout
 from hermlift.criterion import (expected_delta, inner_sum_closed,
                                 inner_sum_direct, random_gamma0, sigma_context,
                                 sweep_sigmas, verify_criterion)
@@ -184,15 +185,28 @@ def _theta_entry_float(field, sigma, u, v):
     return -1j / (c * math.sqrt(D)) * out
 
 
+def _sigma_with_c(c, d):
+    """A sigma = (a b; c d) of determinant 1, gcd(c, d) = 1."""
+    _, a, b = bezout(d, -c)  # d a - c b = 1
+    sigma = Mat2Z(a, b, c, d)
+    assert sigma.det() == 1
+    return sigma
+
+
 def test_float_theta_matrix_equals_the_entrywise_sum():
     # every sweep sigma of D = 7 and two translates of each, so c runs over
-    # 0, 1, 7 and translates with |c| up to D^2
+    # 0, 1, 7 and translates with |c| up to D^2; then |c| composite (42, 63),
+    # a prime power (49) and negative at D = 7, and three prime factors at D = 8,
+    # each against the unfactored sum
     f, rng = QuadField(7), random.Random(7)
-    cls = classes(f)
     sigmas = [s * g for s in sweep_sigmas(f) for g in [criterion.IDENTITY] + [random_gamma0(f, rng)
                                                                             for _ in range(2)]]
     assert {s.c for s in sigmas} >= {0, 1, 7} and max(abs(s.c) for s in sigmas) > 7
-    for sigma in sigmas:
+    cases = [(f, s) for s in sigmas] + [(f, _sigma_with_c(c, d)) for c, d in
+                                        ((42, 5), (63, 2), (49, 3), (-42, 11), (-63, 4))]
+    cases += [(QuadField(8), _sigma_with_c(c, d)) for c, d in ((30, 7), (-60, 7))]
+    for f, sigma in cases:
+        cls = classes(f)
         M = criterion._theta_matrix_float(f, sigma)
         assert all(type(x) is complex for row in M for x in row)
         for i, u in enumerate(cls):
@@ -201,23 +215,44 @@ def test_float_theta_matrix_equals_the_entrywise_sum():
 
 
 def test_float_route_reports_perturbed_lattice_term(monkeypatch):
-    # move the last lattice point of the float defining sum by 1/4 along 1:
-    # only entries with c != 0 see it, so every witness is at such a sigma
+    # move the last point of each factor's grid O_K/q by 1/4 along 1: only
+    # entries with c != 0 read a grid, so every witness is at such a sigma
     orig = criterion.lattice_coords
+    moved_grids = []
 
     def moved(field, u, al, be):
         g1, g2 = orig(field, u, al, be)
         g1 = g1.copy()
         g1[-1] += 0.25
+        moved_grids.append(len(g1))
         return g1, g2
 
     monkeypatch.setattr(criterion, "lattice_coords", moved)
     rep = verify_criterion(QuadField(7), 1, arithmetic="float", translates=0)
+    assert max(moved_grids) > 1
     assert rep["failures"]
     for fail in rep["failures"]:
         assert set(fail) == {"sigma", "v", "w", "lhs", "expected"}
         assert fail["sigma"][2] != 0
         assert not abs(complex(fail["lhs"]) - fail["expected"]) < 1e-9
+
+
+def test_float_theta_matrix_is_factored(monkeypatch):
+    # at D = 24 and |c| = 864 = 2^5 3^3 the unfactored sum takes D^2 c^2 =
+    # 576 * 746,496 complex exponentials; the factored one at most D^2 sum q^2
+    D, sigma = 24, Mat2Z(-181, -128, 864, 611)
+    assert sigma.det() == 1
+    count, exp = [0], np.exp
+
+    def counted(x, *args, **kwargs):
+        count[0] += np.size(x)
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    M = criterion._theta_matrix_float(QuadField(D), sigma)
+    assert 0 < count[0] <= D * D * (32**2 + 27**2)
+    exact = theta_matrix(QuadField(D), sigma)
+    assert max(abs(M[i][j] - exact[i][j].embed()) for i in range(D) for j in range(D)) < 1e-9
 
 
 def test_direct_rows_are_bounded_and_keep_their_hits(monkeypatch):

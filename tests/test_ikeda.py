@@ -182,3 +182,29 @@ def test_c09_locates_a_negated_chi_under(monkeypatch, D):
     M = {15: 5, 20: 2, 24: 3}.get(D, 1)
     with pytest.raises(AssertionError, match=f"disagree at M={M}, ell=1$"):
         acceptance.check_twist_paths(D)
+
+
+@pytest.mark.parametrize("D", ALL_D)
+def test_c09_locates_a_wrong_a_D_at_an_M_prime_to_D(monkeypatch, D):
+    # at M prime to D the check is w = a_D(ell M) unless a(M) = 0: an a_D
+    # wrong only at ell M = M0 raises exactly at M0 (with a(M0) != 0)
+    ed = synthetic_eigendata(QuadField(D), 7, 1, list(primerange(2, 520)), random.Random(D))
+    M0 = next(M for M in range(200, 501) if math.gcd(M, D) == 1 and not coeff(ed, M).is_zero())
+    real = ikeda.a_D
+    monkeypatch.setattr(ikeda, "a_D", lambda field, n: real(field, n) + (n == M0))
+    with pytest.raises(AssertionError, match=f"disagree at M={M0}, ell=1$"):
+        acceptance.check_twist_paths(D)
+
+
+def test_a_wrong_a_D_is_not_seen_where_a_of_M_vanishes(monkeypatch):
+    # (w - a_D(ell M)) a(M) = 0 at a(M) = 0, whatever a_D(ell M) is: both
+    # paths give 0, and the check passes as the subset-sum comparison does
+    f = QuadField(3)
+    ed = EigenData(f, 7, 1, {2: 0, 5: 4, 7: 3})
+    assert coeff(ed, 10).is_zero() and not coeff(ed, 5).is_zero()
+    real = ikeda.a_D
+    monkeypatch.setattr(ikeda, "a_D", lambda field, n: real(field, n) + 5)
+    for M in (2, 10, 14, 70):
+        assert fstar_coeff(ed, 1, M).is_zero()
+    with pytest.raises(AssertionError, match="disagree at M=5, ell=1$"):
+        fstar_coeff(ed, 1, 5)
