@@ -16,6 +16,10 @@ Three pieces:
     representatives lie in one coset, so distinct keys decide distinctness;
   * beta_Tp -- the three-branch recursion transporting beta under T_p, which
     preserves conditions (ii)/(iii) (checked by verify_beta_conditions).
+
+A BetaTable keeps numerators over one integer den, as a CycloNum does; beta_Tp
+writes its numerators over P*den, P = p^(2k-4), and verify_beta_conditions
+decides (ii) and (iii), homogeneous and linear in beta, on the numerators.
 """
 
 from __future__ import annotations
@@ -38,23 +42,36 @@ _MISSING = object()
 
 class BetaTable:
     """beta : Z+ x Z>=0 -> values, zero-extended to u <= 0 (the convention
-    c_F(T') = 0 for T' outside the lattice); evaluations are memoized."""
+    c_F(T') = 0 for T' outside the lattice), held as numerators over one
+    positive integer denominator den: fn(u, v) returns den*beta(u, v) (an
+    int, Fraction or CycloNum), and these numerators are memoized.  value
+    divides by den on the way out, to a Fraction for an int numerator."""
 
-    def __init__(self, k: int, N: int, fn: Callable[[int, int], object]):
+    def __init__(self, k: int, N: int, fn: Callable[[int, int], object], den: int = 1):
+        if type(den) is not int or den < 1:
+            raise ValueError(f"den must be a positive int, not {den!r}")
         self.k = k
         self.N = N
+        self.den = den
         self._fn = fn
         self._memo: dict[tuple[int, int], object] = {}
 
-    def value(self, u: int, v: int):
+    def numerator(self, u: int, v: int):
+        """den*beta(u, v)."""
+        if u <= 0:
+            return 0
         out = self._memo.get((u, v), _MISSING)
         if out is _MISSING:
-            if u <= 0:
-                return 0
             if v < 0:
                 raise ValueError("second argument must be non-negative")
             out = self._memo[(u, v)] = self._fn(u, v)
         return out
+
+    def value(self, u: int, v: int):
+        out, den = self.numerator(u, v), self.den
+        if den == 1 or u <= 0:
+            return out
+        return Fraction(out, den) if type(out) is int else out / den
 
 
 # ---------------------------------------------------------------------------
@@ -274,36 +291,40 @@ def beta_Tp(beta: BetaTable, p: int, field: QuadField) -> BetaTable:
     k = beta.k
     if k < 3:
         raise ValueError("beta_Tp needs k >= 3")
-    # every coefficient as an integer multiple of 1/P, P = p^(2k-4)
+    # every coefficient as an integer multiple of 1/P, P = p^(2k-4): beta_G's
+    # numerators are integer combinations of beta_F's, over P * beta_F.den
     P, pp = p ** (2 * k - 4), p * p
     r_c, down_c = p ** (k - 3), p ** (k - 1)
     unit_c, down_unit_c = (p + 1) * r_c, (pp - p) * r_c
-    value = beta.value
+    num = beta.numerator
 
     def fn(u: int, r: int):
         # u = p^v q: p^{v-1} q = u/p, or 0 (zero extension) at v = 0; p^{v+1} q = u p
         pv_down, pv_up = (0 if u % p else u // p), u * p
-        out = P * value(pv_down, r) + value(pv_up, r)
+        out = P * num(pv_down, r) + num(pv_up, r)
         if r % pp == 0:
-            out += r_c * value(pv_up, r // pp) + down_c * value(pv_down, r * pp)
-        elif r % p == 0:
-            out += r_c * value(u, r) + down_c * value(pv_down, r * pp)
-        else:
-            out += unit_c * value(u, r) + down_unit_c * value(pv_down, r * pp)
-        return Fraction(out, P) if type(out) is int else out / P
+            return out + r_c * num(pv_up, r // pp) + down_c * num(pv_down, r * pp)
+        if r % p == 0:
+            return out + r_c * num(u, r) + down_c * num(pv_down, r * pp)
+        return out + unit_c * num(u, r) + down_unit_c * num(pv_down, r * pp)
 
-    return BetaTable(k, beta.N, fn)
+    return BetaTable(k, beta.N, fn, P * beta.den)
 
 
 def verify_beta_conditions(beta: BetaTable, window: tuple[int, int], N: int) -> dict:
     """Check conditions (ii) and (iii) on the finite window u <= window[0],
     d <= window[1]; identities whose arguments exceed the backing table's
-    range are skipped (counted).  Returns a report with located witnesses."""
+    range are skipped (counted).  Both identities are homogeneous and linear
+    in beta, so they are decided on beta's numerators over its one den.
+    Returns a report with located witnesses; an empty window (u_max < 1 or
+    d_max < 0) raises ValueError."""
     u_max, d_max = window
+    if u_max < 1 or d_max < 0:
+        raise ValueError(f"empty window {window}: need u_max >= 1 and d_max >= 0")
     checked = skipped = 0
     failures = []
     pk = {p: p ** (beta.k - 1) for p in (2, 3, 5, 7) if N % p}
-    value = beta.value
+    num = beta.numerator
     for u in range(1, u_max + 1):
         iii = u > 1 and all(N % p == 0 for p in prime_divisors(u))
         # (ii) for each prime p with p !| N q: (p, u/p or 0, q, p^(2v))
@@ -313,20 +334,20 @@ def verify_beta_conditions(beta: BetaTable, window: tuple[int, int], N: int) -> 
             continue
         for d in range(0, d_max + 1):
             try:
-                b = value(u, d)
+                b = num(u, d)
             except TableRangeError:
                 skipped += iii + len(ii)
                 continue
             if iii:
                 try:
-                    if b != value(1, d * u * u):
+                    if b != num(1, d * u * u):
                         failures.append({"cond": "iii", "u": u, "d": d})
                     checked += 1
                 except TableRangeError:
                     skipped += 1
             for p, down, q, p2v in ii:
                 try:
-                    if b - pk[p] * value(down, d) != value(q, d * p2v):
+                    if b - pk[p] * num(down, d) != num(q, d * p2v):
                         failures.append({"cond": "ii", "u": u, "d": d, "p": p})
                     checked += 1
                 except TableRangeError:

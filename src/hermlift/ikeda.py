@@ -185,7 +185,9 @@ def fstar_coeff(ed: EigenData, ell: int, M: int) -> CycloNum:
     For M prime to D every M_Q is 1: the subset sum is the one group
     w a_f(M), w = prod_q (1 + chi_q(-ell) chi_under_q(M)), and the closed form
     is a_D(ell M) a_f(M).  They differ by (w - a_D(ell M)) a_f(M), and Q(zeta)
-    has no zero divisors, so they agree iff w = a_D(ell M) or a_f(M) = 0."""
+    has no zero divisors, so they agree iff w = a_D(ell M) or a_f(M) = 0.
+    For other M, two equal representations (order, den, numerators) agree,
+    and only two that differ take the canonical zero test of their difference."""
     field = ed.field
     if math.gcd(ell, field.D) != 1:
         raise ValueError("ell must be coprime to D")
@@ -206,15 +208,17 @@ def fstar_coeff(ed: EigenData, ell: int, M: int) -> CycloNum:
         for MQ, w in weight.items():
             grown[MQ * Mq] = grown.get(MQ * Mq, 0) + sign * w
         weight = grown
-    total = csum(w * (coeff(ed, M) if MQ == 1 else coeff(ed, M // MQ) * coeff(ed, MQ).conjugate())
-                 for MQ, w in weight.items() if w)
+    groups = ((w, coeff(ed, M) if MQ == 1 else coeff(ed, M // MQ) * coeff(ed, MQ).conjugate())
+              for MQ, w in weight.items() if w)
+    total = csum(g if w == 1 else w * g for w, g in groups)
     # closed form
     onD = [(q, q**e) for q, e in fac.items() if field.D % q == 0]
     prod = coeff(ed, M // math.prod(Mq for _, Mq in onD)) * a_D(field, ell * M)
     for q, Mq in onD:
         aq = coeff(ed, Mq)
         prod = prod * (aq + field.chi_p(q, -1) * field.chi_p(q, ell) * under[q] * aq.conjugate())
-    if not (total - prod).is_zero():
+    same = (total.order, total.den, total.coeffs) == (prod.order, prod.den, prod.coeffs)
+    if not (same or (total - prod).is_zero()):
         raise AssertionError(f"subset sum and closed form disagree at M={M}, ell={ell}")
     return total
 

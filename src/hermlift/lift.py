@@ -163,13 +163,16 @@ def maass_coeff(field: QuadField, N: int, k: int, alpha: AlphaSeries,
 
 
 def beta_from_alpha(alpha: AlphaSeries, k: int, N: int) -> BetaTable:
-    """beta(u, v) = sum_{d | u, gcd(d,N)=1} d^(k-1) alpha(v (u/d)^2); the
-    pairs (d^(k-1), (u/d)^2) are built once per u, and alpha's table, bound
-    and unspecified indices are read as AlphaSeries.value reads them: the
-    largest index v u^2 (d = 1) in range, no index unspecified, an integral
-    Fraction as its int numerator."""
+    """beta(u, v) = sum_{d | u, gcd(d,N)=1} d^(k-1) alpha(v (u/d)^2), as a
+    BetaTable over den = 1: its numerators are the values themselves.  The
+    pairs (d^(k-1), (u/d)^2) are built once per u, each index of alpha is
+    read once per table, and alpha's table, bound and unspecified indices
+    are read as AlphaSeries.value reads them: the largest index v u^2
+    (d = 1) in range, no index unspecified, an integral Fraction as its int
+    numerator."""
     terms: dict[int, list[tuple[int, int]]] = {}
-    get, bound, unspecified = alpha.table.get, alpha.bound, alpha.unspecified
+    table, bound, unspecified = alpha.table, alpha.bound, alpha.unspecified
+    read: dict[int, object] = {}  # index -> alpha's value there, unwrapped
 
     def fn(u: int, v: int):
         ts = terms.get(u)
@@ -183,9 +186,12 @@ def beta_from_alpha(alpha: AlphaSeries, k: int, N: int) -> BetaTable:
                     raise ValueError(f"coefficient {v * s} is unspecified")
         out = 0
         for w, s in ts:
-            x = get(v * s, 0)
-            if type(x) is Fraction and x.denominator == 1:
-                x = x.numerator
+            x = read.get(v * s)
+            if x is None:
+                x = table.get(v * s, 0)
+                if type(x) is Fraction and x.denominator == 1:
+                    x = x.numerator
+                read[v * s] = x
             out += w * x
         return out
 

@@ -209,9 +209,32 @@ def round_trip_failures():
     return out
 
 
+def component_failures():
+    """c07's component identity, as (checked, witnesses): the coefficient of
+    g_u at ell = -D|u|^2 mod D is chi(N) (-i sqrt(D) / a_u) a_ell(g), and
+    there a_u = a_D(ell), so it equals alpha*(ell).  A witness (D, N, u, ell)
+    names the class by its key; unspecified coefficients are not read."""
+    checked, out = 0, []
+    for D in ALL_D:
+        f = QuadField(D)
+        g = eisenstein_star(f, 8, 4 * D)
+        for lvl in (1, small_coprime_level(D)):
+            alpha = special_jacobi_alpha(f, lvl, g)
+            for u, gu in theta_decompose(f, lvl, g).items():
+                for ell in range((-u.dnorm) % D, gu.precision, D):
+                    c = gu.coeffs[ell]
+                    if c is None:
+                        continue
+                    checked += 1
+                    if not (c - alpha.value(ell)).is_zero():
+                        out.append((D, lvl, u.key, ell))
+    return checked, out
+
+
 def test_c07_lift_pipeline():
     """Coefficient round trip through the special-Jacobi alpha is exact; the
-    theta components depend on the class only through D|u|^2 mod D; the
+    theta components depend on the class only through D|u|^2 mod D, and the
+    coefficient of g_u at ell = -D|u|^2 mod D is alpha*(ell); the
     divisor-sum coefficient is well-defined on (eps, D det) with >= 3 keys per
     class; the beta identities hold exactly on u <= 50, d <= 200."""
     assert round_trip_failures() == []
@@ -226,6 +249,7 @@ def test_c07_lift_pipeline():
                 assert gu is by_res[r] or gu == by_res[r], (D, u.key)
             else:
                 by_res[r] = gu
+    assert component_failures() == (704, [])
     # well-definedness with at least 3 keys per (eps, ddet) class
     for D in (3, 4, 8):
         f = QuadField(D)

@@ -342,6 +342,9 @@ def test_beta_table_zero_extension():
     assert t.value(0, 5) == 0
     assert t.value(-3, 5) == 0
     assert t.value(2, 5) == 11
+    for den in (0, -2, 1.0, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="positive int"):
+            BetaTable(8, 1, lambda u, v: 1, den)
 
 
 @pytest.mark.parametrize("block,N,distinct",
@@ -518,6 +521,25 @@ def test_beta_Tp_equals_the_fraction_recursion():
             for d in range(25):
                 x, y = want.value(u, d), got.value(u, d)
                 assert x == y and type(x) is type(y) is not int, (u, d)
+    # T_p twice, over P^2: equal values where both read in range, and the
+    # same (u, d) out of range for both
+    for f, p, betaF in tables[:2] + tables[-8:]:
+        want = _beta_Tp_variant(_beta_Tp_variant(betaF, p), p)
+        got = beta_Tp(beta_Tp(betaF, p, f), p, f)
+        assert got.den == p ** (4 * betaF.k - 8)
+        read = 0
+        for u in range(1, 11):
+            for d in range(25):
+                try:
+                    x = want.value(u, d)
+                except TableRangeError:
+                    with pytest.raises(TableRangeError):
+                        got.value(u, d)
+                    continue
+                y = got.value(u, d)
+                assert x == y and type(x) is type(y) is not int, (u, d)
+                read += 1
+        assert read > 100
     with pytest.raises(ValueError, match="k >= 3"):
         beta_Tp(BetaTable(2, 1, lambda u, v: 0), 2, QuadField(3))
 
@@ -570,9 +592,25 @@ def _verify_beta_conditions_reference(beta, window, N):
             "ok": not failures}
 
 
+def _numerator_fault(beta):
+    """beta with its numerator at (4, 5) moved by 1, so beta(4, 5) moves by 1/den."""
+    return BetaTable(beta.k, beta.N, lambda u, v: beta.numerator(u, v) + (1 if (u, v) == (4, 5) else 0),
+                     beta.den)
+
+
+def _tp_tables():
+    """T_p and T_p applied twice to c08's first table (k = 8, D = 3, p = 2),
+    with their denominators p^(2k-4) and p^(4k-8)."""
+    k, _, f, p, betaF = next(acceptance.c08_beta_tables())
+    tp = beta_Tp(betaF, p, f)
+    return [(tp, p ** (2 * k - 4)), (beta_Tp(tp, p, f), p ** (4 * k - 8))]
+
+
 def _fault_tables():
     """The tables of the fault tests above, each with its level: beta(4, 5)
-    moved by 1, 1/2 and i, and random tables that run out of range."""
+    moved by 1, 1/2 and i, random tables that run out of range, and T_p
+    and T_p twice of a c08 table, once as is and once with the numerator at
+    (4, 5) moved by 1."""
     ramp = beta_from_alpha(AlphaSeries({ell: ell + 1 for ell in range(25000)}, "maass", 24999), 8, 1)
     frac = beta_from_alpha(AlphaSeries({ell: Fraction(ell % 7 - 3) for ell in range(25000)},
                                        "maass", 24999), 8, 1)
@@ -585,6 +623,8 @@ def _fault_tables():
             out.append((BetaTable(8, 1, lambda u, v, g=good, b=b: g.value(u, v) + (b if (u, v) == (4, 5) else 0)), 1))
     for N, bound in ((1, 60), (1, 8), (6, 8), (6, 3)):
         out.append((_random_beta(random.Random(N * bound), 8, N, bound), N))
+    for tp, _ in _tp_tables():
+        out += [(tp, 1), (_numerator_fault(tp), 1)]
     return out
 
 
@@ -597,3 +637,48 @@ def test_verify_beta_conditions_report_matches_the_reference():
         assert want["checked"] + want["skipped"] > 0
     skips = [_verify_beta_conditions_reference(b, (10, 24), N)["skipped"] for b, N in _fault_tables()]
     assert any(skips)
+
+
+def test_a_numerator_fault_moves_beta_by_one_over_den():
+    # the T_p tables are over p^(2k-4) and p^(4k-8); a numerator moved by 1
+    # moves beta(4, 5) by 1/den and nothing else, and the identities that
+    # read beta(4, 5) FAIL on the numerators
+    for tp, den in _tp_tables():
+        bad = _numerator_fault(tp)
+        assert tp.den == bad.den == den
+        assert bad.value(4, 5) - tp.value(4, 5) == Fraction(1, den)
+        assert all(bad.value(u, d) == tp.value(u, d) for u in range(1, 6) for d in range(8) if (u, d) != (4, 5))
+        rep = verify_beta_conditions(bad, (10, 24), 1)
+        assert rep["failures"]
+        for w in rep["failures"]:
+            assert (4, 5) in _beta_args(w), w
+        assert verify_beta_conditions(tp, (10, 24), 1)["ok"]
+
+
+def test_beta_identities_on_a_T_p_table_build_no_fraction(monkeypatch):
+    # T_p's numerators and both identities stay in integers on a c08 table:
+    # no Fraction is built in hecke, and value() still returns a Fraction
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(hecke, "Fraction", Counting)
+    k, _, f, p, betaF = next(acceptance.c08_beta_tables())
+    betaG = beta_Tp(betaF, p, f)
+    rep = verify_beta_conditions(betaG, (10, 24), 1)
+    assert rep["ok"] and (rep["checked"], rep["skipped"]) == (1000, 0)
+    assert built == []
+    v = betaG.value(3, 7)
+    assert isinstance(v, Fraction) and built
+    assert v == Fraction(betaG.numerator(3, 7), p ** (2 * k - 4))
+
+
+@pytest.mark.parametrize("window", [(0, 24), (10, -1), (-3, 5)])
+def test_verify_beta_conditions_refuses_an_empty_window(window):
+    beta = BetaTable(8, 1, lambda u, v: u + v)
+    with pytest.raises(ValueError, match="empty window"):
+        verify_beta_conditions(beta, window, 1)
+    assert verify_beta_conditions(beta, (1, 0), 1)["checked"] == 4

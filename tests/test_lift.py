@@ -1,10 +1,12 @@
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import tests.test_acceptance as acceptance
+from hermlift import lift
 from hermlift.cyclotomic import CycloNum
 from hermlift.hecke import TableRangeError
 from hermlift.lift import (AlphaSeries, HermitianCoeffKey, beta_from_alpha,
@@ -183,3 +185,23 @@ def test_c07_locates_a_plus_coefficient_off_by_one(monkeypatch):
 
     monkeypatch.setattr(acceptance, "plus_coeff_from_alpha", off)
     assert acceptance.round_trip_failures() == [(15, 1, 11), (15, 2, 11)]
+
+
+@pytest.mark.parametrize("fault", ["decomp-mult", "alpha-aD-both"])
+def test_c07_component_identity_sees_a_dropped_normalization(monkeypatch, fault):
+    # decomp-mult: theta_decompose's 1/a_u replaced by 1 (every class read
+    # with mult 1); alpha-aD-both: alpha*'s 1/a_D(ell) and the inverse's
+    # a_D(ell) both dropped (a_D read as 1 where it is nonzero), which the
+    # round trip cannot see.  Every specified coefficient has gcd(ell, D) = 1,
+    # so a_D(ell) = a_u >= 2 and each of the 704 is a witness
+    if fault == "decomp-mult":
+        monkeypatch.setattr(lift, "classes", lambda field: [replace(u, mult=1) for u in classes(field)])
+    else:
+        monkeypatch.setattr(lift, "a_D", lambda field, ell: 1 if a_D(field, ell) else 0)
+        assert acceptance.round_trip_failures() == []
+    checked, failures = acceptance.component_failures()
+    assert checked == len(failures) == 704
+    D, N, key, ell = failures[0]
+    f = QuadField(D)
+    u = next(u for u in classes(f) if u.key == key)
+    assert (ell + u.dnorm) % D == 0 and N in (1, acceptance.small_coprime_level(D))
