@@ -19,13 +19,10 @@ The local factor chi_under_q(M) of the idele character is realized as
 chi_q(M / M_q) * eta_q^{val_q(M)} with eta_q = prod_{p | D, p != q} chi_p(q);
 this operational definition is fixed by requiring the subset-sum and the
 product closed form of a_{f*[l]} to agree (cross-checked on every call).
-The subset sum groups the subsets Q by M_Q: each group shares one product
-a_f(M/M_Q) conj(a_f(M_Q)) (a_f(M) itself for M_Q = 1), weighted by the
-integer sum of its signs, and the weights are expanded one prime of D at a
-time.  For M prime to D (two thirds of M) there is one group, w a_f(M), and
-the closed form is a_D(l M) a_f(M) with the same a_f(M): they differ by
-(w - a_D(l M)) a_f(M), and Q(zeta) has no zero divisors, so the check is the
-integer comparison w = a_D(l M) unless a_f(M) = 0.
+a_f is multiplicative, so both are one product over the primes of D, and
+they differ only in an integer factor and in signs (see fstar_coeff).  For M
+prime to D (a share prod_q (1 - 1/q) of M: two thirds at D = 3, half at D = 4
+and 8, a third at D = 24) the check is one integer comparison unless a_f(M) = 0.
 
 a_f(M) is memoized per M in the eigendata: a(p^e) is one step of the
 recursion from the memoized a(p^{e-1}), a(p^{e-2}), and a(M) for M with
@@ -43,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import factorize, valuation
-from .cyclotomic import CycloNum, csum
+from .cyclotomic import CycloNum
 from .quadfield import QuadField, a_D, chi_component
 
 
@@ -163,6 +160,8 @@ def chi_under(field: QuadField, q: int, M: int) -> int:
 def fQ_coeff(ed: EigenData, Q, M: int) -> CycloNum:
     """a_{f_Q}(M) = a_f(M' M'_Q) conj(a_f(M_Q)) prod_{q in Q} chi_under_q(M)
     (M' = part of M prime to D, M_Q / M'_Q = parts supported on Q / on D\\Q)."""
+    if M < 1:
+        raise ValueError("M must be positive")
     Q = frozenset(Q)
     if not Q <= set(ed.field.primes):
         raise ValueError("Q must consist of prime divisors of D")
@@ -177,46 +176,44 @@ def fstar_coeff(ed: EigenData, ell: int, M: int) -> CycloNum:
     """a_{f*[ell]}(M) = sum_{Q} chi_Q(-ell) a_{f_Q}(M), cross-checked on every
     call against the closed form
 
-      a_f(M') a_D(ell M) prod_{q | gcd(D,M)}
-          (a_f(M_q) + chi_q(-1) chi_q(ell) conj(a_f(M_q)) chi_under_q(M)).
+      a_f(M') a_D(ell M) prod_{q | gcd(D,M)} (a_f(M_q) + t_q conj(a_f(M_q))),
 
-    The subsets Q with the same M_Q share a_f(M/M_Q) conj(a_f(M_Q)), which
-    takes the integer weight sum chi_Q(-ell) prod_{q in Q} chi_under_q(M).
-    For M prime to D every M_Q is 1: the subset sum is the one group
-    w a_f(M), w = prod_q (1 + chi_q(-ell) chi_under_q(M)), and the closed form
-    is a_D(ell M) a_f(M).  They differ by (w - a_D(ell M)) a_f(M), and Q(zeta)
-    has no zero divisors, so they agree iff w = a_D(ell M) or a_f(M) = 0.
-    For other M, two equal representations (order, den, numerators) agree,
-    and only two that differ take the canonical zero test of their difference."""
+    t_q = chi_q(-1) chi_q(ell) chi_under_q(M).  a_f is multiplicative (`coeff`
+    multiplies prime-power values) and conj is a ring map, so in the subset
+    sum each prime q of D contributes a_f(M_q) (q not in Q) or s_q
+    conj(a_f(M_q)) (q in Q), s_q = chi_q(-ell) chi_under_q(M), M_q = 1 for q
+    prime to M.  The sum is the product
+
+      a_f(M') prod_{q prime to M} (1 + s_q) prod_{q | M} (a_f(M_q) + s_q conj(a_f(M_q))).
+
+    Where the integer prod (1 + s_q) is a_D(ell M) and s_q = t_q at every
+    q | M, the two are one expression.  Otherwise the closed form is built,
+    and equal representations (order, den, numerators), else the canonical
+    zero test of the difference, decide: at M prime to D, whether the integer
+    is a_D(ell M) unless a_f(M) = 0, as Q(zeta) has no zero divisors."""
     field = ed.field
+    if M < 1:
+        raise ValueError("M must be positive")
     if math.gcd(ell, field.D) != 1:
         raise ValueError("ell must be coprime to D")
-    if math.gcd(M, field.D) == 1:  # the one group M_Q = 1
-        w = math.prod(1 + field.chi_p(q, -ell) * chi_under(field, q, M) for q in field.primes)
-        aM = coeff(ed, M)
-        if not (w == a_D(field, ell * M) or aM.is_zero()):
-            raise AssertionError(f"subset sum and closed form disagree at M={M}, ell={ell}")
-        return w * aM
-    fac = dict(factorize(M))
-    under = {q: chi_under(field, q, M) for q in field.primes}
-    # M_Q -> its integer weight, expanded one prime q of D at a time: a subset
-    # omits q, or takes q^val_q(M) into M_Q with the sign chi_q(-ell) chi_under_q(M)
-    weight = {1: 1}
+    rest, free, local = M, 1, []  # local: (a_f(M_q), s_q, t_q) for q | M
     for q in field.primes:
-        Mq, sign = q ** fac.get(q, 0), field.chi_p(q, -ell) * under[q]
-        grown = dict(weight)
-        for MQ, w in weight.items():
-            grown[MQ * Mq] = grown.get(MQ * Mq, 0) + sign * w
-        weight = grown
-    groups = ((w, coeff(ed, M) if MQ == 1 else coeff(ed, M // MQ) * coeff(ed, MQ).conjugate())
-              for MQ, w in weight.items() if w)
-    total = csum(g if w == 1 else w * g for w, g in groups)
-    # closed form
-    onD = [(q, q**e) for q, e in fac.items() if field.D % q == 0]
-    prod = coeff(ed, M // math.prod(Mq for _, Mq in onD)) * a_D(field, ell * M)
-    for q, Mq in onD:
-        aq = coeff(ed, Mq)
-        prod = prod * (aq + field.chi_p(q, -1) * field.chi_p(q, ell) * under[q] * aq.conjugate())
+        under = chi_under(field, q, M)
+        s = field.chi_p(q, -ell) * under
+        if M % q:
+            free *= 1 + s
+            continue
+        Mq = q ** valuation(M, q)
+        rest //= Mq
+        local.append((coeff(ed, Mq), s, field.chi_p(q, -1) * field.chi_p(q, ell) * under))
+    head = coeff(ed, rest)
+    # free = 0 cancels every subset: the empty sum, whose order is 1
+    total = (math.prod((a + s * a.conjugate() for a, s, _ in local), start=free * head)
+             if free else CycloNum.zero())
+    aD = a_D(field, ell * M)
+    if aD == free and all(s == t for _, s, t in local):
+        return total
+    prod = math.prod((a + t * a.conjugate() for a, _, t in local), start=head * aD)
     same = (total.order, total.den, total.coeffs) == (prod.order, prod.den, prod.coeffs)
     if not (same or (total - prod).is_zero()):
         raise AssertionError(f"subset sum and closed form disagree at M={M}, ell={ell}")

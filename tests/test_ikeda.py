@@ -8,7 +8,7 @@ from sympy import primerange
 import tests.test_acceptance as acceptance
 from hermlift import ikeda
 from hermlift.arith import factorize
-from hermlift.cyclotomic import CycloNum
+from hermlift.cyclotomic import CycloNum, csum
 from hermlift.ikeda import (EigenData, chi_under, coeff, fQ_coeff,
                             fstar_coeff, fstar_plus_check, rho_coeff,
                             synthetic_eigendata, validate_eigendata)
@@ -120,8 +120,9 @@ def test_subset_sum_equals_product_form(D):
 
 @pytest.mark.parametrize("D", ALL_D)
 def test_fstar_is_the_signed_sum_of_its_twists(D):
-    # fstar_coeff groups the subsets Q by M_Q; the plain sum over every Q of
-    # chi_Q(-ell) a_{f_Q}(M) must give the same value
+    # fstar_coeff evaluates the subset sum as one product over the primes of
+    # D; the plain sum over every Q of chi_Q(-ell) a_{f_Q}(M) must give the
+    # same value
     ed = _ed(D, seed=D)
     primes = ed.field.primes
     subsets = [Q for r in range(len(primes) + 1) for Q in itertools.combinations(primes, r)]
@@ -131,6 +132,38 @@ def test_fstar_is_the_signed_sum_of_its_twists(D):
             for Q in subsets:
                 want = want + math.prod(ed.field.chi_p(q, -ell) for q in Q) * fQ_coeff(ed, Q, M)
             assert (fstar_coeff(ed, ell, M) - want).is_zero(), (D, ell, M)
+
+
+def _grouped_subset_sum(ed, ell, M):
+    """The subset sum grouped by M_Q: the subsets with the same M_Q share
+    a_f(M/M_Q) conj(a_f(M_Q)), weighted by the integer sum of their signs,
+    the weights expanded one prime q of D at a time (a subset omits q, or
+    takes q^val_q(M) into M_Q with the sign chi_q(-ell) chi_under_q(M))."""
+    field, fac = ed.field, dict(factorize(M))
+    weight = {1: 1}
+    for q in field.primes:
+        Mq, sign = q ** fac.get(q, 0), field.chi_p(q, -ell) * chi_under(field, q, M)
+        grown = dict(weight)
+        for MQ, w in weight.items():
+            grown[MQ * Mq] = grown.get(MQ * Mq, 0) + sign * w
+        weight = grown
+    return csum(w * (coeff(ed, M) if MQ == 1 else coeff(ed, M // MQ) * coeff(ed, MQ).conjugate())
+                for MQ, w in weight.items() if w)
+
+
+@pytest.mark.parametrize("D", ALL_D)
+def test_fstar_keeps_the_representation_of_the_grouped_sum(D):
+    # the product form is term for term the grouped subset sum, so the
+    # returned (order, den, numerators), and `hermlift ikeda`'s reprs of
+    # them, are the grouped sum's, also where the value is 0
+    primes = list(primerange(2, 320))
+    for m in (1, 5 if D % 5 else 7):
+        ed = synthetic_eigendata(QuadField(D), 7, m, primes, random.Random(D + m))
+        for ell in (1, next(x for x in (2, 3, 5, 7) if math.gcd(x, D * m) == 1)):
+            for M in range(1, 301):
+                got, want = fstar_coeff(ed, ell, M), _grouped_subset_sum(ed, ell, M)
+                assert (got.order, got.den, got.coeffs) == (want.order, want.den, want.coeffs), \
+                    (D, m, ell, M)
 
 
 @pytest.mark.parametrize("D", ALL_D)
@@ -171,6 +204,15 @@ def test_fstar_requires_coprime_ell():
         fstar_coeff(ed, 3, 10)
 
 
+@pytest.mark.parametrize("M", (0, -1, -3))
+def test_a_nonpositive_M_is_refused(M):
+    ed = _ed(4)
+    with pytest.raises(ValueError, match="^M must be positive$"):
+        fstar_coeff(ed, 1, M)
+    with pytest.raises(ValueError, match="^M must be positive$"):
+        fQ_coeff(ed, {2}, M)
+
+
 @pytest.mark.parametrize("D", ALL_D)
 def test_c09_locates_a_negated_chi_under(monkeypatch, D):
     # with chi_under_q negated, c09's check raises at its first M.  At
@@ -208,3 +250,59 @@ def test_a_wrong_a_D_is_not_seen_where_a_of_M_vanishes(monkeypatch):
         assert fstar_coeff(ed, 1, M).is_zero()
     with pytest.raises(AssertionError, match="disagree at M=5, ell=1$"):
         fstar_coeff(ed, 1, 5)
+
+
+@pytest.mark.parametrize("D", ALL_D)
+def test_c09_locates_a_wrong_a_D_at_an_M_sharing_a_prime_with_D(monkeypatch, D):
+    # at an M sharing a prime with D the closed form is a_D(ell M) times the
+    # product a(M') prod_{q | M} (a(M_q) + t_q conj(a(M_q))): an a_D wrong
+    # only at ell M = M0 moves it by that product, which is nonzero where
+    # a_{f*}(M0) is, and the check raises exactly at M0
+    ed = synthetic_eigendata(QuadField(D), 7, 1, list(primerange(2, 520)), random.Random(D))
+    M0 = next(M for M in range(200, 501)
+              if math.gcd(M, D) > 1 and not fstar_coeff(ed, 1, M).is_zero())
+    real = ikeda.a_D
+    monkeypatch.setattr(ikeda, "a_D", lambda field, n: real(field, n) + (n == M0))
+    with pytest.raises(AssertionError, match=f"disagree at M={M0}, ell=1$"):
+        acceptance.check_twist_paths(D)
+
+
+def test_a_wrong_a_D_is_not_seen_where_a_of_M_prime_vanishes(monkeypatch):
+    # at M = 6 = 2 * 3 over D = 3 both paths carry the factor a(M') = a(2) = 0,
+    # so a wrong a_D(6) leaves both 0 and the check passes, as the
+    # subset-sum comparison does; at M = 3 (a(M') = 1) the same fault raises
+    f = QuadField(3)
+    ed = EigenData(f, 7, 1, {2: 0, 3: CycloNum.i() * 27, 5: 4, 7: 3})
+    real = ikeda.a_D
+    monkeypatch.setattr(ikeda, "a_D", lambda field, n: real(field, n) + 5)
+    for M in (6, 30, 42):
+        assert fstar_coeff(ed, 1, M).is_zero()
+    with pytest.raises(AssertionError, match="disagree at M=3, ell=1$"):
+        fstar_coeff(ed, 1, 3)
+
+
+@pytest.mark.parametrize("D", ALL_D)
+def test_a_flipped_closed_form_sign_is_located(monkeypatch, D):
+    # chi_q(ell) negated at q alone flips t_q and nothing else: ell = 503 is
+    # prime to D and larger than any M / M_q read below, so chi_under and
+    # a_D never see it.  The closed form then moves by 2 s_q conj(a(M_q))
+    # times the other factors, and the check raises at the first M with
+    # q | M where the subsets without q (that is, a(M_q) times the other
+    # factors) do not sum to 0
+    ed = _ed(D, seed=D)
+    ell = 503
+    real = QuadField.chi_p
+    for q in ed.field.primes:
+        rest = [p for p in ed.field.primes if p != q]
+        subsets = [Q for r in range(len(rest) + 1) for Q in itertools.combinations(rest, r)]
+        M0 = next(M for M in range(q, 300, q)
+                  if not csum(math.prod(ed.field.chi_p(p, -ell) for p in Q) * fQ_coeff(ed, Q, M)
+                              for Q in subsets).is_zero())
+        monkeypatch.setattr(QuadField, "chi_p",
+                            lambda self, p, n, q=q: -real(self, p, n) if (p, n) == (q, ell)
+                            else real(self, p, n))
+        for M in range(1, M0):
+            fstar_coeff(ed, ell, M)
+        with pytest.raises(AssertionError, match=f"disagree at M={M0}, ell={ell}$"):
+            fstar_coeff(ed, ell, M0)
+        monkeypatch.setattr(QuadField, "chi_p", real)
