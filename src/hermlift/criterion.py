@@ -31,8 +31,9 @@ the primes prove X = 0, and a nonzero one proves X != 0.  `verify_criterion`
 tests X = A - delta with A_u from `inner_sum_direct`, for chunks of base
 sigma and their translates (M(base) from `thetamat.theta_terms`, M(g) from
 `thetamat.monomial_terms`); campaign c02 tests X = closed - direct over every
-swept sigma with c | D and every class pair.  The float route
-(`_inner_sum_float`) is the independent oracle of both readers.
+swept sigma with c | D and every class pair.  The float route (arrays per
+sigma, `_inner_sums_float` and `_theta_matrix_float`) is the independent
+oracle of both readers; it reduces integer exponents before they become floats.
 """
 
 from __future__ import annotations
@@ -236,8 +237,8 @@ def expected_delta(field: QuadField, v: DiffClass, w: DiffClass) -> int:
 # independent floating-point route
 
 
-def _theta_matrix_float(field: QuadField, sigma: Mat2Z) -> list[list[complex]]:
-    """M(sigma)[u][v] in floating point: sign(a) delta_{u, av} e[ab|u|^2] at
+def _theta_matrix_float(field: QuadField, sigma: Mat2Z) -> np.ndarray:
+    """M(sigma)[u, v] in floating point: sign(a) delta_{u, av} e[ab|u|^2] at
     c = 0, else -i/(c sqrt(D)) sum_{gamma in u + O_K mod c} e[(a|gamma|^2 -
     Tr(gamma conj(v)) + d|v|^2)/c], factored over the prime powers q of |c|.
     With gamma = u + sum_q (c/q) x_q, x_q in O_K/q, the cross terms of
@@ -247,14 +248,14 @@ def _theta_matrix_float(field: QuadField, sigma: Mat2Z) -> list[list[complex]]:
     omega the term is N[al, be] e[Tr(al conj(y))/q] e[Tr(be omega conj(y))/q],
     N the grid of e[a (c/q) |x|^2 / q] and the traces read on its two axes,
     so a factor is one matrix product over the entries (u, v).  The integers
-    |x|^2 and Tr are reduced mod q."""
+    ab D|u|^2 (c = 0), |x|^2 and Tr are reduced mod D resp. q, and a and d
+    mod D|c|, before they become floats."""
     a, b, c, d = sigma.entries()
     D, cls = field.D, classes(field)
     tp = 2j * cmath.pi
-    if c == 0:
-        sign = 1 if a > 0 else -1
-        return [[sign * cmath.exp(tp * a * b * u.dnorm / D) if v.scaled(a).key == u.key else 0j
-                 for v in cls] for u in cls]
+    if c == 0:  # a = d = sign(a): column v is a e[ab|u|^2] at the row u = av
+        rows, dn = np.array([cls.index(v.scaled(a)) for v in cls]), np.array([u.dnorm for u in cls])
+        return np.where(np.arange(D)[:, None] == rows, a * np.exp(tp * (a * b % D * dn % D) / D)[:, None], 0j)
     # a and d matter mod D|c| (D|u|^2 is an integer), and a only mod q in a factor
     a, d = a % (D * abs(c)), d % (D * abs(c))
     w1, w2 = np.array([[float(x) for x in u.coords()] for u in cls]).T
@@ -270,33 +271,31 @@ def _theta_matrix_float(field: QuadField, sigma: Mat2Z) -> list[list[complex]]:
         E1, E2 = (np.exp(tp * (2 * (x1 * y1 + D * x2 * y2) % q / q))
                   for x1, x2 in ((g1[::q], g2[::q]), (g1[:q], g2[:q])))
         out *= ((E1 @ N) * E2).sum(axis=1)
-    return out.reshape(D, D).tolist()
+    return out.reshape(D, D)
 
 
-def _j_data_float(field: QuadField, sigma: Mat2Z) -> list[tuple[SigmaContext, complex]]:
-    """Per j: (context, G(psi_m; nc) psi_n(a+cj)), the Gauss sum in floating point."""
+def _inner_sums_float(field: QuadField, sigma: Mat2Z, reps: list[DiffClass]) -> np.ndarray:
+    """A_u in floating point for every pair (u, w) of `reps`, as a complex
+    [u, w] array: per j mod D, `sigma_context` and G(psi_m; nc) psi_n(a+cj)
+    R e[-D|w|^2 kappa / D] over the classes w, then one product with
+    e[D|u|^2 j / D] over j.  Each exponent's integer numerator is reduced mod
+    its denominator before it becomes a float."""
     a, _, c, _ = sigma.entries()
-    ctxs = [sigma_context(field, sigma, j) for j in range(field.D)]
-    return [(x, sum(chi_component(field, x.m)(s) * cmath.exp(2j * cmath.pi * s * x.n * c / x.m)
-                    for s in range(x.m)) * chi_component(field, x.n)(a + c * x.j)) for x in ctxs]
-
-
-def _inner_sum_float(field: QuadField, sigma: Mat2Z, u: DiffClass, w: DiffClass,
-                     j_data: list[tuple[SigmaContext, complex]]) -> complex:
-    """A_u in floating point from sigma's `_j_data_float`."""
-    a, b, c, d = sigma.entries()
     D = field.D
-    tp = 2j * cmath.pi
-    au = 0j
-    for ctx, base in j_data:
-        if math.gcd(w.dnorm, ctx.m) != ctx.mu:
-            continue
-        r = 1.0
-        if ctx.m == 4 * ctx.mu:
-            r = 0.5 * (1 + cmath.exp(-tp * (a + c * ctx.j) * w.dnorm / (2 * ctx.m))
-                       * field.chi2(5 - 2 * ctx.n * c))
-        au += base * r * cmath.exp(tp * (u.dnorm * ctx.j - w.dnorm * ctx.kappa) / D)
-    return au * w.mult / u.mult
+    dn = np.array([x.dnorm for x in reps])
+    mult = np.array([x.mult for x in reps])
+    e = lambda k, q: np.exp(2j * cmath.pi * k / q)  # noqa: E731  e[k/q], 0 <= k < q
+    coef = np.empty((D, len(reps)), complex)
+    for j in range(D):
+        x = sigma_context(field, sigma, j)
+        acj, nc = a + c * j, x.n * c % x.m
+        g = e(np.arange(x.m) * nc % x.m, x.m) @ chi_component(field, x.m).table  # G(psi_m; nc)
+        R = 1.0
+        if x.m == 4 * x.mu:  # R = (1 + chi_2(5 - 2nc) e[-(a+cj) D|w|^2 / 2m]) / 2
+            R = (1 + field.chi2(5 - 2 * x.n * c) * e(-(acj % (2 * x.m)) * dn % (2 * x.m), 2 * x.m)) / 2
+        coef[j] = (g * chi_component(field, x.n)(acj) * R * (np.gcd(dn, x.m) == x.mu)
+                   * e(-(x.kappa % D) * dn % D, D))
+    return e(np.outer(dn, range(D)) % D, D) @ coef * mult / mult[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +409,11 @@ def verify_criterion(field: QuadField, N: int = 1, *, seed: int = 0,
                          "w": list(reps[iw].key), "lhs": lhs, "expected": int(delta[iv, iw])})
 
     def check_float(sigma: Mat2Z) -> None:
-        # A = sum_u M_{u,v} A_u / D, one verdict per (v, distinct D|w|^2)
-        M = _theta_matrix_float(field, sigma)
-        j_data = _j_data_float(field, sigma)
-        au = [[_inner_sum_float(field, sigma, ru, rw, j_data) for rw in reps] for ru in reps]
-        for iv, iw in np.ndindex(delta.shape):
-            got = sum(M[i][iv] * au[row_of[i]][iw] for i in range(D)) / D
-            if not abs(got - delta[iv, iw]) < FLOAT_TOL:
-                fail(sigma, iv, iw, repr(got))
+        # A = sum_u M_{u,v} A_u / D, one verdict per (v, distinct D|w|^2); the
+        # mask is "not below the tolerance", so a NaN fails
+        A = _theta_matrix_float(field, sigma).T @ _inner_sums_float(field, sigma, reps)[row_of] / D
+        for iv, iw in np.argwhere(~(abs(A - delta) < FLOAT_TOL)):
+            fail(sigma, iv, iw, repr(complex(A[iv, iw])))
 
     def check_chunk(groups) -> None:
         # A [sigma, v, w, t] mod one prime after another, until their product

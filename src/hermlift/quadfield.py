@@ -55,7 +55,6 @@ class QuadField:
             # omega = i sqrt(D)/2: trace 0, norm D/4
             self.omega_trace = 0
             self.omega_norm = D // 4
-        self.unit_count = 6 if D == 3 else 4 if D == 4 else 2
         self._chi_p: dict[int, tuple[int, ...]] = {}  # p -> period table of chi_p
 
     def chi(self, n: int) -> int:

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -150,7 +151,7 @@ def _c_divides_D(D):
 
 
 @pytest.mark.parametrize("arithmetic, target",
-                         [("exact", "inner_sum_direct"), ("float", "_inner_sum_float")])
+                         [("exact", "inner_sum_direct"), ("float", "_inner_sums_float")])
 def test_verify_criterion_reports_injected_fault(monkeypatch, arithmetic, target):
     # double A_u wherever c | D: then A = 2*delta, so exactly the triples
     # with delta = 1 and such sigma must fail, with located witnesses
@@ -208,7 +209,7 @@ def test_float_theta_matrix_equals_the_entrywise_sum():
     for f, sigma in cases:
         cls = classes(f)
         M = criterion._theta_matrix_float(f, sigma)
-        assert all(type(x) is complex for row in M for x in row)
+        assert type(M) is np.ndarray and M.dtype == complex and M.shape == (f.D, f.D)
         for i, u in enumerate(cls):
             for j, v in enumerate(cls):
                 assert abs(M[i][j] - _theta_entry_float(f, sigma, u, v)) < 1e-9, (sigma.entries(), i, j)
@@ -253,6 +254,57 @@ def test_float_theta_matrix_is_factored(monkeypatch):
     assert 0 < count[0] <= D * D * (32**2 + 27**2)
     exact = theta_matrix(QuadField(D), sigma)
     assert max(abs(M[i][j] - exact[i][j].embed()) for i in range(D) for j in range(D)) < 1e-9
+
+
+@pytest.mark.parametrize("D", (8, 24))
+def test_float_inner_sums_keep_their_precision_at_large_entries(D):
+    # each exponent's integer numerator is reduced mod its denominator before
+    # it becomes a float: with (a + cj) D|w|^2 passed unreduced, A_u at these
+    # sigma was off by 2.83 at D = 8 and by up to 15.7 at D = 24
+    f = QuadField(D)
+    cls = classes(f)
+    for x in (10**20, 2**61):
+        for sigma in (Mat2Z(x + 1, x, 1, 1), Mat2Z(1 - x, -x, x, 1 + x)):
+            assert sigma.det() == 1
+            A = criterion._inner_sums_float(f, sigma, cls)
+            exact = np.array([[cyclonum_direct(f, sigma, u, w).embed() for w in cls] for u in cls])
+            assert np.abs(A - exact).max() < 1e-9, sigma.entries()
+
+
+@pytest.mark.parametrize("D", (7, 8, 24))
+def test_float_theta_matrix_keeps_its_precision_at_c_0(D):
+    # at c = 0 ab D|u|^2 is reduced mod D before it becomes a float; passed
+    # unreduced, M(sigma) at b = 10^20 was off by 2.0
+    f = QuadField(D)
+    for a in (1, -1):
+        sigma = Mat2Z(a, 10**20, 0, a)
+        M, exact = criterion._theta_matrix_float(f, sigma), theta_matrix(f, sigma)
+        assert max(abs(M[i, j] - exact[i][j].embed()) for i in range(D) for j in range(D)) < 1e-9
+
+
+def test_float_verdicts_fail_a_nan(monkeypatch):
+    # a NaN is not below the tolerance: with A_u NaN at each sigma with c | D,
+    # every (v, w) of each such sigma fails with a located witness, and no
+    # other sigma does
+    D, cls = 7, classes(QuadField(7))
+    orig, hit, checked = criterion._inner_sums_float, _c_divides_D(D), []
+
+    def nan_at_hits(field, sigma, reps):
+        checked.append((sigma.entries(), len(reps)))
+        A = orig(field, sigma, reps)
+        return np.full_like(A, np.nan) if hit(sigma) else A
+
+    monkeypatch.setattr(criterion, "_inner_sums_float", nan_at_hits)
+    rep = verify_criterion(QuadField(D), 1, arithmetic="float", translates=1)
+    expected = Counter()
+    for entries, n in checked:
+        if hit(Mat2Z(*entries)):
+            expected[entries] += len(cls) * n
+    assert expected and len(expected) < len(set(checked))
+    assert Counter(tuple(fail["sigma"]) for fail in rep["failures"]) == expected
+    for fail in rep["failures"]:
+        assert set(fail) == {"sigma", "v", "w", "lhs", "expected"}
+        assert cmath.isnan(complex(fail["lhs"]))
 
 
 def test_direct_rows_are_bounded_and_keep_their_hits(monkeypatch):
@@ -488,11 +540,11 @@ def test_inner_sums_residues_are_the_direct_sums_within_their_bound(D):
     A, bounds, dens = inner_sum_direct(ring, f, sigmas, reps)
     assert A.shape[:3] == (len(sigmas), len(reps), len(reps))
     for sigma, A_sigma, bound, den in zip(sigmas, A, bounds, dens):
-        j_data = criterion._j_data_float(f, sigma)
+        A_float = criterion._inner_sums_float(f, sigma, reps)
         for iu, u in enumerate(reps):
             for iw, w in enumerate(reps):
                 x = cyclonum_direct(f, sigma, u, w)
-                assert abs(x.embed() - criterion._inner_sum_float(f, sigma, u, w, j_data)) < 1e-9
+                assert abs(x.embed() - A_float[iu, iw]) < 1e-9
                 assert (ring.of(x)[0] == A_sigma[iu, iw]).all(), (sigma, u.key, w.key)
                 assert den % x.den == 0
                 assert den // x.den * sum(map(abs, x.coeffs.values())) <= bound

@@ -7,6 +7,7 @@ import pytest
 
 import tests.test_acceptance as acceptance
 from hermlift import lift
+from hermlift.charsums import i_sqrtD
 from hermlift.cyclotomic import CycloNum
 from hermlift.hecke import TableRangeError
 from hermlift.lift import (AlphaSeries, HermitianCoeffKey, beta_from_alpha,
@@ -56,6 +57,32 @@ def test_roundtrip_alpha_and_plus_coeffs(D, N):
             continue
         back = plus_coeff_from_alpha(f, N, alpha, ell)
         assert (back - c).is_zero(), (D, N, ell)
+
+
+def test_alpha_star_spot_values_at_a_level_with_chi_N_minus_1():
+    """Pins the convention stated in `special_jacobi_alpha`,
+    alpha*(l) = -i sqrt(D) a_l(g) / (a_D(l) chi(N)), at (D, N) = (3, 2),
+    where chi(N) = (-3 | 2) = -1.  The paper's text is not in the
+    repository, so the values are derived from that statement by hand.
+
+    g = eisenstein_star(QuadField(3), 8, 12) has a_l = a_D(l) sum_{d | l}
+    chi(d) d^6, and a_D(2) = a_D(5) = 2, chi(2) = chi(5) = -1:
+      a_2 = 2 (1 - 2^6) = -126,      a_5 = 2 (1 - 5^6) = -31,248.
+    With -i sqrt(3) = -G(chi_K), G(chi_K) = i_sqrtD(3) = i sqrt(3):
+      alpha*(2) = -G(chi_K) (-126) / (2 (-1)) = -63 G(chi_K),
+      alpha*(5) = -G(chi_K) (-31,248) / (2 (-1)) = -15,624 G(chi_K),
+    and the inverse a_l = i (a_D(l) / sqrt(3)) chi(2) alpha*(l) gives back
+    -126 and -31,248.  Dropping chi(N) everywhere flips both alpha* values;
+    dropping 1/a_D(l) in alpha* (and a_D(l) in the inverse) doubles them."""
+    f, N = QuadField(3), 2
+    g = eisenstein_star(f, 8, 12)
+    assert f.chi(N) == -1 and a_D(f, 2) == a_D(f, 5) == 2
+    assert (g.coeffs[2], g.coeffs[5]) == (-126, -31248)
+    alpha = special_jacobi_alpha(f, N, g)
+    G = i_sqrtD(3)
+    assert alpha.value(2) == -63 * G and alpha.value(5) == -15624 * G
+    assert plus_coeff_from_alpha(f, N, alpha, 2) == -126
+    assert plus_coeff_from_alpha(f, N, alpha, 5) == -31248
 
 
 @pytest.mark.parametrize("D", (3, 4, 15, 24))

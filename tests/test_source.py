@@ -76,3 +76,21 @@ def test_criterion_imports_nothing_from_cyclotomic():
     found = [line for line, names in _imported(SRC / "criterion.py")
              if any(name.split(".")[-1] == "cyclotomic" for name in names)]
     assert found == []
+
+
+# what the exact readers build on: the float route shares `sigma_context`,
+# `chi_component`, `classes` and `lattice_coords` with them, and no table
+EXACT_READERS = {"_direct_rows", "_tables", "_gauss_terms", "theta_terms", "monomial_terms",
+                 "ResidueRing", "inner_sum_direct", "inner_sum_closed"}
+
+
+def test_float_route_reads_nothing_of_the_exact_readers():
+    # the float route is the independent oracle of both residue readers, so
+    # it may not name what they are built from
+    oracle = {"_theta_matrix_float", "_inner_sums_float"}
+    funcs = [node for node in ast.parse((SRC / "criterion.py").read_text()).body
+             if isinstance(node, ast.FunctionDef) and node.name in oracle]
+    assert {f.name for f in funcs} == oracle
+    found = [f"{f.name}:{node.lineno}" for f in funcs for node in ast.walk(f)
+             if getattr(node, "id", getattr(node, "attr", None)) in EXACT_READERS]
+    assert found == []
